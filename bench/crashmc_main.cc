@@ -22,12 +22,9 @@
  *   RIO_MC_JOBS      worker threads (0 = all hardware threads)
  *   RIO_MC_HARDENED  1 = hardened restore (default), 0 = trusting
  *   RIO_MC_SHADOW    1 = shadow metadata (default), 0 = off
- *   RIO_MC_WORKLOAD  "shadow-flip", "journal", or "all" (default);
- *                    "all" includes the three ext3 journal modes
- *   RIO_MC_JMODE     ext3 journal modes: "journal-writeback",
- *                    "journal-ordered", "journal-data", or "all";
- *                    selects only those workloads (overrides
- *                    RIO_MC_WORKLOAD)
+ *   RIO_MC_WORKLOAD  comma-separated workloads from "shadow-flip",
+ *                    "journal", "journal-writeback", "journal-ordered",
+ *                    "journal-data"; or "all" (default)
  *   RIO_MC_JCHECKSUM 1 = commit checksums (default); 0 is the
  *                    journal's weakened arm
  *   RIO_MC_TORN      1 = scramble a committed tx payload between
@@ -39,6 +36,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -53,44 +51,29 @@ main()
     const harness::CrashMcConfig config;
     harness::CrashMc checker(config);
 
-    const std::string jmode = harness::envStr("RIO_MC_JMODE", "");
     const std::string which =
         harness::envStr("RIO_MC_WORKLOAD", "all");
+    std::vector<std::string> names;
+    std::istringstream list(which);
+    for (std::string name; std::getline(list, name, ',');)
+        names.push_back(name);
+    // One pass over the enum: selected workloads run in enum order,
+    // and whatever name is left over matched no workload.
     std::vector<harness::McWorkloadKind> kinds;
-    if (!jmode.empty()) {
-        // Journal-mode focus: enumerate only the requested ext3
-        // mode(s), e.g. the CI journal-smoke job's reduced grid.
-        if (jmode == "all" || jmode == "journal-writeback")
-            kinds.push_back(harness::McWorkloadKind::JournalWriteback);
-        if (jmode == "all" || jmode == "journal-ordered")
-            kinds.push_back(harness::McWorkloadKind::JournalOrdered);
-        if (jmode == "all" || jmode == "journal-data")
-            kinds.push_back(harness::McWorkloadKind::JournalData);
-        if (kinds.empty()) {
-            std::fprintf(stderr,
-                         "crashmc: unknown RIO_MC_JMODE \"%s\" (want "
-                         "journal-writeback, journal-ordered, "
-                         "journal-data, or all)\n",
-                         jmode.c_str());
-            return 125;
-        }
-    } else {
-        if (which == "all" || which == "shadow-flip")
-            kinds.push_back(harness::McWorkloadKind::ShadowFlip);
-        if (which == "all" || which == "journal")
-            kinds.push_back(harness::McWorkloadKind::Journal);
-        if (which == "all") {
-            kinds.push_back(harness::McWorkloadKind::JournalWriteback);
-            kinds.push_back(harness::McWorkloadKind::JournalOrdered);
-            kinds.push_back(harness::McWorkloadKind::JournalData);
-        }
-        if (kinds.empty()) {
-            std::fprintf(stderr,
-                         "crashmc: unknown RIO_MC_WORKLOAD \"%s\" "
-                         "(want shadow-flip, journal, or all)\n",
-                         which.c_str());
-            return 125;
-        }
+    for (u32 i = 0; i < harness::kMcNumWorkloads; ++i) {
+        const auto kind = static_cast<harness::McWorkloadKind>(i);
+        if (std::erase(names, harness::mcWorkloadName(kind)) > 0 ||
+            which == "all")
+            kinds.push_back(kind);
+    }
+    if (which != "all" && (kinds.empty() || !names.empty())) {
+        std::fprintf(stderr,
+                     "crashmc: unknown RIO_MC_WORKLOAD \"%s\" (want a "
+                     "comma-separated list of shadow-flip, journal, "
+                     "journal-writeback, journal-ordered, journal-data; "
+                     "or all)\n",
+                     which.c_str());
+        return 125;
     }
 
     std::printf("crashmc: exhaustive crash-point enumeration\n");

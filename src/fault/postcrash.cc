@@ -251,8 +251,8 @@ PostCrashCorruptor::corruptJournal(PostCrashStats &stats)
     // Host-side attack on the on-disk log area: models the torn and
     // reordered writes a real (non-FIFO) disk can leave behind,
     // which the simulated queue alone cannot produce. Everything is
-    // gated on actually finding an ext3-grade journal with committed
-    // transactions, so no Rng draws happen on legacy / Rio images.
+    // gated on actually finding a journal with committed
+    // transactions, so no Rng draws happen on UFS / Rio images.
     using J = os::Journal;
     auto rounds = [&](double base) {
         return static_cast<u64>(

@@ -59,15 +59,13 @@ mcWorkloadClassMask(McWorkloadKind kind)
       case McWorkloadKind::ShadowFlip:
         return kMcAllClasses;
       case McWorkloadKind::Journal:
-        // Memory does not survive a non-Rio reboot; the only crash
-        // boundaries that matter are writes reaching the platter.
-        return mcClassBit(McEventClass::DiskFlush);
       case McWorkloadKind::JournalWriteback:
       case McWorkloadKind::JournalOrdered:
       case McWorkloadKind::JournalData:
-        // ext3: every platter write, plus the protocol instants just
-        // before a commit stages its log writes and before/after a
-        // checkpoint rewrites home copies and advances the head.
+        // Memory does not survive a non-Rio reboot: every platter
+        // write, plus the protocol instants just before a commit
+        // stages its log writes and before/after a checkpoint
+        // rewrites home copies and advances the head.
         return mcClassBit(McEventClass::DiskFlush) |
                mcClassBit(McEventClass::JournalCommit) |
                mcClassBit(McEventClass::JournalCheckpoint);
@@ -89,15 +87,6 @@ namespace
 
 /** Sentinel crash index for the record pass: never fires. */
 constexpr u64 kRecordPass = ~0ull;
-
-/** The three ext3-grade journal workloads. */
-constexpr bool
-mcIsExt3(McWorkloadKind kind)
-{
-    return kind == McWorkloadKind::JournalWriteback ||
-           kind == McWorkloadKind::JournalOrdered ||
-           kind == McWorkloadKind::JournalData;
-}
 
 os::SystemPreset
 mcKernelPreset(McWorkloadKind kind)
@@ -338,7 +327,6 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
           u64 crashAt, std::vector<McEvent> *trace)
 {
     const bool isRio = kind == McWorkloadKind::ShadowFlip;
-    const bool isExt3 = mcIsExt3(kind);
     const u64 seed = mcWorkloadSeed(config, kind);
 
     McPointRecord rec;
@@ -353,7 +341,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
     sim::Machine machine(machineConfig);
     os::KernelConfig kernelConfig =
         os::systemPreset(mcKernelPreset(kind));
-    if (isExt3) {
+    if (!isRio) {
         kernelConfig.journal.checksumCommit = config.journalChecksum;
         // Force checkpoints inside the bounded op window so their
         // boundaries are enumerable (the default is log-pressure
@@ -401,7 +389,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
         machine.nv()->setWriteObserver(&observer);
     if (rio)
         rio->setProtocolObserver(&observer);
-    if (isExt3)
+    if (!isRio)
         kernel->journal().setObserver(&observer);
     observer.arm();
 
@@ -423,7 +411,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
         machine.nv()->setWriteObserver(nullptr);
     if (rio)
         rio->setProtocolObserver(nullptr);
-    if (isExt3)
+    if (!isRio)
         kernel->journal().setObserver(nullptr);
 
     rec.opsCompleted = memtest.opsCompleted();
@@ -444,7 +432,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
     kernel.reset();
     machine.reset(sim::ResetKind::Warm);
 
-    if (isExt3 && config.tornCommit) {
+    if (!isRio && config.tornCommit) {
         // Model the torn-commit window the strict-FIFO sim disk
         // cannot reorder into existence: scramble one committed
         // transaction's payload on the platter while its commit

@@ -26,24 +26,23 @@
  *
  * Five bounded workloads are built in: ShadowFlip (a Rio kernel
  * driven by memTest — exercises the registry shadow-flip protocol
- * end to end), Journal (an AdvFS-journal kernel with write-through
- * memTest — enumerates the group-commit boundaries, DiskFlush events
- * only), and the three ext3-grade journal modes JournalWriteback /
- * JournalOrdered / JournalData, which additionally enumerate every
- * transaction-commit and checkpoint boundary (JournalCommit /
- * JournalCheckpoint events, fired by the journal's observer hook
- * just *before* the staged log writes go out — the most exposed
- * instant of each protocol step). Points are independent, so runAll
- * fans them out over a WorkerPool and merges by event index; any
- * failing point serializes to a minimal repro record (workload,
- * event index, seed) that tests/test_crashmc_corpus.cc replays as an
- * ordinary ctest case.
+ * end to end) and four journal workloads with write-through memTest:
+ * Journal (the AdvFS preset) and the three ext3 data modes
+ * JournalWriteback / JournalOrdered / JournalData. All four run the
+ * same compound-transaction engine and enumerate every disk flush
+ * plus every transaction-commit and checkpoint boundary
+ * (JournalCommit / JournalCheckpoint events, fired by the journal's
+ * observer hook just *before* the staged log writes go out — the
+ * most exposed instant of each protocol step). Points are
+ * independent, so runAll fans them out over a WorkerPool and merges
+ * by event index; any failing point serializes to a minimal repro
+ * record (workload, event index, seed) that
+ * tests/test_crashmc_corpus.cc replays as an ordinary ctest case.
  *
  * Environment knobs (see CrashMcConfig): RIO_SEED, RIO_MC_OPS,
  * RIO_MC_JOBS, RIO_MC_HARDENED, RIO_MC_SHADOW, RIO_MC_NV,
  * RIO_MC_JCHECKSUM, RIO_MC_TORN, RIO_MC_WORKLOAD (see
- * bench/crashmc_main.cc for RIO_MC_JMODE), RIO_MC_JSON,
- * RIO_MC_PROGRESS.
+ * bench/crashmc_main.cc), RIO_MC_JSON, RIO_MC_PROGRESS.
  */
 
 #ifndef RIO_HARNESS_CRASHMC_HH
@@ -62,11 +61,13 @@ namespace rio::harness
 enum class McWorkloadKind : u8
 {
     ShadowFlip, ///< Rio kernel + memTest: shadow-flip protocol.
-    Journal,    ///< AdvFS journal + write-through memTest.
+    Journal,    ///< AdvFS preset (writeback, 16-block commits).
     JournalWriteback, ///< ext3 journal, data=writeback.
     JournalOrdered,   ///< ext3 journal, data=ordered.
     JournalData,      ///< ext3 journal, data=journal.
 };
+
+constexpr u32 kMcNumWorkloads = 5;
 
 const char *mcWorkloadName(McWorkloadKind kind);
 
@@ -81,8 +82,8 @@ enum class McEventClass : u8
     ProtoCommit,     ///< endWrite about to flip state (pre-flip).
     DiskFlush,       ///< A write reached the platter.
     NvMirrorWrite,   ///< Bytes landed in the NV registry mirror.
-    JournalCommit,   ///< ext3 tx about to stage its log writes.
-    JournalCheckpoint, ///< ext3 checkpoint write / head advance.
+    JournalCommit,   ///< Journal tx about to stage its log writes.
+    JournalCheckpoint, ///< Journal checkpoint write / head advance.
 };
 
 constexpr u32 kMcNumEventClasses = 10;
@@ -120,11 +121,11 @@ struct CrashMcConfig
      *  the ShadowFlip workload; every mirror store becomes an
      *  enumerable crash point (RIO_MC_NV). */
     bool nvBacked = envBool("RIO_MC_NV", false);
-    /** ext3 workloads: commit-record checksums on. Turning this off
+    /** Journal workloads: commit-record checksums on. Turning this off
      *  is the journal's deliberately-weakened arm — combined with
      *  tornCommit it must demonstrably fail (RIO_MC_JCHECKSUM). */
     bool journalChecksum = envBool("RIO_MC_JCHECKSUM", true);
-    /** ext3 workloads: between the modeled crash and the reboot,
+    /** Journal workloads: between the modeled crash and the reboot,
      *  scramble one committed transaction's payload while its commit
      *  record survives — the torn-commit window a strict-FIFO sim
      *  disk cannot produce on its own (RIO_MC_TORN). */
@@ -211,8 +212,9 @@ class CrashMc
     CrashMcConfig config_;
 };
 
-/** Event-class mask a workload enumerates (Journal: DiskFlush only,
- *  memory contents do not survive a non-Rio reboot). */
+/** Event-class mask a workload enumerates (journal workloads: disk
+ *  flushes plus commit/checkpoint steps, since memory contents do
+ *  not survive a non-Rio reboot). */
 u32 mcWorkloadClassMask(McWorkloadKind kind);
 
 /** @{ JSONL rendering (harness/sink idiom): one object per point,

@@ -318,22 +318,18 @@ BufferCache::releaseWrite(Ref ref)
         bdwrite(ref);
         return;
       case MetadataPolicy::Logged:
-        if (journal_) {
+        if (journal_ != nullptr) {
             auto &bus = machine_.bus();
             const Addr h = headerAddr(ref);
             journal_->appendMetadata(bus.load32(h + kOffDev),
                                      bus.load32(h + kOffBlkno),
                                      pageAddr(ref));
-            if (journal_->ownsWriteback()) {
-                // ext3 write-ahead rule: the home copy is written
-                // only at checkpoint, from the journal's committed
-                // image — never from here. The buffer stays valid
-                // and clean.
-                setFlags(ref,
-                         flags(ref) & ~(kDirty | kDelwri | kBusy));
-                guard_->setDirty(pageAddr(ref), false);
-                return;
-            }
+            // Write-ahead rule: the home copy is written only at
+            // checkpoint, from the journal's committed image — never
+            // from here. The buffer stays valid and clean.
+            setFlags(ref, flags(ref) & ~(kDirty | kDelwri | kBusy));
+            guard_->setDirty(pageAddr(ref), false);
+            return;
         }
         bdwrite(ref);
         return;

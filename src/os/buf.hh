@@ -39,8 +39,12 @@
 namespace rio::os
 {
 
-/** Receives block images for the journal (legacy AdvFS-style WAL or
- *  the ext3-grade compound-transaction engine). */
+/**
+ * Receives block images for the compound-transaction journal. The
+ * journal owns metadata write-back: home-location copies are written
+ * only at checkpoint (write-ahead rule), so a journaled block leaves
+ * releaseWrite() clean, not delwri.
+ */
 class JournalSink
 {
   public:
@@ -50,12 +54,6 @@ class JournalSink
     /** File-data block image (ext3 data=journal mode only). */
     virtual void appendData(DevNo dev, BlockNo block,
                             Addr pageAddr) = 0;
-    /**
-     * ext3 engine: the journal owns metadata write-back. Home-location
-     * copies are written only at checkpoint (write-ahead rule), so a
-     * journaled block leaves releaseWrite() clean, not delwri.
-     */
-    virtual bool ownsWriteback() const = 0;
     /** ext3 data=journal: route UBC spills through the log. */
     virtual bool wantsDataJournal() const = 0;
     /**
@@ -65,7 +63,8 @@ class JournalSink
      */
     virtual bool fetchBlock(DevNo dev, BlockNo block,
                             std::span<u8> out) = 0;
-    /** Commit the open compound transaction now (fsync/sync path). */
+    /** Commit the open compound transaction now (fsync, sync and
+     *  update-daemon path). */
     virtual void commitTransaction() = 0;
     /** Commit, then checkpoint the whole log (sync/unmount path). */
     virtual void checkpointNow() = 0;

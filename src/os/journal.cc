@@ -22,7 +22,7 @@ descMaxEntries()
         (Ufs::kBlockSize - Journal::kDescEntries) / 8);
 }
 
-/** Validate + parse an ext3 journal superblock image. */
+/** Validate + parse a journal superblock image. */
 bool
 parseJsb(std::span<const u8> jsb, u32 &flags, u64 &headSeq,
          u32 &headSlot, u32 &dataSlots)
@@ -44,10 +44,9 @@ parseJsb(std::span<const u8> jsb, u32 &flags, u64 &headSeq,
 } // namespace
 
 Journal::Journal(sim::Machine &machine, KProcTable &procs,
-                 BufferCache &buf, const KernelConfig &config)
-    : machine_(machine), procs_(procs), buf_(buf), config_(config)
+                 const KernelConfig &config)
+    : machine_(machine), procs_(procs), config_(config)
 {
-    staging_.assign(2 * Ufs::kBlockSize, 0);
 }
 
 void
@@ -57,16 +56,6 @@ Journal::attach(u32 logStart, u32 logBlocks, sim::Disk &disk,
     disk_ = &disk;
     policy_ = policy;
     logStart_ = logStart;
-    mode_ = config_.journal.mode;
-    if (!ext3()) {
-        capacity_ = logBlocks / 2;
-        seq_ = 0;
-        buffered_ = 0;
-        groupFirstSeq_ = 0;
-        groupBuffer_.assign(kGroupRecords * 2 * Ufs::kBlockSize, 0);
-        return;
-    }
-
     dataSlots_ = logBlocks > 1 ? logBlocks - 1 : 0;
     // Clamp the transaction budget so a commit always fits after one
     // checkpoint: need = maxTxBlocks_ + 2 <= dataSlots_.
@@ -113,10 +102,6 @@ Journal::attach(u32 logStart, u32 logBlocks, sim::Disk &disk,
     if (!valid || flags != wantFlags)
         writeJsb();
 }
-
-/* ----------------------------------------------------------------- */
-/* ext3-grade engine                                                 */
-/* ----------------------------------------------------------------- */
 
 void
 Journal::degradeNow()
@@ -185,18 +170,12 @@ Journal::append(DevNo dev, BlockNo block, Addr pageAddr, bool isData)
 void
 Journal::appendMetadata(DevNo dev, BlockNo block, Addr pageAddr)
 {
-    if (!ext3()) {
-        legacyAppend(dev, block, pageAddr);
-        return;
-    }
     append(dev, block, pageAddr, false);
 }
 
 void
 Journal::appendData(DevNo dev, BlockNo block, Addr pageAddr)
 {
-    if (!ext3())
-        return;
     append(dev, block, pageAddr, true);
 }
 
@@ -247,7 +226,6 @@ Journal::txCommit()
         // Cannot be represented (log too small for the flush-grown
         // transaction): the updates survive only in memory. Same
         // escalation as an unwritable log.
-        ++lostTx_;
         degradeNow();
     } else {
         if (observer_ != nullptr) {
@@ -317,7 +295,6 @@ Journal::txCommit()
             // images still move to the checkpoint map so the cache
             // and future reads stay coherent, but updates may be
             // lost on a crash — stop taking new ones.
-            ++lostTx_;
             degradeNow();
         }
         tailSlot_ = (tailSlot_ + need) % dataSlots_;
@@ -382,8 +359,6 @@ bool
 Journal::fetchBlock(DevNo dev, BlockNo block, std::span<u8> out)
 {
     (void)dev;
-    if (!ext3())
-        return false;
     if (txOpen_) {
         auto it = txIndex_.find(block);
         if (it != txIndex_.end()) {
@@ -403,10 +378,6 @@ Journal::fetchBlock(DevNo dev, BlockNo block, std::span<u8> out)
 void
 Journal::commitTransaction()
 {
-    if (!ext3()) {
-        flushLogBuffer();
-        return;
-    }
     if (!txOpen_)
         return;
     txCommit(); // riolint:allow(R9) closes the transaction the append path opened across syscalls
@@ -415,10 +386,6 @@ Journal::commitTransaction()
 void
 Journal::checkpointNow()
 {
-    if (!ext3()) {
-        flushLogBuffer();
-        return;
-    }
     commitTransaction();
     checkpoint();
 }
@@ -426,108 +393,11 @@ Journal::checkpointNow()
 void
 Journal::tick()
 {
-    if (!ext3() || !txOpen_ || disk_ == nullptr)
+    if (!txOpen_ || disk_ == nullptr)
         return;
     if (machine_.clock().now() - txOpenedAt_ >=
         config_.journal.commitIntervalNs)
         commitTransaction();
-}
-
-/* ----------------------------------------------------------------- */
-/* Legacy AdvFS-style engine (kept bit-for-bit)                      */
-/* ----------------------------------------------------------------- */
-
-void
-Journal::flushLogBuffer()
-{
-    if (ext3()) {
-        commitTransaction();
-        return;
-    }
-    if (buffered_ == 0 || disk_ == nullptr)
-        return;
-    // One sequential write per group (group commit); split only when
-    // the run wraps around the end of the circular log.
-    groupUpdates_ = 0;
-    u32 written = 0;
-    while (written < buffered_) {
-        const u32 slot = static_cast<u32>(
-            (groupFirstSeq_ - 1 + written) % capacity_);
-        const u32 run =
-            std::min(buffered_ - written, capacity_ - slot);
-        const SectorNo sector =
-            static_cast<SectorNo>(logStart_ + slot * 2) *
-            sim::kSectorsPerBlock;
-        const IoOutcome outcome = retryWrite(
-            *disk_, sector, run * 2 * sim::kSectorsPerBlock,
-            std::span<const u8>(groupBuffer_.data() +
-                                    written * 2 * Ufs::kBlockSize,
-                                run * 2 * Ufs::kBlockSize),
-            machine_.clock(), policy_, /*queued=*/true);
-        if (!outcome.ok()) {
-            // A lost group is equivalent to crashing just before the
-            // commit reached the log: replay already tolerates the
-            // gap, the delayed in-place copies still exist.
-            ++lostGroups_;
-        }
-        written += run;
-    }
-    buffered_ = 0;
-}
-
-void
-Journal::legacyAppend(DevNo dev, BlockNo block, Addr pageAddr)
-{
-    if (disk_ == nullptr || capacity_ == 0)
-        return;
-    procs_.enter(ProcId::JournalAppend);
-    if (++groupUpdates_ >= kGroupUpdateBudget)
-        flushLogBuffer();
-
-    if (seq_ != 0 && seq_ % capacity_ == 0) {
-        // Log wrap: checkpoint so the records we overwrite are no
-        // longer needed.
-        flushLogBuffer();
-        buf_.flushDelwri(false);
-    }
-
-    // Write absorption: a block updated again before the group
-    // commits just refreshes its image in the buffered record.
-    for (u32 i = 0; i < buffered_; ++i) {
-        const std::span<u8> existing =
-            std::span<u8>(groupBuffer_)
-                .subspan(i * 2 * Ufs::kBlockSize, 2 * Ufs::kBlockSize);
-        if (support::loadLE<u32>(existing, 12) == dev &&
-            support::loadLE<u32>(existing, 16) == block) {
-            dmaRead(machine_.mem(), pageAddr,
-                    existing.subspan(Ufs::kBlockSize, Ufs::kBlockSize));
-            const u32 newSum = support::checksum32(
-                existing.subspan(Ufs::kBlockSize, Ufs::kBlockSize));
-            support::storeLE<u32>(existing, 20, newSum);
-            return;
-        }
-    }
-
-    const u64 seq = ++seq_;
-    if (buffered_ == 0)
-        groupFirstSeq_ = seq;
-    const std::span<u8> record =
-        std::span<u8>(groupBuffer_)
-            .subspan(buffered_ * 2 * Ufs::kBlockSize,
-                     2 * Ufs::kBlockSize);
-    support::fillBytes(record, 0, Ufs::kBlockSize, 0);
-    support::storeLE<u32>(record, 0, kRecordMagic);
-    support::storeLE<u64>(record, 4, seq);
-    support::storeLE<u32>(record, 12, dev);
-    support::storeLE<u32>(record, 16, block);
-    dmaRead(machine_.mem(), pageAddr,
-            record.subspan(Ufs::kBlockSize, Ufs::kBlockSize));
-    const u32 checksum = support::checksum32(
-        record.subspan(Ufs::kBlockSize, Ufs::kBlockSize));
-    support::storeLE<u32>(record, 20, checksum);
-
-    if (++buffered_ >= kGroupRecords)
-        flushLogBuffer();
 }
 
 /* ----------------------------------------------------------------- */
@@ -550,36 +420,19 @@ Journal::replay(sim::Disk &disk, sim::SimClock &clock,
     if (logBlocks == 0)
         return 0;
 
-    // Format dispatch: a valid ext3 journal superblock routes to the
-    // transaction walk; anything else is (at most) a legacy log.
+    // No valid journal superblock (never attached, or torn): there is
+    // no committed transaction to apply.
     std::vector<u8> jsb(Ufs::kBlockSize, 0);
     const IoOutcome got = retryRead(
         disk, static_cast<SectorNo>(logStart) * sim::kSectorsPerBlock,
         sim::kSectorsPerBlock, jsb, clock, policy);
     u32 flags = 0, headSlot = 0, dataSlots = 0;
     u64 headSeq = 0;
-    if (got.ok() &&
-        parseJsb(jsb, flags, headSeq, headSlot, dataSlots) &&
-        dataSlots == logBlocks - 1) {
-        return replayExt3(disk, clock, policy, logStart, jsb, probe,
-                          stats);
-    }
-    return replayLegacy(disk, clock, policy, logStart, logBlocks);
-}
-
-u64
-Journal::replayExt3(sim::Disk &disk, sim::SimClock &clock,
-                    const IoRetryPolicy &policy, u32 logStart,
-                    const std::vector<u8> &jsb,
-                    JournalReplayProbe *probe,
-                    JournalReplayStats *stats)
-{
-    u32 flags = 0, headSlot = 0, dataSlots = 0;
-    u64 headSeq = 0;
-    (void)parseJsb(jsb, flags, headSeq, headSlot, dataSlots);
+    if (!got.ok() ||
+        !parseJsb(jsb, flags, headSeq, headSlot, dataSlots) ||
+        dataSlots != logBlocks - 1)
+        return 0;
     const bool checksummed = (flags & 1u) != 0;
-    if (stats != nullptr)
-        stats->sawExt3 = true;
 
     const auto readSlot = [&](u32 slot, std::span<u8> out) {
         return retryRead(disk,
@@ -728,57 +581,6 @@ Journal::replayExt3(sim::Disk &disk, sim::SimClock &clock,
     if (stats != nullptr) {
         stats->applied = applied;
         stats->transactions = txs.size();
-    }
-    return applied;
-}
-
-u64
-Journal::replayLegacy(sim::Disk &disk, sim::SimClock &clock,
-                      const IoRetryPolicy &policy, u32 logStart,
-                      u32 logBlocks)
-{
-    const u32 capacity = logBlocks / 2;
-
-    // Collect valid records ordered by sequence number.
-    std::map<u64, std::pair<BlockNo, std::vector<u8>>> records;
-    std::vector<u8> rec(2 * Ufs::kBlockSize, 0);
-    for (u32 slot = 0; slot < capacity; ++slot) {
-        const SectorNo sector =
-            static_cast<SectorNo>(logStart + slot * 2) *
-            sim::kSectorsPerBlock;
-        std::fill(rec.begin(), rec.end(), 0);
-        const IoOutcome got = retryRead(disk, sector,
-                                        2 * sim::kSectorsPerBlock, rec,
-                                        clock, policy);
-        if (!got.ok())
-            continue; // Unreadable record: same as torn, skip it.
-        if (support::loadLE<u32>(rec, 0) != kRecordMagic)
-            continue;
-        const u64 seq = support::loadLE<u64>(rec, 4);
-        const u32 blkno = support::loadLE<u32>(rec, 16);
-        const u32 checksum = support::loadLE<u32>(rec, 20);
-        const u32 actual = support::checksum32(
-            std::span<const u8>(rec.data() + Ufs::kBlockSize,
-                                Ufs::kBlockSize));
-        if (actual != checksum)
-            continue; // Torn record (crash mid-append).
-        records[seq] = {blkno,
-                        std::vector<u8>(rec.begin() + Ufs::kBlockSize,
-                                        rec.end())};
-    }
-
-    u64 applied = 0;
-    for (auto &[seq, entry] : records) {
-        const IoOutcome put =
-            retryWrite(disk,
-                       static_cast<SectorNo>(entry.first) *
-                           sim::kSectorsPerBlock,
-                       sim::kSectorsPerBlock, entry.second, clock,
-                       policy);
-        if (put.ok())
-            ++applied;
-        // An unwritable target block is left to fsck: the in-place
-        // copy may be stale, which the scan repairs conservatively.
     }
     return applied;
 }

@@ -1,27 +1,21 @@
 /**
  * @file
- * The journaling layer, two engines behind one sink:
+ * The journaling layer: one compound-transaction engine behind the
+ * JournalSink interface.
  *
- * Legacy (JournalMode::Legacy, the default): the original AdvFS-style
- * metadata WAL. Every metadata block update is appended to a
- * sequential log as a two-block record {header, image}; in-place
- * copies are delayed, and a log wrap checkpoints by flushing delayed
- * metadata. This engine is kept bit-for-bit so historical Table 1 /
- * Table 2 rows stay byte-identical.
- *
- * ext3-grade (Writeback / Ordered / Journal): compound transactions
- * batch many syscalls' block images in memory; a sim-time commit
- * timer (group commit) or a size budget closes the transaction and
- * writes it to a circular log as descriptor + raw images + commit
- * record. The commit record carries a checksum over the payload
- * (JBD2-style) so replay rejects torn commits. Home-location copies
- * are written only at checkpoint (write-ahead rule), and the log head
- * advances only after the home writes are durable (freeing rule) —
+ * Compound transactions batch many syscalls' block images in memory;
+ * a sim-time commit timer (group commit) or a size budget closes the
+ * transaction and writes it to a circular log as descriptor + raw
+ * images + commit record. The commit record carries a checksum over
+ * the payload (JBD2-style) so replay rejects torn commits. Home-location
+ * copies are written only at checkpoint (write-ahead rule), and the log
+ * head advances only after the home writes are durable (freeing rule) —
  * the journal superblock at the first log block records the head.
  * Data modes: Writeback lets file data go its own way, Ordered
  * flushes file data before the commit record (the FIFO disk queue
  * turns queue order into durability order), Journal routes data
- * blocks through the log too.
+ * blocks through the log too. The AdvFS row of Table 2 is the
+ * Writeback preset with a 16-block group commit.
  *
  * Replay is idempotent and re-entrant: it walks transactions from the
  * journal superblock's head, validating sequence numbers and
@@ -74,25 +68,20 @@ class JournalReplayProbe
     virtual void onReplayPhase(Phase phase, u64 detail) = 0;
 };
 
-/** What replay found and did (ext3 engine; legacy fills applied). */
+/** What replay found and did. */
 struct JournalReplayStats
 {
     u64 applied = 0;          ///< Block images written home.
     u64 transactions = 0;     ///< Valid transactions applied.
     u64 rejectedChecksum = 0; ///< Commits rejected by payload sum.
-    bool sawExt3 = false;     ///< An ext3 journal superblock parsed.
 };
 
 class Journal : public JournalSink
 {
   public:
-    /** @{ Legacy record format. */
-    static constexpr u32 kRecordMagic = 0x10C0FFEE;
-    /** @} */
-
-    /** @{ ext3-grade on-disk format. The journal superblock (JSB)
-     *  sits at logStart; the circular data area is the remaining
-     *  logBlocks-1 slots. */
+    /** @{ On-disk format. The journal superblock (JSB) sits at
+     *  logStart; the circular data area is the remaining logBlocks-1
+     *  slots. */
     static constexpr u32 kJsbMagic = 0x4A524E31;  ///< "JRN1"
     static constexpr u32 kDescMagic = 0x4A445343; ///< "JDSC"
     static constexpr u32 kCommitMagic = 0x4A434D54; ///< "JCMT"
@@ -109,7 +98,7 @@ class Journal : public JournalSink
     static constexpr u64 kCmtChecksum = 20; ///< Over desc + images.
     /** @} */
 
-    Journal(sim::Machine &machine, KProcTable &procs, BufferCache &buf,
+    Journal(sim::Machine &machine, KProcTable &procs,
             const KernelConfig &config);
 
     /** Bind to the mounted file system's log area. */
@@ -120,10 +109,9 @@ class Journal : public JournalSink
     void appendMetadata(DevNo dev, BlockNo block,
                         Addr pageAddr) override;
     void appendData(DevNo dev, BlockNo block, Addr pageAddr) override;
-    bool ownsWriteback() const override { return ext3(); }
     bool wantsDataJournal() const override
     {
-        return ext3() && config_.journal.mode == JournalMode::Journal;
+        return config_.journal.mode == JournalMode::Journal;
     }
     bool fetchBlock(DevNo dev, BlockNo block,
                     std::span<u8> out) override;
@@ -131,16 +119,8 @@ class Journal : public JournalSink
     void checkpointNow() override;
     /** @} */
 
-    /**
-     * Legacy: push buffered records to the log as one sequential
-     * write (group commit, [Hagmann87]). ext3: commit the open
-     * compound transaction (the update daemon's path).
-     */
-    void flushLogBuffer();
-
     /** Group-commit timer: called at syscall entry; commits the open
-     *  transaction once it ages past JournalConfig::commitIntervalNs
-     *  (no-op under Legacy). */
+     *  transaction once it ages past JournalConfig::commitIntervalNs. */
     void tick();
 
     /** Log write-back failure escalation (read-only remount). */
@@ -160,16 +140,8 @@ class Journal : public JournalSink
         observer_ = observer;
     }
 
-    /** Legacy: records appended. ext3: block images logged. */
-    u64 recordsWritten() const
-    {
-        return ext3() ? blocksLogged_ : seq_;
-    }
-
-    /** Group/transaction writes the log gave up on after retries. */
-    u64 lostGroups() const { return ext3() ? lostTx_ : lostGroups_; }
-
-    /** @{ ext3 accounting. */
+    /** @{ Accounting. recordsWritten counts block images logged. */
+    u64 recordsWritten() const { return blocksLogged_; }
     u64 transactionsCommitted() const { return txCommitted_; }
     u64 checkpointsDone() const { return checkpointsDone_; }
     bool txOpen() const { return txOpen_; }
@@ -177,9 +149,9 @@ class Journal : public JournalSink
     /** @} */
 
     /**
-     * Boot-time recovery, format auto-detected: a valid ext3 journal
-     * superblock routes to the transaction walk; anything else falls
-     * back to the legacy record scan.
+     * Boot-time recovery: walk the transactions from the journal
+     * superblock's head and apply them. A volume without a valid
+     * journal superblock has nothing to replay.
      * @return Number of block images applied.
      */
     static u64 replay(sim::Disk &disk, sim::SimClock &clock,
@@ -188,11 +160,6 @@ class Journal : public JournalSink
                       JournalReplayStats *stats = nullptr);
 
   private:
-    /** @{ Legacy engine constants. */
-    static constexpr u32 kGroupRecords = 16;
-    static constexpr u32 kGroupUpdateBudget = 64;
-    /** @} */
-
     struct TxBlock
     {
         BlockNo home = 0;
@@ -200,7 +167,6 @@ class Journal : public JournalSink
         std::vector<u8> image;
     };
 
-    bool ext3() const { return mode_ != JournalMode::Legacy; }
     void append(DevNo dev, BlockNo block, Addr pageAddr, bool isData);
     void txBegin();
     void txAppend(BlockNo block, Addr pageAddr, bool isData);
@@ -209,38 +175,14 @@ class Journal : public JournalSink
     u32 freeSlots() const { return dataSlots_ - usedSlots_; }
     void writeJsb();
     void degradeNow();
-    void legacyAppend(DevNo dev, BlockNo block, Addr pageAddr);
-
-    static u64 replayExt3(sim::Disk &disk, sim::SimClock &clock,
-                          const IoRetryPolicy &policy, u32 logStart,
-                          const std::vector<u8> &jsb,
-                          JournalReplayProbe *probe,
-                          JournalReplayStats *stats);
-    static u64 replayLegacy(sim::Disk &disk, sim::SimClock &clock,
-                            const IoRetryPolicy &policy, u32 logStart,
-                            u32 logBlocks);
 
     sim::Machine &machine_;
     KProcTable &procs_;
-    BufferCache &buf_;
     const KernelConfig &config_;
     sim::Disk *disk_ = nullptr;
     IoRetryPolicy policy_;
-    JournalMode mode_ = JournalMode::Legacy;
     u32 logStart_ = 0;
-
-    /** @{ Legacy engine state. */
-    u64 lostGroups_ = 0;
-    u32 capacity_ = 0; ///< Records (2 blocks each).
-    u64 seq_ = 0;
     std::vector<u8> staging_;
-    std::vector<u8> groupBuffer_;
-    u32 buffered_ = 0;
-    u32 groupUpdates_ = 0;
-    u64 groupFirstSeq_ = 0;
-    /** @} */
-
-    /** @{ ext3 engine state. */
     u32 dataSlots_ = 0;   ///< Circular log slots (logBlocks - 1).
     u32 maxTxBlocks_ = 0; ///< Size budget, clamped to fit the log.
     std::vector<TxBlock> tx_;
@@ -260,12 +202,10 @@ class Journal : public JournalSink
     u64 txCommitted_ = 0;
     u64 blocksLogged_ = 0;
     u64 checkpointsDone_ = 0;
-    u64 lostTx_ = 0;
     bool degraded_ = false;
     std::function<void()> degrade_;
     std::function<void()> orderedFlush_;
     JournalObserver *observer_ = nullptr;
-    /** @} */
 };
 
 } // namespace rio::os

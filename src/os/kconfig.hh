@@ -3,7 +3,10 @@
  * Kernel configuration: which file system flavour is mounted, when
  * data and metadata are made permanent, and which Rio features are
  * active. The eight rows of the paper's Table 2 are presets over
- * these knobs (see systemPreset()).
+ * these knobs (see systemPreset()). Every journaling preset — the
+ * AdvFS row and the three ext3 rows — runs the same
+ * compound-transaction engine; JournalConfig sets its data mode and
+ * transaction budget.
  */
 
 #ifndef RIO_OS_KCONFIG_HH
@@ -48,34 +51,26 @@ enum class FsKind : u8
 {
     Ufs,     ///< UFS on the simulated disk.
     Mfs,     ///< Memory file system (zero-latency RAM disk).
-    Journal, ///< UFS with a journal (JournalMode picks the engine).
+    Journal, ///< UFS with a journal (JournalMode picks the data mode).
 };
 
 /**
- * Which journaling engine — and, for the ext3-grade engine, which
- * data mode — a FsKind::Journal mount runs.
- *
- * Legacy is the original AdvFS-style toy WAL (one record per
- * metadata block, delayed in-place copies); it stays the default so
- * every historical Table 1/Table 2 row is byte-identical with the
- * new knobs untouched. The other three select the ext3-grade
- * compound-transaction engine and differ only in how file *data*
- * relates to the log (metadata is always journaled):
+ * Which data mode a FsKind::Journal mount runs. There is one
+ * compound-transaction engine (os/journal.hh); the modes differ only
+ * in how file *data* relates to the log (metadata is always
+ * journaled):
  */
 enum class JournalMode : u8
 {
-    Legacy,    ///< AdvFS-style per-block WAL (pre-ext3 engine).
     Writeback, ///< ext3 data=writeback: data goes its own way.
     Ordered,   ///< ext3 data=ordered: data flushed before commit.
     Journal,   ///< ext3 data=journal: data blocks through the log.
 };
 
-const char *journalModeName(JournalMode mode);
-
-/** Knobs for the ext3-grade engine (ignored under Legacy). */
+/** Knobs for the compound-transaction journal. */
 struct JournalConfig
 {
-    JournalMode mode = JournalMode::Legacy;
+    JournalMode mode = JournalMode::Writeback;
 
     /** Group-commit timer: an open compound transaction older than
      *  this commits at the next syscall tick (ext3 default 5 s). */
@@ -189,21 +184,21 @@ struct KernelConfig
 
 /** The eight system configurations evaluated in Table 2, plus the
  *  NV-backed Rio tier (paper section 7's battery-backed DRAM) and
- *  the three ext3-grade journal-mode rows. */
+ *  the three ext3 journal-mode rows. */
 enum class SystemPreset : u8
 {
     MemoryFs,            ///< Memory File System: data permanent never.
     UfsDelayAll,         ///< Delayed data + metadata (no-order UFS).
-    AdvFsJournal,        ///< Log metadata updates (legacy toy WAL).
+    AdvFsJournal,        ///< Log metadata, 16-block group commit.
     UfsDefault,          ///< Async data, synchronous metadata.
     UfsWriteThroughClose,///< fsync on every close.
     UfsWriteThroughWrite,///< sync mount + fsync on close.
     RioNoProtection,     ///< Rio, warm reboot only.
     RioProtected,        ///< Rio with VM/TLB protection.
     RioNvProtected,      ///< Rio, protected, NV-mirrored registry.
-    JournalWriteback,    ///< ext3-grade journal, data=writeback.
-    JournalOrdered,      ///< ext3-grade journal, data=ordered.
-    JournalData,         ///< ext3-grade journal, data=journal.
+    JournalWriteback,    ///< ext3 journal, data=writeback.
+    JournalOrdered,      ///< ext3 journal, data=ordered.
+    JournalData,         ///< ext3 journal, data=journal.
 };
 
 /** Build a KernelConfig for one Table 2 row. */

@@ -33,7 +33,7 @@ Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
       buf_(machine, procs_, heap_, kcopy_, locks_, config_),
       ubc_(machine, procs_, heap_, kcopy_, locks_, config_),
       ufs_(machine, procs_, kcopy_, locks_, config_, buf_, ubc_),
-      journal_(machine, procs_, buf_, config_),
+      journal_(machine, procs_, config_),
       vfs_(machine, procs_, heap_, config_, ufs_, ubc_, buf_)
 {
     kcopy_.setHeapHint(&heap_);
@@ -127,8 +127,7 @@ Kernel::tick()
 {
     fsDisk().poll(machine_.clock().now());
 
-    // Group-commit timer (ext3 modes; a no-op under Legacy, so the
-    // historical presets are untouched).
+    // Group-commit timer.
     if (config_.fs == FsKind::Journal)
         journal_.tick();
 
@@ -153,7 +152,7 @@ Kernel::tick()
     // The classic update daemon: push delayed metadata and aged
     // dirty file data, asynchronously.
     if (config_.fs == FsKind::Journal)
-        journal_.flushLogBuffer();
+        journal_.commitTransaction();
     ufs_.pushSuperCounters();
     buf_.flushDelwri(false);
     switch (config_.data) {

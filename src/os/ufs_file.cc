@@ -240,8 +240,8 @@ Ufs::fsyncFile(InodeNo ino, bool waitMetadata)
 {
     pushSuperCounters();
     ubc_.flushFile(dev_, ino, true);
-    if (journal_ != nullptr && journal_->ownsWriteback()) {
-        // ext3: fsync durability = the commit record is durable.
+    if (journal_ != nullptr) {
+        // fsync durability = the commit record is durable.
         journal_->commitTransaction();
     }
     buf_.flushDelwri(waitMetadata);
@@ -254,7 +254,7 @@ Ufs::syncAll(bool wait)
 {
     pushSuperCounters();
     ubc_.flushAll(wait);
-    if (journal_ != nullptr && journal_->ownsWriteback()) {
+    if (journal_ != nullptr) {
         journal_->commitTransaction();
         if (wait) {
             // Unmount path: home copies must be current before the

@@ -13,7 +13,7 @@
  *
  * To harvest new entries: run bench/crashmc_main with a weakened
  * configuration (RIO_MC_HARDENED=0, RIO_MC_SHADOW=0, or for the
- * ext3 journal workloads RIO_MC_JCHECKSUM=0 RIO_MC_TORN=1) and copy
+ * journal workloads RIO_MC_JCHECKSUM=0 RIO_MC_TORN=1) and copy
  * the coordinates from the "counterexamples" array of crashmc.json.
  * Event indices are only meaningful for the exact (seed, ops,
  * shadowMetadata) they were recorded under — the trace is
@@ -39,7 +39,7 @@ struct CrashMcCase
     bool shadowMetadata;
     bool expectRecovered;
     const char *note;
-    /** ext3 journal arms; at these defaults the fields are inert and
+    /** Journal arms; at these defaults the fields are inert and
      *  every pre-existing record keeps its exact meaning. */
     bool journalChecksum = true;
     bool tornCommit = false;
@@ -71,17 +71,17 @@ inline constexpr CrashMcCase kCrashMcCorpus[] = {
      /*hardened=*/true, /*shadow=*/false, /*recovers=*/false,
      "no shadow pages: mid-update metadata store is unrecoverable"},
 
-    // Journal workload commit-record boundaries: crashing at the
-    // first and last disk-flush events of the bounded run must leave
-    // a volume the journal replay brings back consistent.
-    {rio::harness::McWorkloadKind::Journal, 0, 1, 4,
+    // AdvFS preset: one commit boundary and one checkpoint boundary
+    // of the seed-1 ops-4 trace (event 8 is its second commit, events
+    // 9-13 the checkpoint that follows).
+    {rio::harness::McWorkloadKind::Journal, 8, 1, 4,
      /*hardened=*/true, /*shadow=*/true, /*recovers=*/true,
-     "first commit-record flush boundary"},
+     "advfs: crash as a group commit stages its log writes"},
     {rio::harness::McWorkloadKind::Journal, 11, 1, 4,
      /*hardened=*/true, /*shadow=*/true, /*recovers=*/true,
-     "last flush boundary of the bounded run"},
+     "advfs: crash mid-checkpoint, between home-copy writes"},
 
-    // ext3 journal modes: one commit boundary and one checkpoint
+    // ext3 data modes: one commit boundary and one checkpoint
     // boundary per data mode (seed-1 ops-8 traces). Crashing at the
     // instant a commit stages its log writes — or mid-checkpoint,
     // between home-copy rewrites — must replay back to consistency.

@@ -49,6 +49,8 @@ TEST(Presets, MapToExpectedKnobs)
     auto advfs = os::systemPreset(SystemPreset::AdvFsJournal);
     EXPECT_EQ(advfs.fs, os::FsKind::Journal);
     EXPECT_EQ(advfs.metadata, os::MetadataPolicy::Logged);
+    EXPECT_EQ(advfs.journal.mode, os::JournalMode::Writeback);
+    EXPECT_EQ(advfs.journal.maxTxBlocks, 16u);
 
     auto ufs = os::systemPreset(SystemPreset::UfsDefault);
     EXPECT_EQ(ufs.metadata, os::MetadataPolicy::Sync);
@@ -71,16 +73,19 @@ TEST(Presets, MapToExpectedKnobs)
     EXPECT_TRUE(rioP.rio);
     EXPECT_EQ(rioP.protection, os::ProtectionMode::VmTlb);
 
-    // Names and permanence strings exist and are distinct.
+    // Names and permanence strings exist and are distinct, for every
+    // preset through the last one.
+    constexpr int kPresets =
+        static_cast<int>(SystemPreset::JournalData) + 1;
     std::set<std::string> names;
-    for (int preset = 0; preset < 8; ++preset) {
+    for (int preset = 0; preset < kPresets; ++preset) {
         names.insert(os::systemPresetName(
             static_cast<os::SystemPreset>(preset)));
         EXPECT_NE(std::string(os::systemPresetPermanence(
                       static_cast<os::SystemPreset>(preset))),
                   "?");
     }
-    EXPECT_EQ(names.size(), 8u);
+    EXPECT_EQ(names.size(), 12u);
 }
 
 TEST(Integration, CrashInsideAnOperationIsTolerated)
@@ -143,7 +148,9 @@ TEST(Integration, JournalWrapCheckpointsAndStaysConsistent)
     kernel.boot(nullptr, true);
     os::Process proc(1);
     auto &vfs = kernel.vfs();
-    // The log holds 32 records (64 blocks / 2); force several wraps.
+    // The log has 63 data slots after its superblock; fsync commits a
+    // transaction per file, so 300 of them wrap it many times over
+    // and log-space pressure forces checkpoints.
     std::vector<u8> data(2000, 1);
     for (int round = 0; round < 30; ++round) {
         for (int i = 0; i < 10; ++i) {
@@ -153,11 +160,13 @@ TEST(Integration, JournalWrapCheckpointsAndStaysConsistent)
                                os::OpenFlags::writeOnly());
             if (fd.ok()) {
                 rio::wl::tolerate(vfs.write(proc, fd.value(), data));
+                rio::wl::tolerate(vfs.fsync(proc, fd.value()));
                 rio::wl::tolerate(vfs.close(proc, fd.value()));
             }
         }
     }
-    EXPECT_GT(kernel.journal().recordsWritten(), 32u);
+    EXPECT_GT(kernel.journal().recordsWritten(), 63u);
+    EXPECT_GT(kernel.journal().checkpointsDone(), 0u);
     // Lockdep is on by default: a heavy workload must not produce a
     // single rank-ordering violation in the fs -> ubc -> buf lattice.
     EXPECT_GT(kernel.locks().lockdepEvents(), 0u);

@@ -1,12 +1,12 @@
 /**
  * @file
- * Tests for the ext3-grade journal engine: compound transactions and
- * group commit, the three data modes surviving crash + replay,
- * checksummed commit records rejecting torn commits (and the
- * checksum-off arm provably applying garbage), replay idempotence
- * and re-entrancy (crash during replay / checkpoint, double crash),
- * the postcrash journal damage classes, and the PR 6 rule that the
- * new knobs at defaults leave the legacy engine byte-identical.
+ * Tests for the compound-transaction journal under its ext3 data
+ * modes: compound transactions and group commit, the three data
+ * modes surviving crash + replay, checksummed commit records
+ * rejecting torn commits (and the checksum-off arm provably applying
+ * garbage), replay idempotence and re-entrancy (crash during replay /
+ * checkpoint, double crash), and the postcrash journal damage
+ * classes, which leave unjournaled volumes untouched.
  */
 
 #include <gtest/gtest.h>
@@ -298,7 +298,6 @@ TEST(JournalExt3, ChecksumRejectsTornCommitButNoChecksumAppliesIt)
         sim::SimClock clock;
         os::JournalReplayStats stats;
         os::Journal::replay(disk, clock, {}, nullptr, &stats);
-        EXPECT_TRUE(stats.sawExt3);
 
         const auto homeBytes = readBlock(disk, home);
         bool sawPattern = false;
@@ -317,6 +316,7 @@ TEST(JournalExt3, ChecksumRejectsTornCommitButNoChecksumAppliesIt)
                 << "checksummed replay leaked torn bytes home";
         } else {
             EXPECT_EQ(stats.rejectedChecksum, 0u);
+            EXPECT_GT(stats.transactions, 0u);
             EXPECT_TRUE(sawPattern)
                 << "weakened arm was expected to apply the garbage";
         }
@@ -557,11 +557,12 @@ TEST(JournalExt3, PostcrashJournalDamageIsContainedByReplay)
 
 TEST(JournalExt3, PostcrashJournalClassesAreSilentOnLegacyImages)
 {
-    // The legacy log has no ext3 journal superblock; the journal
-    // damage classes must draw nothing from the Rng so every
-    // historical campaign trial stays bit-reproducible.
+    // A plain UFS volume (the Table 1 systems) never writes a journal
+    // superblock into its log area; the journal damage classes must
+    // draw nothing from the Rng so every campaign trial stays
+    // bit-reproducible.
     const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::AdvFsJournal);
+        os::systemPreset(os::SystemPreset::UfsDefault);
     auto machine = makeCrashedImage(config);
     fault::PostCrashConfig damage;
     damage.flipRegistryBits = false;
@@ -581,40 +582,4 @@ TEST(JournalExt3, PostcrashJournalClassesAreSilentOnLegacyImages)
     EXPECT_EQ(stats.jrnStaleSeqs, 0u);
     EXPECT_EQ(stats.jrnDescriptorsSmashed, 0u);
     EXPECT_EQ(stats.ops, 0u);
-}
-
-TEST(JournalExt3, LegacyEngineIgnoresTheNewKnobs)
-{
-    // PR 6 rule: with mode=Legacy (every historical preset), the
-    // ext3-only knobs must not perturb a single byte or nanosecond,
-    // so Table 1 / Table 2 legacy rows stay byte-identical.
-    const auto run = [](const os::KernelConfig &config) {
-        sim::Machine machine(machineConfig());
-        os::Kernel kernel(machine, config);
-        kernel.boot(nullptr, true);
-        os::Process proc(1);
-        auto &vfs = kernel.vfs();
-        wl::tolerate(vfs.mkdir("/w"));
-        for (int i = 0; i < 12; ++i) {
-            auto fd = vfs.open(proc, "/w/f" + std::to_string(i),
-                               os::OpenFlags::writeOnly());
-            std::vector<u8> data(4000, static_cast<u8>(i * 3));
-            wl::tolerate(vfs.write(proc, fd.value(), data));
-            wl::tolerate(vfs.fsync(proc, fd.value()));
-            wl::tolerate(vfs.close(proc, fd.value()));
-        }
-        kernel.shutdown();
-        return std::make_pair(machine.clock().now(),
-                              platterFingerprint(machine.disk()));
-    };
-
-    os::KernelConfig defaults =
-        os::systemPreset(os::SystemPreset::AdvFsJournal);
-    os::KernelConfig twisted = defaults;
-    twisted.journal.commitIntervalNs = 1;
-    twisted.journal.maxTxBlocks = 3;
-    twisted.journal.checksumCommit = false;
-    twisted.journal.checkpointEveryCommits = 1;
-
-    EXPECT_EQ(run(defaults), run(twisted));
 }
