@@ -29,6 +29,7 @@ Ubc::init(CacheGuard &guard, BackingStore &backing)
     auto &bus = machine_.bus();
     index_.clear();
     byFile_.clear();
+    dirty_.clear();
     freeList_.clear();
     for (u64 i = 0; i < numPages_; ++i) {
         const Addr h = headerAddr(static_cast<Ref>(i));
@@ -96,7 +97,7 @@ Ubc::checkHeader(Ref ref, DevNo dev, InodeNo ino, u64 pageIdx)
     }
 }
 
-Ubc::Ref
+void
 Ubc::evictOne()
 {
     auto &bus = machine_.bus();
@@ -120,7 +121,6 @@ Ubc::evictOne()
         spill(victim, false);
     }
     dropPage(victim);
-    return victim;
 }
 
 void
@@ -133,6 +133,7 @@ Ubc::dropPage(Ref ref)
     const u32 pageIdx = bus.load32(h + kOffPageIdx);
     guard_->invalidate(pagePhys(ref));
     index_.erase(pageKey(dev, ino, pageIdx));
+    dirty_.erase(ref);
     auto it = byFile_.find(fileKey(dev, ino));
     if (it != byFile_.end()) {
         it->second.erase(ref);
@@ -162,13 +163,10 @@ Ubc::getPage(DevNo dev, InodeNo ino, u64 pageIdx, bool fill)
     }
 
     ++stats_.misses;
-    Ref ref;
-    if (!freeList_.empty()) {
-        ref = freeList_.back();
-        freeList_.pop_back();
-    } else {
-        ref = evictOne();
-    }
+    if (freeList_.empty())
+        evictOne(); // Puts the victim on the free list.
+    const Ref ref = freeList_.back();
+    freeList_.pop_back();
 
     const Addr h = headerAddr(ref);
     bus.store32(h + kOffDev, dev);
@@ -218,6 +216,9 @@ Ubc::write(Ref ref, u64 off, std::span<const u8> data, u32 newValidBytes)
     guard_->endWrite(page, newValidBytes);
     const Addr h = headerAddr(ref);
     bus.store32(h + kOffSize, newValidBytes);
+    // Insert unconditionally, so the index covers a page whose kDirty
+    // bit was set behind the UBC's back before this write.
+    dirty_.insert(ref);
     const u32 f = flags(ref);
     if (!(f & kDirty)) {
         bus.store64(h + kOffDirtied, machine_.clock().now());
@@ -245,6 +246,7 @@ Ubc::spill(Ref ref, bool sync)
                         validBytes(ref), sync);
     setFlags(ref, flags(ref) & ~kDirty);
     guard_->setDirty(pagePhys(ref), false);
+    dirty_.erase(ref);
 }
 
 void
@@ -270,12 +272,18 @@ Ubc::flushFile(DevNo dev, InodeNo ino, bool sync)
 void
 Ubc::flushAll(bool sync)
 {
+    // The index iterates in ascending ref order, the spill order. A
+    // candidate whose header says clean leaves the index; spill()
+    // removes the rest.
     std::vector<Ref> dirty;
-    for (auto &[k, ref] : index_) {
-        if (flags(ref) & kDirty)
-            dirty.push_back(ref);
+    for (auto it = dirty_.begin(); it != dirty_.end();) {
+        if (flags(*it) & kDirty) {
+            dirty.push_back(*it);
+            ++it;
+        } else {
+            it = dirty_.erase(it);
+        }
     }
-    std::sort(dirty.begin(), dirty.end());
     for (const Ref ref : dirty)
         spill(ref, sync);
 }
@@ -349,7 +357,7 @@ u64
 Ubc::dirtyPages()
 {
     u64 count = 0;
-    for (auto &[k, ref] : index_) {
+    for (const Ref ref : dirty_) {
         if (flags(ref) & kDirty)
             ++count;
     }

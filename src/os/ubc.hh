@@ -16,6 +16,7 @@
 #ifndef RIO_OS_UBC_HH
 #define RIO_OS_UBC_HH
 
+#include <set>
 #include <span>
 #include <unordered_map>
 #include <unordered_set>
@@ -158,7 +159,7 @@ class Ubc
     u32 flags(Ref ref);
     void setFlags(Ref ref, u32 value);
     void checkHeader(Ref ref, DevNo dev, InodeNo ino, u64 pageIdx);
-    Ref evictOne();
+    void evictOne();
     void spill(Ref ref, bool sync);
     void dropPage(Ref ref);
 
@@ -178,6 +179,12 @@ class Ubc
 
     std::unordered_map<u64, Ref> index_;
     std::unordered_map<u64, std::unordered_set<Ref>> byFile_;
+    /**
+     * Refs that may be dirty: a superset of the pages whose header
+     * has kDirty set by write(). flushAll() and dirtyPages() walk
+     * only these refs; the header flags stay authoritative.
+     */
+    std::set<Ref> dirty_;
     std::vector<Ref> freeList_;
     UbcStats stats_;
 };

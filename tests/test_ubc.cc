@@ -2,13 +2,16 @@
  * @file
  * Unit tests for the Unified Buffer Cache: page lookup/fill, the
  * KSEG-addressed write path, flush and invalidation, truncation
- * semantics, and eviction spills through the backing store.
+ * semantics, eviction spills through the backing store, and the
+ * host-side dirty-page index that keeps write-back O(dirty).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
+#include <set>
 
 #include "os/ubc.hh"
 #include "sim/machine.hh"
@@ -43,6 +46,7 @@ class FakeStore : public os::BackingStore
               u32 validBytes, bool) override
     {
         ++spills;
+        spillOrder.push_back(pagePhys);
         std::vector<u8> content(sim::kPageSize, 0);
         std::memcpy(content.data(), mem->raw() + pagePhys,
                     sim::kPageSize);
@@ -54,6 +58,7 @@ class FakeStore : public os::BackingStore
     std::map<std::pair<InodeNo, u64>, std::vector<u8>> pages;
     int fills = 0;
     int spills = 0;
+    std::vector<Addr> spillOrder;
     u32 lastValid = 0;
 };
 
@@ -96,6 +101,16 @@ class UbcTest : public ::testing::Test
     os::NullCacheGuard guard_;
     FakeStore store_;
     os::Ubc ubc_;
+
+    /** Overwrite @p ref's header flags with a raw (unchecked) store. */
+    void
+    rawSetFlags(os::Ubc::Ref ref, u32 value)
+    {
+        const Addr header = ubc_.headerArena() +
+                            static_cast<u64>(ref) * os::Ubc::kHeaderSize;
+        std::memcpy(machine_.mem().raw() + header + os::Ubc::kOffFlags,
+                    &value, 4);
+    }
 };
 
 } // namespace
@@ -259,4 +274,126 @@ TEST_F(UbcTest, InvalidateAllEmptiesTheCache)
     const auto missesBefore = ubc_.stats().misses;
     ubc_.getPage(1, 16, 0, false);
     EXPECT_EQ(ubc_.stats().misses, missesBefore + 1);
+}
+
+TEST_F(UbcTest, EvictionNeverHandsOutALiveFrame)
+{
+    // Flood the 64-page pool with 100 tagged pages; LRU keeps the
+    // last 64, each in a frame of its own.
+    auto tag = [](u64 page) {
+        return std::vector<u8>(16, static_cast<u8>(page + 1));
+    };
+    for (u64 page = 0; page < 100; ++page) {
+        auto ref = ubc_.getPage(1, 17, page, false);
+        ubc_.write(ref, 0, tag(page), 16);
+    }
+    const auto missesBefore = ubc_.stats().misses;
+    std::set<os::Ubc::Ref> refs;
+    for (u64 page = 36; page < 100; ++page) {
+        auto ref = ubc_.getPage(1, 17, page, false);
+        refs.insert(ref);
+        std::vector<u8> out(16);
+        ubc_.read(ref, 0, out);
+        EXPECT_EQ(out, tag(page)) << "page " << page;
+    }
+    EXPECT_EQ(ubc_.stats().misses, missesBefore);
+    EXPECT_EQ(refs.size(), 64u);
+}
+
+TEST_F(UbcTest, FlushAllReadsOnlyDirtyHeaders)
+{
+    // Dirty the same two pages with 4 and with 60 pages cached: the
+    // flush reads the same number of words either way.
+    std::vector<u8> data(100, 5);
+    std::vector<u64> loads;
+    InodeNo ino = 18;
+    for (const u64 cached : {4, 60}) {
+        std::vector<os::Ubc::Ref> refs;
+        for (u64 page = 0; page < cached; ++page)
+            refs.push_back(ubc_.getPage(1, ino, page, false));
+        // Dirty the higher ref first; the flush still spills in
+        // ascending ref order.
+        const os::Ubc::Ref lo = std::min(refs[1], refs[3]);
+        const os::Ubc::Ref hi = std::max(refs[1], refs[3]);
+        ubc_.write(hi, 0, data, 100);
+        ubc_.write(lo, 0, data, 100);
+        EXPECT_EQ(ubc_.dirtyPages(), 2u);
+
+        store_.spillOrder.clear();
+        const int spillsBefore = store_.spills;
+        const u64 loadsBefore = machine_.bus().stats().loads;
+        ubc_.flushAll(false);
+        loads.push_back(machine_.bus().stats().loads - loadsBefore);
+
+        EXPECT_EQ(store_.spills - spillsBefore, 2);
+        EXPECT_EQ(store_.spillOrder,
+                  (std::vector<Addr>{ubc_.pagePhys(lo), ubc_.pagePhys(hi)}));
+        EXPECT_EQ(ubc_.dirtyPages(), 0u);
+        ubc_.invalidateAll();
+        ++ino;
+    }
+    EXPECT_EQ(loads[0], loads[1]);
+}
+
+TEST_F(UbcTest, DroppedDirtyPagesAreNeverSpilledAgain)
+{
+    std::vector<u8> data(sim::kPageSize, 6);
+    // Removed file: its dirty page is discarded.
+    ubc_.write(ubc_.getPage(1, 19, 0, false), 0, data, sim::kPageSize);
+    ubc_.invalidateFile(1, 19);
+    // Truncated file: the two tail pages go, the head pages stay dirty.
+    for (u64 page = 0; page < 4; ++page)
+        ubc_.write(ubc_.getPage(1, 20, page, false), 0, data,
+                   sim::kPageSize);
+    ubc_.truncateFile(1, 20, 2 * sim::kPageSize);
+    EXPECT_EQ(ubc_.dirtyPages(), 2u);
+    ubc_.flushAll(false);
+    EXPECT_EQ(store_.spills, 2);
+    EXPECT_EQ(store_.pages.count({19, 0}), 0u);
+    EXPECT_EQ(store_.pages.count({20, 2}), 0u);
+    EXPECT_EQ(store_.pages.count({20, 3}), 0u);
+
+    // Evicted page: spilled once on eviction, never by a later flush.
+    ubc_.write(ubc_.getPage(1, 21, 0, false), 0, data, sim::kPageSize);
+    for (u64 page = 0; page < 64; ++page)
+        ubc_.getPage(1, 22, page, false);
+    EXPECT_EQ(store_.spills, 3);
+    ubc_.flushAll(false);
+    EXPECT_EQ(store_.spills, 3);
+    EXPECT_EQ(ubc_.dirtyPages(), 0u);
+}
+
+TEST_F(UbcTest, HeaderFlagsStayAuthoritativeOverTheIndex)
+{
+    std::vector<u8> data(100, 7);
+    auto ref = ubc_.getPage(1, 23, 0, false);
+    ubc_.write(ref, 0, data, 100);
+    // A raw store clears kDirty: the flush skips the page, as the
+    // header says it is clean.
+    rawSetFlags(ref, os::Ubc::kValid);
+    EXPECT_EQ(ubc_.dirtyPages(), 0u);
+    ubc_.flushAll(false);
+    EXPECT_EQ(store_.spills, 0);
+    // The next write dirties it again, and the flush spills it.
+    ubc_.write(ref, 0, data, 100);
+    EXPECT_EQ(ubc_.dirtyPages(), 1u);
+    ubc_.flushAll(false);
+    EXPECT_EQ(store_.spills, 1);
+}
+
+TEST_F(UbcTest, ReinitEmptiesTheDirtyIndex)
+{
+    std::vector<u8> data(100, 8);
+    auto before = ubc_.getPage(1, 24, 0, false);
+    ubc_.write(before, 0, data, 100);
+    // Warm reboot: the heap and the UBC start over.
+    heap_.init();
+    ubc_.init(guard_, store_);
+    auto after = ubc_.getPage(1, 25, 0, false);
+    ASSERT_EQ(after, before);
+    // Only a write() enters the index: a page a wild store marks
+    // dirty is not written back by the flush.
+    rawSetFlags(after, os::Ubc::kValid | os::Ubc::kDirty);
+    ubc_.flushAll(false);
+    EXPECT_EQ(store_.spills, 0);
 }
