@@ -28,57 +28,6 @@
 namespace rio::core
 {
 
-/**
- * Passive observer of the shadow-page protocol steps. Each callback
- * marks a crash-relevant boundary in the registry update discipline:
- *
- *  - OpenPage / ClosePage: protection dropped / restored on a page
- *    (the section 2.1 open-for-write vulnerability window edges).
- *  - ShadowCopy: beginWrite finished copying dirty metadata aside
- *    (@p addr is the shadow page).
- *  - FieldWrite: one registry entry field was stored (@p addr is the
- *    field's physical address; fires after the store lands).
- *  - Commit: endWrite is *about* to flip the entry state back to
- *    Active (@p addr is the cached page) — the callback sees the
- *    pre-flip machine state, the single most crash-critical instant
- *    of the protocol.
- *
- * The crash-point model checker (harness/crashmc) records these to
- * enumerate "crash at protocol step k" points; an observer models the
- * crash by throwing from the callback via Machine::crash. Plain
- * pointer, one branch, zero cost when unset.
- */
-class RioProtocolObserver
-{
-  public:
-    enum class Step : u8
-    {
-        OpenPage,
-        ClosePage,
-        ShadowCopy,
-        FieldWrite,
-        Commit,
-    };
-
-    virtual ~RioProtocolObserver() = default;
-
-    virtual void onProtocolStep(Step step, Addr addr) = 0;
-};
-
-inline const char *
-protocolStepName(RioProtocolObserver::Step step)
-{
-    using Step = RioProtocolObserver::Step;
-    switch (step) {
-    case Step::OpenPage: return "open";
-    case Step::ClosePage: return "close";
-    case Step::ShadowCopy: return "shadow-copy";
-    case Step::FieldWrite: return "field-write";
-    case Step::Commit: return "commit";
-    }
-    return "?";
-}
-
 struct RioOptions
 {
     os::ProtectionMode protection = os::ProtectionMode::VmTlb;
@@ -159,13 +108,6 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
      */
     void bindNvLock(os::LockTable &locks);
 
-    /** Attach/detach the protocol observer (harness/crashmc). */
-    void setProtocolObserver(RioProtocolObserver *observer)
-    {
-        protoObserver_ = observer;
-    }
-    RioProtocolObserver *protocolObserver() { return protoObserver_; }
-
     /** Decode the live registry entry for @p page (tests). */
     std::optional<RegistryEntry> entryFor(Addr page) const;
 
@@ -208,14 +150,6 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
         fn();
     }
 
-    /** Protocol-step observer dispatch; zero-cost when unset. */
-    void
-    observeStep(RioProtocolObserver::Step step, Addr addr)
-    {
-        if (protoObserver_)
-            protoObserver_->onProtocolStep(step, addr);
-    }
-
     sim::Machine &machine_;
     RioOptions options_;
     RioStats stats_;
@@ -232,7 +166,6 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
     sim::NvRegion *nv_ = nullptr;
     os::LockTable *nvLocks_ = nullptr;
     os::LockId nvLock_ = 0;
-    RioProtocolObserver *protoObserver_ = nullptr;
     bool active_ = false;
 
     /** Pages currently opened for a legitimate write (code patching

@@ -72,10 +72,13 @@ WarmReboot::ckptSector() const
 }
 
 void
-WarmReboot::probe(RecoveryPhase phase, u64 step, u64 total)
+WarmReboot::noteStep(RecoveryPhase phase, u64 step, u64 total)
 {
-    if (probe_)
-        probe_(phase, step, total);
+    machine_.events().emit(
+        static_cast<sim::EventKind>(
+            static_cast<u32>(sim::EventKind::RecoveryDump) +
+            static_cast<u32>(phase)),
+        step, total);
 }
 
 bool
@@ -271,7 +274,7 @@ WarmReboot::dumpAndRestoreMetadata()
             u64 step = 0;
             bool failed = false;
             for (u64 written = 0; written < fullSectors; ++step) {
-                probe(RecoveryPhase::Dump, step, totalSteps);
+                noteStep(RecoveryPhase::Dump, step, totalSteps);
                 const u64 n = std::min(kDumpChunkSectors,
                                        fullSectors - written);
                 const os::IoOutcome put = track(
@@ -288,7 +291,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 written += n;
             }
             if (!failed && tailBytes != 0) {
-                probe(RecoveryPhase::Dump, step, totalSteps);
+                noteStep(RecoveryPhase::Dump, step, totalSteps);
                 std::vector<u8> pad(sim::kSectorSize, 0);
                 std::copy(image.end() - tailBytes, image.end(),
                           pad.begin());
@@ -311,7 +314,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 writeCheckpoint(report.recovery);
                 ckptActive_ = true;
             }
-            probe(RecoveryPhase::Dump, totalSteps, totalSteps);
+            noteStep(RecoveryPhase::Dump, totalSteps, totalSteps);
         }
         dump_.assign(image.begin(), image.end());
     }
@@ -369,7 +372,7 @@ WarmReboot::dumpAndRestoreMetadata()
     }
     for (u64 k = metaDone ? totalMeta : firstMeta; k < totalMeta;
          ++k) {
-        probe(RecoveryPhase::MetadataRestore, k, totalMeta);
+        noteStep(RecoveryPhase::MetadataRestore, k, totalMeta);
         const RegistryEntry &entry = *metaEntries[k];
         // Processed-entry accounting: every branch below (including
         // the rejecting ones) advances the checkpoint — the decision
@@ -537,7 +540,7 @@ WarmReboot::dumpAndRestoreMetadata()
         if (ckptActive_)
             writeCheckpoint(report.recovery);
     }
-    probe(RecoveryPhase::MetadataRestore, totalMeta, totalMeta);
+    noteStep(RecoveryPhase::MetadataRestore, totalMeta, totalMeta);
     return report;
 }
 
@@ -579,7 +582,7 @@ WarmReboot::restoreData(os::Vfs &vfs, WarmRebootReport &report)
     }
     std::vector<u8> page(sim::kPageSize, 0);
     for (u64 i = first; i < total; ++i) {
-        probe(RecoveryPhase::DataRestore, i, total);
+        noteStep(RecoveryPhase::DataRestore, i, total);
         const RegistryEntry *entry = dataEntries[i];
         // The checkpoint advances (and the rebuilt file is pushed to
         // the platter) at file boundaries, so a crash mid-file redoes
@@ -644,14 +647,14 @@ WarmReboot::restoreData(os::Vfs &vfs, WarmRebootReport &report)
         report.dataBytesRestored += entry->size;
         advance();
     }
-    probe(RecoveryPhase::DataRestore, total, total);
+    noteStep(RecoveryPhase::DataRestore, total, total);
     if (ckptActive_) {
         // Retire the checkpoint: the next crash gets a fresh pass.
         ckpt_.flags |= kFlagAllDone;
         ckpt_.dataProcessed = total;
         writeCheckpoint(report.recovery);
     }
-    probe(RecoveryPhase::Done, 0, 1);
+    noteStep(RecoveryPhase::Done, 0, 1);
 }
 
 } // namespace rio::core

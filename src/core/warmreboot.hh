@@ -46,7 +46,6 @@
 #ifndef RIO_CORE_WARMREBOOT_HH
 #define RIO_CORE_WARMREBOOT_HH
 
-#include <functional>
 #include <vector>
 
 #include "core/nvmirror.hh"
@@ -58,7 +57,7 @@
 namespace rio::core
 {
 
-/** Where a recovery pass is; reported to the crash probe. */
+/** Where a recovery pass is; reported as the Recovery* events. */
 enum class RecoveryPhase : u8
 {
     Dump = 0,            ///< Writing the memory image to swap.
@@ -68,16 +67,6 @@ enum class RecoveryPhase : u8
 };
 
 const char *recoveryPhaseName(RecoveryPhase phase);
-
-/**
- * Observation hook for crash campaigns and tests: called at every
- * step boundary of every phase (step == total marks the phase
- * boundary itself), *after* any checkpoint covering that step has
- * been written. A probe that wants to model a second crash simply
- * calls Machine::crash from inside the callback.
- */
-using RecoveryProbe =
-    std::function<void(RecoveryPhase phase, u64 step, u64 total)>;
 
 /**
  * How much the restore path trusts the surviving memory image.
@@ -201,9 +190,6 @@ class WarmReboot
     explicit WarmReboot(sim::Machine &machine,
                         RestorePolicy policy = RestorePolicy::hardened());
 
-    /** Crash-injection / progress hook (see RecoveryProbe). */
-    void setProbe(RecoveryProbe probe) { probe_ = std::move(probe); }
-
     /** Retry discipline for recovery-time disk I/O. */
     void setIoPolicy(const os::IoRetryPolicy &policy) { io_ = policy; }
 
@@ -257,13 +243,13 @@ class WarmReboot
     SectorNo ckptSector() const;
     bool readCheckpoint(Checkpoint &out, RecoveryReport &recovery);
     void writeCheckpoint(RecoveryReport &recovery);
-    void probe(RecoveryPhase phase, u64 step, u64 total);
+    /** Emit the Recovery* event of @p phase to the machine's hook. */
+    void noteStep(RecoveryPhase phase, u64 step, u64 total);
     Addr stageNvShadow(const RegistryEntry &entry, u64 n);
 
     sim::Machine &machine_;
     RestorePolicy policy_;
     os::IoRetryPolicy io_;
-    RecoveryProbe probe_;
     Checkpoint ckpt_;
     /** True once this pass owns a live checkpoint on swap. */
     bool ckptActive_ = false;

@@ -275,25 +275,26 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         ++result.recoveryPasses;
         core::WarmReboot warmReboot(machine, policy);
         warmReboot.setIoPolicy(kernelConfig.ioRetry);
-        if (doubleCrashArmed) {
-            warmReboot.setProbe([&](core::RecoveryPhase phase,
-                                    u64 step, u64 total) {
-                if (!doubleCrashArmed ||
-                    static_cast<u32>(phase) != doubleCrashPhase)
+        const auto doubleCrash = machine.subscribe(
+            [&](const sim::Event &event) {
+                const u32 phase = static_cast<u32>(event.kind) -
+                                  static_cast<u32>(
+                                      sim::EventKind::RecoveryDump);
+                if (!doubleCrashArmed || phase != doubleCrashPhase)
                     return;
                 const u64 trigger = static_cast<u64>(
                     doubleCrashFraction *
-                    static_cast<double>(total));
-                if (step < trigger)
+                    static_cast<double>(event.b));
+                if (event.a < trigger)
                     return;
                 doubleCrashArmed = false;
                 result.doubleCrashFired = true;
-                result.doubleCrashPhase = static_cast<u32>(phase);
+                result.doubleCrashPhase = phase;
                 machine.crash(
                     sim::CrashCause::KernelPanic,
                     "double crash: second failure during recovery");
-            });
-        }
+            },
+            doubleCrashArmed ? sim::kRecoveryEvents : 0);
         try {
             if (isRio(kind)) {
                 result.warm = warmReboot.dumpAndRestoreMetadata();

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstdio>
 #include <memory>
+#include <optional>
 
 #include "core/rio.hh"
 #include "core/warmreboot.hh"
@@ -130,25 +131,58 @@ mcMachineConfig(u64 seed)
     return config;
 }
 
+/** The class an event counts as; nullopt for kinds crashmc ignores. */
+std::optional<McEventClass>
+mcClassOf(sim::EventKind kind)
+{
+    switch (kind) {
+      case sim::EventKind::CheckedStore: return McEventClass::BusStore;
+      case sim::EventKind::DiskWrite: return McEventClass::DiskFlush;
+      case sim::EventKind::NvWrite: return McEventClass::NvMirrorWrite;
+      case sim::EventKind::RioOpenPage: return McEventClass::ProtoOpen;
+      case sim::EventKind::RioClosePage: return McEventClass::ProtoClose;
+      case sim::EventKind::RioShadowCopy:
+        return McEventClass::ProtoShadowCopy;
+      case sim::EventKind::RioFieldWrite:
+        return McEventClass::ProtoFieldWrite;
+      case sim::EventKind::RioCommit: return McEventClass::ProtoCommit;
+      case sim::EventKind::JournalTxCommit:
+        return McEventClass::JournalCommit;
+      case sim::EventKind::JournalCheckpointWrite:
+      case sim::EventKind::JournalCheckpointAdvance:
+        return McEventClass::JournalCheckpoint;
+      default: return std::nullopt;
+    }
+}
+
+/** The event kinds that count as any class in @p classMask. */
+u32
+mcSubscriptionMask(u32 classMask)
+{
+    u32 mask = 0;
+    for (u32 k = 0; k < sim::kNumEventKinds; ++k) {
+        const auto kind = static_cast<sim::EventKind>(k);
+        const auto cls = mcClassOf(kind);
+        if (cls && (classMask & mcClassBit(*cls)) != 0)
+            mask |= sim::eventBit(kind);
+    }
+    return mask;
+}
+
 /**
- * The recording/crashing surface: one object implements all three
- * observer interfaces. In record mode (trace != nullptr) it appends
- * every masked event to the trace; in replay mode it counts and
+ * The recording/crashing surface, subscribed to the machine's event
+ * hook for the workload's classes. In record mode (trace != nullptr)
+ * it appends every event to the trace; in replay mode it counts and
  * crashes the machine exactly at event crashAt. Neither mode
  * advances simulated time or touches simulated state, which is what
  * keeps event k on the same instruction across runs.
  */
-class McObserver final : public sim::StoreObserver,
-                         public sim::DiskWriteObserver,
-                         public sim::NvWriteObserver,
-                         public core::RioProtocolObserver,
-                         public os::JournalObserver
+class McObserver final
 {
   public:
-    McObserver(sim::Machine &machine, u32 classMask, u64 crashAt,
+    McObserver(sim::Machine &machine, u64 crashAt,
                std::vector<McEvent> *trace)
-        : machine_(machine), mask_(classMask), crashAt_(crashAt),
-          trace_(trace)
+        : machine_(machine), crashAt_(crashAt), trace_(trace)
     {
         const auto &mem = machine.mem();
         const auto &reg = mem.region(sim::RegionKind::Registry);
@@ -162,71 +196,14 @@ class McObserver final : public sim::StoreObserver,
         ubcEnd_ = ubc.end();
     }
 
-    /** Events only count between arm() and disarm(): boot, setup
-     *  and recovery stay outside the enumerated window. */
-    void arm() { armed_ = true; }
-    void disarm() { armed_ = false; }
-    bool fired() const { return fired_; }
-
+    /** Only kinds mcClassOf maps are subscribed. */
     void
-    onCheckedStore(Addr pa, u64 len) override
+    onEvent(const sim::Event &event)
     {
-        (void)len;
-        if (!tracked(pa))
+        const McEventClass cls = *mcClassOf(event.kind);
+        if (cls == McEventClass::BusStore && !tracked(event.a))
             return;
-        note(McEventClass::BusStore, pa);
-    }
-
-    void
-    onDiskWrite(SectorNo start, u64 count) override
-    {
-        (void)count;
-        note(McEventClass::DiskFlush, start);
-    }
-
-    void
-    onNvWrite(u64 offset, u64 len) override
-    {
-        (void)len;
-        note(McEventClass::NvMirrorWrite, offset);
-    }
-
-    void
-    onJournalStep(os::JournalObserver::Step step, u64 seq) override
-    {
-        switch (step) {
-          case os::JournalObserver::Step::TxCommit:
-            note(McEventClass::JournalCommit, seq);
-            return;
-          case os::JournalObserver::Step::CheckpointWrite:
-          case os::JournalObserver::Step::CheckpointAdvance:
-            note(McEventClass::JournalCheckpoint, seq);
-            return;
-        }
-    }
-
-    void
-    onProtocolStep(core::RioProtocolObserver::Step step,
-                   Addr addr) override
-    {
-        using PStep = core::RioProtocolObserver::Step;
-        switch (step) {
-          case PStep::OpenPage:
-            note(McEventClass::ProtoOpen, addr);
-            return;
-          case PStep::ClosePage:
-            note(McEventClass::ProtoClose, addr);
-            return;
-          case PStep::ShadowCopy:
-            note(McEventClass::ProtoShadowCopy, addr);
-            return;
-          case PStep::FieldWrite:
-            note(McEventClass::ProtoFieldWrite, addr);
-            return;
-          case PStep::Commit:
-            note(McEventClass::ProtoCommit, addr);
-            return;
-        }
+        note(cls, event.a);
     }
 
   private:
@@ -244,7 +221,7 @@ class McObserver final : public sim::StoreObserver,
         // fired_ guards re-entry: noteCrash drains the disk queue,
         // whose applies would otherwise fire this observer again
         // while the crash is already in progress.
-        if (!armed_ || fired_ || !(mask_ & mcClassBit(cls)))
+        if (fired_)
             return;
         if (trace_ != nullptr) {
             trace_->push_back({cls, addr});
@@ -258,14 +235,12 @@ class McObserver final : public sim::StoreObserver,
     }
 
     sim::Machine &machine_;
-    u32 mask_;
     u64 crashAt_;
     std::vector<McEvent> *trace_;
     Addr regBase_ = 0, regEnd_ = 0;
     Addr bufBase_ = 0, bufEnd_ = 0;
     Addr ubcBase_ = 0, ubcEnd_ = 0;
     u64 count_ = 0;
-    bool armed_ = false;
     bool fired_ = false;
 };
 
@@ -381,38 +356,27 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
     kernel->vfs().sync();
     machine.disk().drain(machine.clock());
 
-    McObserver observer(machine, mcWorkloadClassMask(kind), crashAt,
-                        trace);
-    machine.bus().setStoreObserver(&observer);
-    machine.disk().setWriteObserver(&observer);
-    if (machine.nv() != nullptr)
-        machine.nv()->setWriteObserver(&observer);
-    if (rio)
-        rio->setProtocolObserver(&observer);
-    if (!isRio)
-        kernel->journal().setObserver(&observer);
-    observer.arm();
-
     wl::Scheduler scheduler;
     scheduler.add(memtest);
     scheduler.setBetweenSteps(
         [&] { return memtest.opsCompleted() < config.ops; });
 
-    try {
-        scheduler.run();
-    } catch (const sim::CrashException &crash) {
-        machine.noteCrash(crash.when());
-        rec.crashed = true;
+    // Events only count while subscribed: boot, setup and recovery
+    // stay outside the enumerated window.
+    McObserver observer(machine, crashAt, trace);
+    {
+        const auto subscription = machine.subscribe(
+            [&observer](const sim::Event &event) {
+                observer.onEvent(event);
+            },
+            mcSubscriptionMask(mcWorkloadClassMask(kind)));
+        try {
+            scheduler.run();
+        } catch (const sim::CrashException &crash) {
+            machine.noteCrash(crash.when());
+            rec.crashed = true;
+        }
     }
-    observer.disarm();
-    machine.bus().setStoreObserver(nullptr);
-    machine.disk().setWriteObserver(nullptr);
-    if (machine.nv() != nullptr)
-        machine.nv()->setWriteObserver(nullptr);
-    if (rio)
-        rio->setProtocolObserver(nullptr);
-    if (!isRio)
-        kernel->journal().setObserver(nullptr);
 
     rec.opsCompleted = memtest.opsCompleted();
 

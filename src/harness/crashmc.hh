@@ -6,21 +6,23 @@
  * hole that requires crashing at one specific store or flush
  * boundary can survive thousands of trials. crashmc closes that gap
  * at small scale: it runs a bounded deterministic workload once,
- * recording every crash-relevant event —
+ * subscribed to the machine's event hook (sim/event.hh), recording
+ * every crash-relevant event —
  *
  *   - BusStore:    a checked store landing in the registry or a
- *                  file-cache pool (MemBus store observer),
+ *                  file-cache pool (CheckedStore),
  *   - ProtoOpen / ProtoClose / ProtoShadowCopy / ProtoFieldWrite /
- *     ProtoCommit: the shadow-page protocol steps (RioSystem
- *                  protocol observer; Commit fires pre-flip),
- *   - DiskFlush:   a write reaching the platter (Disk observer) —
+ *     ProtoCommit: the shadow-page protocol steps (the Rio* events;
+ *                  RioCommit fires pre-flip),
+ *   - DiskFlush:   a write reaching the data disk's platter
+ *                  (DiskWrite) —
  *
  * then replays the workload once per event, crashing exactly at
  * event k, running the full recovery pipeline (hardened warm reboot,
  * fsck, user-level data restore), and judging the result with the
  * shared host-side oracle (harness/oracle.hh) plus memTest's replay
  * comparison. Because record and replay use identical seeds and the
- * observers never advance simulated time, event k lands on the same
+ * subscriber never advances simulated time, event k lands on the same
  * instruction in every run — "every crash point in workload W
  * recovers" becomes a checked statement, not a sampled estimate.
  *
@@ -31,8 +33,8 @@
  * JournalWriteback / JournalOrdered / JournalData. All four run the
  * same compound-transaction engine and enumerate every disk flush
  * plus every transaction-commit and checkpoint boundary
- * (JournalCommit / JournalCheckpoint events, fired by the journal's
- * observer hook just *before* the staged log writes go out — the
+ * (JournalCommit / JournalCheckpoint classes, from the Journal*
+ * events fired just *before* the staged log writes go out — the
  * most exposed instant of each protocol step). Points are
  * independent, so runAll fans them out over a WorkerPool and merges
  * by event index; any failing point serializes to a minimal repro

@@ -228,10 +228,8 @@ Journal::txCommit()
         // escalation as an unwritable log.
         degradeNow();
     } else {
-        if (observer_ != nullptr) {
-            observer_->onJournalStep(JournalObserver::Step::TxCommit,
-                                     nextSeq_);
-        }
+        machine_.events().emit(sim::EventKind::JournalTxCommit,
+                               nextSeq_);
         staging_.assign(static_cast<size_t>(need) * Ufs::kBlockSize,
                         0);
         const std::span<u8> desc =
@@ -324,10 +322,8 @@ Journal::checkpoint()
     procs_.enter(ProcId::DiskStrategy);
     bool ok = true;
     for (const auto &[home, image] : checkpointMap_) {
-        if (observer_ != nullptr) {
-            observer_->onJournalStep(
-                JournalObserver::Step::CheckpointWrite, home);
-        }
+        machine_.events().emit(sim::EventKind::JournalCheckpointWrite,
+                               home);
         const IoOutcome put = retryWrite(
             *disk_,
             static_cast<SectorNo>(home) * sim::kSectorsPerBlock,
@@ -347,10 +343,8 @@ Journal::checkpoint()
     headSeq_ = nextSeq_;
     usedSlots_ = 0;
     commitsSinceCkpt_ = 0;
-    if (observer_ != nullptr) {
-        observer_->onJournalStep(
-            JournalObserver::Step::CheckpointAdvance, headSeq_);
-    }
+    machine_.events().emit(sim::EventKind::JournalCheckpointAdvance,
+                           headSeq_);
     writeJsb();
     ++checkpointsDone_;
 }
@@ -406,9 +400,9 @@ Journal::tick()
 
 u64
 Journal::replay(sim::Disk &disk, sim::SimClock &clock,
-                const IoRetryPolicy &policy, JournalReplayProbe *probe,
-                JournalReplayStats *stats)
+                const IoRetryPolicy &policy, JournalReplayStats *stats)
 {
+    const sim::EventHook &events = disk.events();
     // Read the superblock to find the log area. An unreadable
     // superblock leaves the zeroed image and the magic check bails.
     std::vector<u8> sb(Ufs::kBlockSize, 0);
@@ -518,10 +512,7 @@ Journal::replay(sim::Disk &disk, sim::SimClock &clock,
         ++expect;
         walked += count + 2;
     }
-    if (probe != nullptr) {
-        probe->onReplayPhase(JournalReplayProbe::Phase::ScanDone,
-                             txs.size());
-    }
+    events.emit(sim::EventKind::ReplayScanDone, txs.size());
 
     // Apply: pure idempotent block writes, in commit order. A crash
     // anywhere in here leaves the JSB untouched, so the next replay
@@ -529,11 +520,7 @@ Journal::replay(sim::Disk &disk, sim::SimClock &clock,
     u64 applied = 0;
     for (const StagedTx &tx : txs) {
         for (const StagedBlock &block : tx.blocks) {
-            if (probe != nullptr) {
-                probe->onReplayPhase(
-                    JournalReplayProbe::Phase::ApplyBlock,
-                    block.home);
-            }
+            events.emit(sim::EventKind::ReplayApplyBlock, block.home);
             const IoOutcome put = retryWrite(
                 disk,
                 static_cast<SectorNo>(block.home) *
@@ -548,20 +535,14 @@ Journal::replay(sim::Disk &disk, sim::SimClock &clock,
         }
     }
     disk.drain(clock);
-    if (probe != nullptr) {
-        probe->onReplayPhase(JournalReplayProbe::Phase::ApplyDone,
-                             applied);
-    }
+    events.emit(sim::EventKind::ReplayApplyDone, applied);
 
     // Advance the head past what was applied (checkpoint-of-replay).
     // Only after the applies drained — crash before this write and
     // the old JSB replays everything again; crash during it and the
     // superblock checksum rejects the tear, with the same result.
     if (!txs.empty()) {
-        if (probe != nullptr) {
-            probe->onReplayPhase(
-                JournalReplayProbe::Phase::JsbAdvance, expect);
-        }
+        events.emit(sim::EventKind::ReplayJsbAdvance, expect);
         std::vector<u8> out(Ufs::kBlockSize, 0);
         support::storeLE<u32>(out, 0, kJsbMagic);
         support::storeLE<u32>(out, kJsbFlags, flags);

@@ -39,35 +39,6 @@
 namespace rio::os
 {
 
-/** Crash-relevant journal protocol steps, for the model checker. */
-class JournalObserver
-{
-  public:
-    enum class Step : u8
-    {
-        TxCommit,          ///< Commit record about to be queued.
-        CheckpointWrite,   ///< One home-location write about to issue.
-        CheckpointAdvance, ///< Log head about to advance (JSB write).
-    };
-    virtual ~JournalObserver() = default;
-    virtual void onJournalStep(Step step, u64 detail) = 0;
-};
-
-/** Phase probe for replay re-entrancy tests (crash mid-replay). */
-class JournalReplayProbe
-{
-  public:
-    enum class Phase : u8
-    {
-        ScanDone,   ///< Transactions staged, nothing applied yet.
-        ApplyBlock, ///< One home write about to issue (detail=block).
-        ApplyDone,  ///< All home writes issued and drained.
-        JsbAdvance, ///< Journal superblock about to advance.
-    };
-    virtual ~JournalReplayProbe() = default;
-    virtual void onReplayPhase(Phase phase, u64 detail) = 0;
-};
-
 /** What replay found and did. */
 struct JournalReplayStats
 {
@@ -135,11 +106,6 @@ class Journal : public JournalSink
         orderedFlush_ = std::move(flush);
     }
 
-    void setObserver(JournalObserver *observer)
-    {
-        observer_ = observer;
-    }
-
     /** @{ Accounting. recordsWritten counts block images logged. */
     u64 recordsWritten() const { return blocksLogged_; }
     u64 transactionsCommitted() const { return txCommitted_; }
@@ -156,7 +122,6 @@ class Journal : public JournalSink
      */
     static u64 replay(sim::Disk &disk, sim::SimClock &clock,
                       const IoRetryPolicy &policy = {},
-                      JournalReplayProbe *probe = nullptr,
                       JournalReplayStats *stats = nullptr);
 
   private:
@@ -205,7 +170,6 @@ class Journal : public JournalSink
     bool degraded_ = false;
     std::function<void()> degrade_;
     std::function<void()> orderedFlush_;
-    JournalObserver *observer_ = nullptr;
 };
 
 } // namespace rio::os

@@ -20,6 +20,13 @@ zeroCosts()
     return costs;
 }
 
+/** @p now + @p interval, saturating: an interval of ~0 is "never". */
+SimNs
+deadlineAfter(SimNs now, SimNs interval)
+{
+    return interval > ~SimNs{0} - now ? ~SimNs{0} : now + interval;
+}
+
 } // namespace
 
 Kernel::Kernel(sim::Machine &machine, const KernelConfig &config)
@@ -112,7 +119,8 @@ Kernel::boot(CacheGuard *guard, bool format)
     // remount, not silent loss.
     buf_.setDegradeHandler([this] { ufs_.degradeReadOnly(); });
 
-    nextUpdate_ = machine_.clock().now() + config_.updateIntervalNs;
+    nextUpdate_ = deadlineAfter(machine_.clock().now(),
+                                config_.updateIntervalNs);
 }
 
 void
@@ -133,7 +141,8 @@ Kernel::tick()
 
     if (machine_.clock().now() < nextUpdate_)
         return;
-    nextUpdate_ = machine_.clock().now() + config_.updateIntervalNs;
+    nextUpdate_ = deadlineAfter(machine_.clock().now(),
+                                config_.updateIntervalNs);
 
     procs_.enter(ProcId::UpdateDaemon);
     if (config_.rio && !config_.adminForceSync) {

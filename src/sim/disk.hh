@@ -28,6 +28,7 @@
 
 #include "sim/clock.hh"
 #include "sim/config.hh"
+#include "sim/event.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
 
@@ -76,24 +77,6 @@ class DiskFaultSurface
      * sectors or decay media through the Disk's host interface.
      */
     virtual void onCrash(Disk &disk, SimNs when) = 0;
-};
-
-/**
- * Passive observer of every write that reaches the platter, fired
- * *after* the sectors are durable — both for synchronous writes and
- * when a queued asynchronous write completes under poll(). This is
- * the flush-boundary recording surface for the crash-point model
- * checker (harness/crashmc). Plain pointer, one branch, zero cost
- * when unset. Torn writes applied during crashDropQueue() do not
- * fire (the crash is already in progress at that point).
- */
-class DiskWriteObserver
-{
-  public:
-    virtual ~DiskWriteObserver() = default;
-
-    /** Sectors @p start..start+count are now on the platter. */
-    virtual void onDiskWrite(SectorNo start, u64 count) = 0;
 };
 
 struct DiskStats
@@ -170,12 +153,12 @@ class Disk
     /** Install (or clear, with nullptr) the fault surface. Non-owning. */
     void setFaultSurface(DiskFaultSurface *surface) { faults_ = surface; }
 
-    /** Attach/detach the write observer (harness/crashmc). Non-owning. */
-    void setWriteObserver(DiskWriteObserver *observer)
-    {
-        writeObserver_ = observer;
-    }
-    DiskWriteObserver *writeObserver() { return writeObserver_; }
+    /**
+     * DiskWrite events fire here once sectors are on the platter.
+     * Machine wires its data disk, never swap; Journal::replay emits
+     * its phases through the disk it replays.
+     */
+    const EventHook &events() const { return hook_; }
 
     /** @name Bad-sector map (persistent across simulated reboots). */
     ///@{
@@ -202,6 +185,8 @@ class Disk
     std::span<u8> hostSector(SectorNo sector);
 
   private:
+    friend class Machine;
+
     struct Pending
     {
         SectorNo start;
@@ -223,14 +208,14 @@ class Disk
 
     u64 numSectors_;
     std::vector<u8> store_;
-    const CostModel &costs_;
+    CostModel costs_;
     support::Rng rng_;
     SectorNo head_ = 0;
     SimNs lastComplete_ = 0;
     std::deque<Pending> queue_;
     DiskStats stats_;
     DiskFaultSurface *faults_ = nullptr;
-    DiskWriteObserver *writeObserver_ = nullptr;
+    EventHook hook_;
     std::unordered_set<SectorNo> badSectors_;
     u64 spareSectors_ = 0;
 };

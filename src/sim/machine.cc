@@ -52,6 +52,36 @@ Machine::enableStoreAudit()
     return *audit_;
 }
 
+Machine::Subscription
+Machine::subscribe(EventSubscriber subscriber, u32 mask)
+{
+    if (subscriber_) {
+        throw std::logic_error(
+            "Machine: an event subscriber is already attached");
+    }
+    subscriber_ = std::move(subscriber);
+    wire(subscriber_ ? mask : 0);
+    return Subscription(*this);
+}
+
+void
+Machine::detach()
+{
+    wire(0);
+    subscriber_ = nullptr;
+}
+
+void
+Machine::wire(u32 mask)
+{
+    hook_.mask_ = mask;
+    hook_.subscriber_ = &subscriber_;
+    bus_.hook_ = hook_;
+    disk_.hook_ = hook_;
+    if (nv_)
+        nv_->hook_ = hook_;
+}
+
 void
 Machine::crash(CrashCause cause, const std::string &msg)
 {

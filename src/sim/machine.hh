@@ -23,6 +23,7 @@
 #include "sim/cpu.hh"
 #include "sim/crash.hh"
 #include "sim/disk.hh"
+#include "sim/event.hh"
 #include "sim/membus.hh"
 #include "sim/nvregion.hh"
 #include "sim/pagetable.hh"
@@ -74,6 +75,34 @@ class Machine
     StoreAudit *audit() { return audit_.get(); }
     StoreAudit &enableStoreAudit();
 
+    /** Detaches the event subscriber when it goes out of scope. */
+    class [[nodiscard]] Subscription
+    {
+      public:
+        Subscription(const Subscription &) = delete;
+        Subscription &operator=(const Subscription &) = delete;
+        ~Subscription() { machine_.detach(); }
+
+      private:
+        friend class Machine;
+        explicit Subscription(Machine &machine) : machine_(machine) {}
+        Machine &machine_;
+    };
+
+    /**
+     * Attach the machine's one event subscriber (sim/event.hh) to
+     * the kinds in @p mask. The bus, the data disk, the NV region and
+     * every layer built on this Machine emit to it; the swap disk
+     * never does. The returned guard detaches it, so a subscriber
+     * never outlives its scope, even one a crash unwinds.
+     * @throws std::logic_error if a subscriber is already attached.
+     */
+    Subscription subscribe(EventSubscriber subscriber,
+                           u32 mask = kAllEvents);
+
+    /** The hook layers above sim/ emit through. */
+    const EventHook &events() const { return hook_; }
+
     /**
      * Crash the machine: apply disk-queue loss/tearing and raise the
      * exception that unwinds to the harness.
@@ -95,6 +124,9 @@ class Machine
     u64 lostQueuedWrites() const { return lostQueuedWrites_; }
 
   private:
+    void wire(u32 mask);
+    void detach();
+
     MachineConfig config_;
     SimClock clock_;
     support::Rng rng_;
@@ -107,6 +139,8 @@ class Machine
     Disk swap_;
     std::unique_ptr<NvRegion> nv_;
     std::unique_ptr<StoreAudit> audit_;
+    EventSubscriber subscriber_;
+    EventHook hook_;
     bool crashed_ = false;
     u64 crashCount_ = 0;
     u64 lostQueuedWrites_ = 0;

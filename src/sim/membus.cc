@@ -176,7 +176,7 @@ MemBus::store8(Addr va, u8 value)
     patchCheck(pa, 1);
     auditStore(pa, 1);
     mem_.raw()[pa] = value;
-    observeStore(pa, 1);
+    hook_.emit(EventKind::CheckedStore, pa, 1);
 }
 
 void
@@ -189,7 +189,7 @@ MemBus::store16(Addr va, u16 value)
     patchCheck(pa, 1);
     auditStore(pa, 2);
     std::memcpy(mem_.raw() + pa, &value, 2);
-    observeStore(pa, 2);
+    hook_.emit(EventKind::CheckedStore, pa, 2);
 }
 
 void
@@ -202,7 +202,7 @@ MemBus::store32(Addr va, u32 value)
     patchCheck(pa, 1);
     auditStore(pa, 4);
     std::memcpy(mem_.raw() + pa, &value, 4);
-    observeStore(pa, 4);
+    hook_.emit(EventKind::CheckedStore, pa, 4);
 }
 
 void
@@ -215,7 +215,7 @@ MemBus::store64(Addr va, u64 value)
     patchCheck(pa, 1);
     auditStore(pa, 8);
     std::memcpy(mem_.raw() + pa, &value, 8);
-    observeStore(pa, 8);
+    hook_.emit(EventKind::CheckedStore, pa, 8);
 }
 
 void
@@ -252,7 +252,7 @@ MemBus::writeBytes(Addr va, std::span<const u8> in)
         patchCheck(pa, (chunk + 7) / 8);
         auditStore(pa, chunk);
         std::memcpy(mem_.raw() + pa, in.data() + done, chunk);
-        observeStore(pa, chunk);
+        hook_.emit(EventKind::CheckedStore, pa, chunk);
         done += chunk;
     }
     stats_.bytesCopied += in.size();
@@ -277,7 +277,7 @@ MemBus::copy(Addr dst, Addr src, u64 n)
         patchCheck(dpa, (chunk + 7) / 8);
         auditStore(dpa, chunk);
         std::memmove(mem_.raw() + dpa, mem_.raw() + spa, chunk);
-        observeStore(dpa, chunk);
+        hook_.emit(EventKind::CheckedStore, dpa, chunk);
         done += chunk;
     }
     stats_.bytesCopied += n;
@@ -298,7 +298,7 @@ MemBus::set(Addr dst, u8 value, u64 n)
         patchCheck(pa, (chunk + 7) / 8);
         auditStore(pa, chunk);
         std::memset(mem_.raw() + pa, value, chunk);
-        observeStore(pa, chunk);
+        hook_.emit(EventKind::CheckedStore, pa, chunk);
         done += chunk;
     }
     stats_.bytesCopied += n;

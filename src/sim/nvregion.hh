@@ -27,6 +27,7 @@
 
 #include "sim/clock.hh"
 #include "sim/config.hh"
+#include "sim/event.hh"
 #include "support/types.hh"
 
 namespace rio::sim
@@ -60,21 +61,6 @@ class NvFaultSurface
      * tear recently-written lines through the region's host window.
      */
     virtual void onCrash(NvRegion &nv, SimNs when) = 0;
-};
-
-/**
- * Passive observer of every NV write, fired after the bytes land.
- * This is the NV-mirror recording surface for the crash-point model
- * checker (harness/crashmc). Plain pointer, one branch, zero cost
- * when unset.
- */
-class NvWriteObserver
-{
-  public:
-    virtual ~NvWriteObserver() = default;
-
-    /** Bytes @p offset..offset+len are now in the NV region. */
-    virtual void onNvWrite(u64 offset, u64 len) = 0;
 };
 
 struct NvStats
@@ -114,13 +100,6 @@ class NvRegion
     /** Install (or clear, with nullptr) the fault surface. Non-owning. */
     void setFaultSurface(NvFaultSurface *surface) { faults_ = surface; }
 
-    /** Attach/detach the write observer (harness/crashmc). Non-owning. */
-    void setWriteObserver(NvWriteObserver *observer)
-    {
-        writeObserver_ = observer;
-    }
-    NvWriteObserver *writeObserver() { return writeObserver_; }
-
     /** @name Host-side access for tooling (no time charge). */
     ///@{
     u8 *raw() { return store_.data(); }
@@ -137,14 +116,16 @@ class NvRegion
     const std::deque<u64> &recentLines() const { return recentLines_; }
 
   private:
+    friend class Machine;
+
     void noteLines(u64 offset, u64 len);
     void checkRange(u64 offset, u64 len, const char *what) const;
 
     std::vector<u8> store_;
-    const CostModel &costs_;
+    CostModel costs_;
     NvStats stats_;
     NvFaultSurface *faults_ = nullptr;
-    NvWriteObserver *writeObserver_ = nullptr;
+    EventHook hook_; ///< NvWrite events (wired by Machine).
     std::deque<u64> recentLines_;
 };
 

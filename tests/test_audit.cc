@@ -21,27 +21,17 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
 {
 
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
 struct Rig
 {
     explicit Rig(os::ProtectionMode protection)
-        : machine(machineConfig())
+        : machine(test::smallMachine())
     {
         // Arm the audit before Rio activates so the registry-zeroing
         // allow scope and the first page windows are all tracked.
@@ -172,65 +162,49 @@ TEST(StoreAudit, ResetRestartsTheWindowProtocol)
     EXPECT_EQ(rig.audit->violations().size(), 1u);
 }
 
-namespace
-{
-
-/** Counts checked stores, optionally only those inside one region. */
-class CountingObserver final : public sim::StoreObserver
-{
-  public:
-    CountingObserver(Addr base, Addr end) : base_(base), end_(end) {}
-
-    u64 total = 0;
-    u64 inRegion = 0;
-
-    void
-    onCheckedStore(Addr pa, u64 len) override
-    {
-        (void)len;
-        ++total;
-        if (pa >= base_ && pa < end_)
-            ++inRegion;
-    }
-
-  private:
-    Addr base_;
-    Addr end_;
-};
-
-} // namespace
-
-TEST(StoreObserver, ComposesWithStoreAuditAndDetachesClean)
+TEST(StoreAudit, ComposesWithCheckedStoreEventsAndDetachesClean)
 {
     // The crashmc recording hook and the runtime store audit watch
     // the same checked-store path and must not disturb each other:
     // the audit sees every store (and still attributes violations)
-    // while the observer is attached, and detaching the observer
-    // reverts the bus to the plain-pointer fast path with no residue.
+    // while a subscriber is attached, and dropping the subscription
+    // reverts the bus to the one-branch path with no residue.
     Rig rig(os::ProtectionMode::Off);
     const auto &pool =
         rig.machine.mem().region(sim::RegionKind::BufPool);
 
-    CountingObserver observer(pool.base, pool.end());
-    rig.machine.bus().setStoreObserver(&observer);
-    rig.audit->clearViolations();
+    u64 total = 0;
+    u64 inRegion = 0;
+    {
+        const auto counter = rig.machine.subscribe(
+            [&](const sim::Event &event) {
+                ++total;
+                if (event.a >= pool.base && event.a < pool.end())
+                    ++inRegion;
+            },
+            sim::eventBit(sim::EventKind::CheckedStore));
+        rig.audit->clearViolations();
 
-    rig.writeWorkload();
-    EXPECT_GT(observer.total, 0u);
-    EXPECT_GT(observer.inRegion, 0u);
-    EXPECT_TRUE(rig.audit->violations().empty());
+        rig.writeWorkload();
+        EXPECT_GT(total, 0u);
+        EXPECT_GT(inRegion, 0u);
+        EXPECT_TRUE(rig.audit->violations().empty());
 
-    // A wild store reaches both: the audit flags it, the observer
-    // still counts it (it fires post-store, independent of verdict).
-    const u64 before = observer.inRegion;
-    rig.machine.bus().store8(pool.base, 0xff);
-    EXPECT_EQ(rig.audit->violations().size(), 1u);
-    EXPECT_EQ(observer.inRegion, before + 1);
+        // A wild store reaches both: the audit flags it, the
+        // subscriber still counts it (it fires post-store,
+        // independent of verdict).
+        const u64 before = inRegion;
+        rig.machine.bus().store8(pool.base, 0xff);
+        EXPECT_EQ(rig.audit->violations().size(), 1u);
+        EXPECT_EQ(inRegion, before + 1);
+    }
 
-    // Detach: stores keep flowing, the count freezes.
-    rig.machine.bus().setStoreObserver(nullptr);
-    EXPECT_EQ(rig.machine.bus().storeObserver(), nullptr);
-    const u64 frozen = observer.total;
+    // Detached: stores keep flowing, the count freezes, and the
+    // machine takes a new subscriber, one at a time.
+    const u64 frozen = total;
     rig.machine.bus().store8(pool.base + 1, 0x00);
-    EXPECT_EQ(observer.total, frozen);
+    EXPECT_EQ(total, frozen);
+    const auto again = rig.machine.subscribe([](const sim::Event &) {});
+    EXPECT_THROW((void)rig.machine.subscribe([](const sim::Event &) {}),
+                 std::logic_error);
 }

@@ -17,6 +17,8 @@
 #include "os/kernel.hh"
 #include "sim/machine.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 using namespace rio::sim;
 
@@ -228,23 +230,11 @@ namespace
 class ReadOnlyDegradeTest : public ::testing::Test
 {
   protected:
-    ReadOnlyDegradeTest() : machine_(machineConfig())
+    ReadOnlyDegradeTest() : machine_(test::smallMachine())
     {
         kernel_ = std::make_unique<os::Kernel>(
             machine_, os::systemPreset(os::SystemPreset::UfsDelayAll));
         kernel_->boot(nullptr, true);
-    }
-
-    static sim::MachineConfig
-    machineConfig()
-    {
-        sim::MachineConfig c;
-        c.physMemBytes = 16ull << 20;
-        c.kernelHeapBytes = 4ull << 20;
-        c.bufPoolBytes = 1ull << 20;
-        c.diskBytes = 64ull << 20;
-        c.swapBytes = 16ull << 20;
-        return c;
     }
 
     sim::Machine machine_;

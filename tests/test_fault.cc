@@ -15,25 +15,9 @@
 #include "sim/machine.hh"
 #include "workload/memtest.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
-
-namespace
-{
-
-sim::MachineConfig
-machineConfig(u64 seed = 1)
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    c.seed = seed;
-    return c;
-}
-
-} // namespace
 
 TEST(FaultModels, AllTypesHaveNames)
 {
@@ -63,7 +47,7 @@ TEST(FaultModels, ManifestationDrawIsMostlyBenign)
 
 TEST(FaultInjector, TextFaultFlipsRealTextBits)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(machine,
                       os::systemPreset(os::SystemPreset::UfsDelayAll));
     kernel.boot(nullptr, true);
@@ -85,7 +69,7 @@ TEST(FaultInjector, HeapFaultCausallyCorruptsLiveStructures)
     // consistency check through the normal code paths.
     bool crashed = false;
     for (u64 seed = 1; seed < 25 && !crashed; ++seed) {
-        sim::Machine machine(machineConfig(seed));
+        sim::Machine machine(test::smallMachine(seed));
         os::Kernel kernel(
             machine, os::systemPreset(os::SystemPreset::UfsDelayAll));
         kernel.boot(nullptr, true);
@@ -117,7 +101,7 @@ TEST(FaultInjector, HeapFaultCausallyCorruptsLiveStructures)
 TEST(FaultInjector, EveryTypeInjectsWithoutHostFailure)
 {
     for (std::size_t type = 0; type < fault::kNumFaultTypes; ++type) {
-        sim::Machine machine(machineConfig(type + 1));
+        sim::Machine machine(test::smallMachine(type + 1));
         os::Kernel kernel(
             machine, os::systemPreset(os::SystemPreset::UfsDelayAll));
         kernel.boot(nullptr, true);
@@ -141,7 +125,7 @@ TEST(FaultInjector, EveryTypeInjectsWithoutHostFailure)
 TEST(FaultInjector, SameSeedSameOutcome)
 {
     auto run = [](u64 seed) -> std::pair<bool, std::string> {
-        sim::Machine machine(machineConfig(seed));
+        sim::Machine machine(test::smallMachine(seed));
         os::Kernel kernel(
             machine, os::systemPreset(os::SystemPreset::UfsDelayAll));
         kernel.boot(nullptr, true);
@@ -168,7 +152,7 @@ TEST(FaultInjector, SameSeedSameOutcome)
 
 TEST(KCopyFaults, OverrunLengthsFollowPaperDistribution)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(1));
     os::KCopy kcopy(machine, procs);
     machine.pageTable().initIdentity();
@@ -208,7 +192,7 @@ TEST(KCopyFaults, OverrunLengthsFollowPaperDistribution)
 
 TEST(KCopyFaults, OffByOneWritesExactlyOneExtraByte)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(1));
     os::KCopy kcopy(machine, procs);
     machine.pageTable().initIdentity();
@@ -237,7 +221,7 @@ TEST(KCopyFaults, OffByOneWritesExactlyOneExtraByte)
 
 TEST(KProc, WildStoreAddressesAreMostlyIllegal)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(2));
     support::Rng rng(55);
     int illegal = 0;
@@ -257,7 +241,7 @@ TEST(KProc, WildStoreAddressesAreMostlyIllegal)
 
 TEST(KProc, ManifestationsFireOnNextEnter)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(3));
     os::Manifestation m;
     m.kind = os::Manifestation::Kind::PanicNow;
@@ -269,7 +253,7 @@ TEST(KProc, ManifestationsFireOnNextEnter)
 
 TEST(KProc, SkipWorkReportedToCaller)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(4));
     os::Manifestation m;
     m.kind = os::Manifestation::Kind::SkipWork;
@@ -280,7 +264,7 @@ TEST(KProc, SkipWorkReportedToCaller)
 
 TEST(KProc, TextRangeMapsBackToProc)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(5));
     for (std::size_t p = 0; p < os::kNumProcs; p += 5) {
         const auto proc = static_cast<os::ProcId>(p);
@@ -292,7 +276,7 @@ TEST(KProc, TextRangeMapsBackToProc)
 
 TEST(KProc, TraceRingRecordsRecentProcedures)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KProcTable procs(machine, support::Rng(6));
     EXPECT_TRUE(procs.recentTrace().empty());
     procs.enter(os::ProcId::VfsOpen);
@@ -315,7 +299,7 @@ TEST(KProc, TraceRingRecordsRecentProcedures)
 
 TEST(KHeapFaults, PrematureFreeArmsWithoutImmediateEffect)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(machine,
                       os::systemPreset(os::SystemPreset::UfsDelayAll));
     kernel.boot(nullptr, true);

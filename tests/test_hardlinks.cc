@@ -15,26 +15,16 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
 {
 
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
 struct Rig
 {
-    Rig() : machine(machineConfig())
+    Rig() : machine(test::smallMachine())
     {
         kernel = std::make_unique<os::Kernel>(
             machine, os::systemPreset(os::SystemPreset::UfsDelayAll));
@@ -143,7 +133,7 @@ TEST(HardLinks, FsckAcceptsCorrectLinkCounts)
 
 TEST(HardLinks, SurviveRioCrash)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     core::RioOptions options;

@@ -3,6 +3,7 @@
  * Tests for the Rio idle-flush extension (the paper's section 2.3
  * future work): background writes under Rio shrink the warm reboot's
  * restore work while changing nothing about reliability semantics.
+ * Also the update daemon's "never" interval on a plain UFS.
  */
 
 #include <gtest/gtest.h>
@@ -15,26 +16,16 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
 {
 
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
 struct Rig
 {
-    explicit Rig(bool idleFlush) : machine(machineConfig())
+    explicit Rig(bool idleFlush) : machine(test::smallMachine())
     {
         config = os::systemPreset(os::SystemPreset::RioProtected);
         config.rioIdleFlush = idleFlush;
@@ -147,4 +138,32 @@ TEST(RioIdleFlush, ShrinksWarmRebootRestoreWork)
     const u64 with = restoredPages(true);
     EXPECT_GT(without, 0u);
     EXPECT_LT(with, without); // Flushed pages need no restore.
+}
+
+TEST(UpdateDaemon, NeverIntervalIssuesNoWriteBack)
+{
+    // updateIntervalNs = ~0 means "never" (ablation A3's no-flush
+    // arm). The deadline must saturate, not wrap to the past, or the
+    // daemon writes back on every system call.
+    sim::Machine machine(test::smallMachine());
+    os::KernelConfig config =
+        os::systemPreset(os::SystemPreset::UfsDelayAll);
+    config.updateIntervalNs = ~0ull;
+    os::Kernel kernel(machine, config);
+    kernel.boot(nullptr, true);
+    kernel.fsDisk().drain(machine.clock());
+    kernel.fsDisk().resetStats();
+
+    os::Process proc(1);
+    auto &vfs = kernel.vfs();
+    const std::vector<u8> data(4096, 0x3e);
+    for (int i = 0; i < 8; ++i) {
+        auto fd = vfs.open(proc, "/f" + std::to_string(i),
+                           os::OpenFlags::writeOnly());
+        rio::wl::tolerate(vfs.write(proc, fd.value(), data));
+        rio::wl::tolerate(vfs.close(proc, fd.value()));
+    }
+    kernel.fsDisk().drain(machine.clock());
+    EXPECT_EQ(kernel.fsDisk().stats().writes, 0u);
+    EXPECT_EQ(kernel.fsDisk().stats().queuedWrites, 0u);
 }

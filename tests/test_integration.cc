@@ -19,25 +19,9 @@
 #include "workload/memtest.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
-
-namespace
-{
-
-sim::MachineConfig
-machineConfig(u64 seed = 1)
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    c.seed = seed;
-    return c;
-}
-
-} // namespace
 
 TEST(Presets, MapToExpectedKnobs)
 {
@@ -93,7 +77,7 @@ TEST(Integration, CrashInsideAnOperationIsTolerated)
     // Arm a panic on the UBC write path so the crash lands *inside*
     // a memTest operation; the verifier must tolerate the in-flight
     // op (paper: blocks marked "changing" cannot be judged).
-    sim::Machine machine(machineConfig(3));
+    sim::Machine machine(test::smallMachine(3));
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioNoProtection);
     core::RioOptions options;
@@ -142,7 +126,7 @@ TEST(Integration, CrashInsideAnOperationIsTolerated)
 
 TEST(Integration, JournalWrapCheckpointsAndStaysConsistent)
 {
-    sim::Machine machine(machineConfig(5));
+    sim::Machine machine(test::smallMachine(5));
     os::Kernel kernel(machine,
                       os::systemPreset(os::SystemPreset::AdvFsJournal));
     kernel.boot(nullptr, true);
@@ -192,7 +176,7 @@ class RecoveryAcrossProtectionModes
 
 TEST_P(RecoveryAcrossProtectionModes, CrashRecoverVerify)
 {
-    sim::Machine machine(machineConfig(7));
+    sim::Machine machine(test::smallMachine(7));
     os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     config.protection = GetParam();
@@ -235,7 +219,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, RecoveryAcrossProtectionModes,
 
 TEST(Integration, AndrewSurvivesRioCrashMidCompile)
 {
-    sim::Machine machine(machineConfig(11));
+    sim::Machine machine(test::smallMachine(11));
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     core::RioOptions options;
@@ -283,7 +267,7 @@ TEST(Integration, AndrewSurvivesRioCrashMidCompile)
 
 TEST(Integration, BackToBackCrashesAccumulateNoDamage)
 {
-    sim::Machine machine(machineConfig(13));
+    sim::Machine machine(test::smallMachine(13));
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     core::RioOptions options;

@@ -14,28 +14,13 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
-
-namespace
-{
-
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
-} // namespace
 
 TEST(JournalTest, AppendsGoToLogAreaOnFlush)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(machine,
                       os::systemPreset(os::SystemPreset::AdvFsJournal));
     kernel.boot(nullptr, true);
@@ -71,7 +56,7 @@ TEST(JournalTest, AppendsGoToLogAreaOnFlush)
 
 TEST(JournalTest, AbsorptionCoalescesSameBlock)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(machine,
                       os::systemPreset(os::SystemPreset::AdvFsJournal));
     kernel.boot(nullptr, true);
@@ -94,7 +79,7 @@ TEST(JournalTest, AbsorptionCoalescesSameBlock)
 
 TEST(JournalTest, ReplayRestoresLoggedMetadataAfterCrash)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     auto kernel = std::make_unique<os::Kernel>(
         machine, os::systemPreset(os::SystemPreset::AdvFsJournal));
     kernel->boot(nullptr, true);
@@ -141,7 +126,7 @@ TEST(JournalTest, ReplayRestoresLoggedMetadataAfterCrash)
 
 TEST(JournalTest, ReplayOnCleanDiskIsHarmless)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(machine,
                       os::systemPreset(os::SystemPreset::UfsDefault));
     kernel.boot(nullptr, true);

@@ -22,22 +22,12 @@
 #include "support/checksum.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
 {
-
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
 
 /** Host-side copy of one fs block off the platter. */
 std::vector<u8>
@@ -51,18 +41,6 @@ readBlock(sim::Disk &disk, u64 blockNo)
                     sim::kSectorSize);
     }
     return out;
-}
-
-/** Checksum of the whole platter, for byte-identity assertions. */
-u64
-platterFingerprint(sim::Disk &disk)
-{
-    u64 sum = 0;
-    for (SectorNo s = 0; s < disk.numSectors(); ++s) {
-        sum = sum * 1099511628211ull +
-              support::checksum32(disk.peekSector(s));
-    }
-    return sum;
 }
 
 /** One committed transaction found by a host-side log walk. */
@@ -124,7 +102,7 @@ walkLog(sim::Disk &disk, u32 logStart, u32 logBlocks)
 std::unique_ptr<sim::Machine>
 makeCrashedImage(os::KernelConfig config, int files = 8)
 {
-    auto machine = std::make_unique<sim::Machine>(machineConfig());
+    auto machine = std::make_unique<sim::Machine>(test::smallMachine());
     auto kernel = std::make_unique<os::Kernel>(*machine, config);
     kernel->boot(nullptr, true);
     os::Process proc(1);
@@ -163,7 +141,7 @@ countFiles(os::Kernel &kernel, int files)
 
 TEST(JournalExt3, CompoundTransactionBatchesManySyscalls)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(
         machine,
         os::systemPreset(os::SystemPreset::JournalWriteback));
@@ -194,7 +172,7 @@ TEST(JournalExt3, CompoundTransactionBatchesManySyscalls)
 
 TEST(JournalExt3, GroupCommitTimerSealsAgedTransaction)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::Kernel kernel(
         machine,
         os::systemPreset(os::SystemPreset::JournalWriteback));
@@ -297,7 +275,7 @@ TEST(JournalExt3, ChecksumRejectsTornCommitButNoChecksumAppliesIt)
 
         sim::SimClock clock;
         os::JournalReplayStats stats;
-        os::Journal::replay(disk, clock, {}, nullptr, &stats);
+        os::Journal::replay(disk, clock, {}, &stats);
 
         const auto homeBytes = readBlock(disk, home);
         bool sawPattern = false;
@@ -332,41 +310,54 @@ TEST(JournalExt3, ReplayIsIdempotent)
 
     sim::SimClock clock;
     os::JournalReplayStats first;
-    os::Journal::replay(disk, clock, {}, nullptr, &first);
+    os::Journal::replay(disk, clock, {}, &first);
     EXPECT_GT(first.transactions, 0u);
-    const u64 afterFirst = platterFingerprint(disk);
+    const u64 afterFirst = test::platterFingerprint(disk);
 
     os::JournalReplayStats second;
-    os::Journal::replay(disk, clock, {}, nullptr, &second);
+    os::Journal::replay(disk, clock, {}, &second);
     // The advanced head leaves nothing to re-apply, and the platter
     // is byte-identical: recovering twice is the same as once.
     EXPECT_EQ(second.transactions, 0u);
-    EXPECT_EQ(platterFingerprint(disk), afterFirst);
+    EXPECT_EQ(test::platterFingerprint(disk), afterFirst);
 }
 
 namespace
 {
 
-/** Throws out of replay at the k-th phase event (modeled crash). */
-class AbortProbe final : public os::JournalReplayProbe
+/** Thrown out of a replay subscriber: a modeled crash. */
+struct Abort
 {
-  public:
-    struct Abort
-    {
-    };
-    explicit AbortProbe(u64 at) : at_(at) {}
-    void
-    onReplayPhase(Phase, u64) override
-    {
-        if (count_++ == at_)
-            throw Abort{};
-    }
-    u64 seen() const { return count_; }
-
-  private:
-    u64 at_;
-    u64 count_ = 0;
 };
+
+/** Throw Abort out of replay at the @p at-th phase event of
+ *  @p machine's data disk; @p seen counts the phases delivered. */
+sim::Machine::Subscription
+abortReplayAt(sim::Machine &machine, u64 at, u64 &seen)
+{
+    return machine.subscribe(
+        [at, &seen](const sim::Event &) {
+            if (seen++ == at)
+                throw Abort{};
+        },
+        sim::eventBit(sim::EventKind::ReplayScanDone) |
+            sim::eventBit(sim::EventKind::ReplayApplyBlock) |
+            sim::eventBit(sim::EventKind::ReplayApplyDone) |
+            sim::eventBit(sim::EventKind::ReplayJsbAdvance));
+}
+
+/** Replay @p machine's data disk, crashing at phase event @p at. */
+void
+replayAbortingAt(sim::Machine &machine, sim::SimClock &clock, u64 at)
+{
+    u64 seen = 0;
+    const auto abort = abortReplayAt(machine, at, seen);
+    try {
+        os::Journal::replay(machine.disk(), clock);
+    } catch (const Abort &) {
+        machine.disk().crashDropQueue(clock.now());
+    }
+}
 
 } // namespace
 
@@ -380,12 +371,10 @@ TEST(JournalExt3, ReplayIsReentrantAtEveryPhaseBoundary)
     u64 phases = 0;
     {
         auto machine = makeCrashedImage(config);
-        AbortProbe counter(~0ull); // Never fires; counts phases.
+        const auto counter = abortReplayAt(*machine, ~0ull, phases);
         sim::SimClock clock;
-        os::Journal::replay(machine->disk(), clock, {}, &counter,
-                            nullptr);
-        phases = counter.seen();
-        want = platterFingerprint(machine->disk());
+        os::Journal::replay(machine->disk(), clock);
+        want = test::platterFingerprint(machine->disk());
     }
     ASSERT_GT(phases, 2u);
 
@@ -394,57 +383,15 @@ TEST(JournalExt3, ReplayIsReentrantAtEveryPhaseBoundary)
     // end state — including a double crash at adjacent boundaries.
     for (u64 k = 0; k < phases; ++k) {
         auto machine = makeCrashedImage(config);
-        sim::Disk &disk = machine->disk();
         sim::SimClock clock;
-        AbortProbe abort(k);
-        try {
-            os::Journal::replay(disk, clock, {}, &abort, nullptr);
-        } catch (const AbortProbe::Abort &) {
-            disk.crashDropQueue(clock.now());
-        }
-        if (k + 1 < phases) { // Second crash, one boundary later.
-            AbortProbe again(k + 1 - (k + 1 > 0 ? 1 : 0));
-            try {
-                os::Journal::replay(disk, clock, {}, &again, nullptr);
-            } catch (const AbortProbe::Abort &) {
-                disk.crashDropQueue(clock.now());
-            }
-        }
-        os::Journal::replay(disk, clock, {}, nullptr, nullptr);
-        EXPECT_EQ(platterFingerprint(disk), want) << "k=" << k;
+        replayAbortingAt(*machine, clock, k);
+        if (k + 1 < phases) // Second crash, one boundary later.
+            replayAbortingAt(*machine, clock, k);
+        os::Journal::replay(machine->disk(), clock);
+        EXPECT_EQ(test::platterFingerprint(machine->disk()), want)
+            << "k=" << k;
     }
 }
-
-namespace
-{
-
-/** Crashes the machine at the k-th checkpoint step. */
-class CheckpointCrasher final : public os::JournalObserver
-{
-  public:
-    CheckpointCrasher(sim::Machine &machine, u64 at)
-        : machine_(machine), at_(at)
-    {
-    }
-    void
-    onJournalStep(Step step, u64) override
-    {
-        if (step == Step::TxCommit)
-            return;
-        if (count_++ == at_) {
-            machine_.crash(sim::CrashCause::KernelPanic,
-                           "ext3 test: crash mid-checkpoint");
-        }
-    }
-    u64 seen() const { return count_; }
-
-  private:
-    sim::Machine &machine_;
-    u64 at_;
-    u64 count_ = 0;
-};
-
-} // namespace
 
 TEST(JournalExt3, CrashDuringCheckpointRecoversAtEveryStep)
 {
@@ -457,47 +404,51 @@ TEST(JournalExt3, CrashDuringCheckpointRecoversAtEveryStep)
     constexpr int kFiles = 4;
 
     const auto run = [&](u64 crashAt, u64 *stepsSeen) -> bool {
-        sim::Machine machine(machineConfig());
+        sim::Machine machine(test::smallMachine());
         auto kernel = std::make_unique<os::Kernel>(machine, config);
         kernel->boot(nullptr, true);
-        CheckpointCrasher crasher(machine, crashAt);
-        kernel->journal().setObserver(&crasher);
         os::Process proc(1);
         auto &vfs = kernel->vfs();
         int fsynced = 0;
         bool crashed = false;
-        try {
-            wl::tolerate(vfs.mkdir("/d"));
-            for (int i = 0; i < kFiles; ++i) {
-                auto fd = vfs.open(proc, "/d/f" + std::to_string(i),
-                                   os::OpenFlags::writeOnly());
-                std::vector<u8> data(3000, static_cast<u8>(i));
-                wl::tolerate(vfs.write(proc, fd.value(), data));
-                wl::tolerate(vfs.fsync(proc, fd.value()));
-                wl::tolerate(vfs.close(proc, fd.value()));
-                ++fsynced;
+        u64 steps = 0;
+        {
+            const auto crasher = machine.subscribe(
+                [&](const sim::Event &) {
+                    if (steps++ == crashAt) {
+                        machine.crash(sim::CrashCause::KernelPanic,
+                                      "ext3 test: crash mid-checkpoint");
+                    }
+                },
+                sim::eventBit(sim::EventKind::JournalCheckpointWrite) |
+                    sim::eventBit(
+                        sim::EventKind::JournalCheckpointAdvance));
+            try {
+                wl::tolerate(vfs.mkdir("/d"));
+                for (int i = 0; i < kFiles; ++i) {
+                    auto fd = vfs.open(proc,
+                                       "/d/f" + std::to_string(i),
+                                       os::OpenFlags::writeOnly());
+                    std::vector<u8> data(3000, static_cast<u8>(i));
+                    wl::tolerate(vfs.write(proc, fd.value(), data));
+                    wl::tolerate(vfs.fsync(proc, fd.value()));
+                    wl::tolerate(vfs.close(proc, fd.value()));
+                    ++fsynced;
+                }
+            } catch (const sim::CrashException &) {
+                crashed = true;
             }
-        } catch (const sim::CrashException &) {
-            crashed = true;
         }
         if (stepsSeen != nullptr)
-            *stepsSeen = crasher.seen();
+            *stepsSeen = steps;
         if (!crashed)
             return false;
         kernel.reset();
         machine.reset(sim::ResetKind::Warm);
 
         // Double crash: interrupt the first recovery attempt.
-        {
-            sim::SimClock clock;
-            AbortProbe abort(1);
-            try {
-                os::Journal::replay(machine.disk(), clock, {},
-                                    &abort, nullptr);
-            } catch (const AbortProbe::Abort &) {
-                machine.disk().crashDropQueue(clock.now());
-            }
-        }
+        sim::SimClock clock;
+        replayAbortingAt(machine, clock, 1);
 
         os::Kernel rebooted(machine, config);
         rebooted.boot(nullptr, false);

@@ -27,6 +27,8 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
@@ -38,12 +40,7 @@ using NvL = core::NvMirrorLayout;
 sim::MachineConfig
 nvMachineConfig()
 {
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
+    sim::MachineConfig c = test::smallMachine();
     c.nvBytes = 2ull << 20;
     return c;
 }
@@ -139,32 +136,6 @@ TEST(NvRegion, RecentLinesAreDistinctAndRetireOnCrash)
     nv.onCrash(machine.clock().now());
     EXPECT_TRUE(nv.recentLines().empty());
     EXPECT_EQ(nv.stats().crashes, 1u);
-}
-
-TEST(NvRegion, WriteObserverSeesEveryStore)
-{
-    struct Probe final : sim::NvWriteObserver
-    {
-        std::vector<std::pair<u64, u64>> writes;
-        void onNvWrite(u64 offset, u64 len) override
-        {
-            writes.emplace_back(offset, len);
-        }
-    };
-
-    sim::Machine machine(nvMachineConfig());
-    sim::NvRegion &nv = *machine.nv();
-    Probe probe;
-    nv.setWriteObserver(&probe);
-    const std::vector<u8> bytes(17, 0x5c);
-    nv.write(128, bytes, machine.clock());
-    nv.write(4096, bytes, machine.clock());
-    nv.setWriteObserver(nullptr);
-    nv.write(8192, bytes, machine.clock());
-
-    ASSERT_EQ(probe.writes.size(), 2u);
-    EXPECT_EQ(probe.writes[0], (std::pair<u64, u64>{128, 17}));
-    EXPECT_EQ(probe.writes[1], (std::pair<u64, u64>{4096, 17}));
 }
 
 // ---------------------------------------------------------------

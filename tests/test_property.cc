@@ -25,25 +25,9 @@
 #include "workload/memtest.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
-
-namespace
-{
-
-sim::MachineConfig
-machineConfig(u64 seed)
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    c.seed = seed;
-    return c;
-}
-
-} // namespace
 
 // ------------------------------------------------------------------
 // Crash-anywhere recovery.
@@ -59,7 +43,7 @@ TEST_P(CrashAnywhereProperty, EveryCompletedWriteSurvives)
     const u64 seed = std::get<0>(GetParam());
     const int crashAfterOps = std::get<1>(GetParam());
 
-    sim::Machine machine(machineConfig(seed));
+    sim::Machine machine(test::smallMachine(seed));
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     core::RioOptions options;
@@ -120,7 +104,7 @@ TEST_P(DifferentialFsProperty, KernelMatchesModelOracle)
     const u64 seed = std::get<0>(GetParam());
     const os::SystemPreset preset = std::get<1>(GetParam());
 
-    sim::Machine machine(machineConfig(seed));
+    sim::Machine machine(test::smallMachine(seed));
     std::unique_ptr<core::RioSystem> rio;
     const os::KernelConfig config = os::systemPreset(preset);
     if (config.rio) {
@@ -167,7 +151,7 @@ class PolicyOrderingProperty : public ::testing::TestWithParam<u64>
     u64
     diskWritesFor(os::SystemPreset preset)
     {
-        sim::Machine machine(machineConfig(GetParam()));
+        sim::Machine machine(test::smallMachine(GetParam()));
         std::unique_ptr<core::RioSystem> rio;
         const os::KernelConfig config = os::systemPreset(preset);
         if (config.rio) {

@@ -16,27 +16,17 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
 {
 
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
 struct RioRig
 {
     explicit RioRig(os::ProtectionMode mode, bool checksums = true)
-        : machine(machineConfig())
+        : machine(test::smallMachine())
     {
         config = os::systemPreset(os::SystemPreset::RioProtected);
         config.protection = mode;
@@ -262,32 +252,43 @@ TEST(RioShadow, EntryIsChangingDuringWindowActiveAfter)
 namespace
 {
 
-/** Crashes the machine at the first Commit protocol step — i.e. in
- *  endWrite after size/checksum/shadow:=0 are stored but before the
- *  state flips back to Active (the commit window). */
-class CommitCrasher final : public core::RioProtocolObserver
+/**
+ * Dirty the first inode-table block, then update it again and crash
+ * at the RioCommit event: in endWrite after size, checksum and
+ * shadow := 0 are stored but before the state flips back to Active
+ * (the commit window). @return The block's page, or 0 when the
+ * crash never fired.
+ */
+Addr
+crashInCommitWindow(RioRig &rig)
 {
-  public:
-    explicit CommitCrasher(sim::Machine &machine) : machine_(machine)
+    auto &buf = rig.kernel->bufferCache();
+    auto ref = buf.bread(1, rig.kernel->ufs().geometry().itStart);
+    const Addr page = buf.pageAddr(ref);
     {
+        // Dirty the block first: only dirty metadata is shadowed.
+        os::BufferCache::WriteWindow window(buf, ref);
+        window.store8(8001, 7);
     }
-
-    bool fired() const { return fired_; }
-
-    void
-    onProtocolStep(Step step, Addr) override
-    {
-        if (fired_ || step != Step::Commit)
-            return;
-        fired_ = true;
-        machine_.crash(sim::CrashCause::KernelPanic,
-                       "commit-window crash");
+    bool fired = false;
+    const auto crasher = rig.machine.subscribe(
+        [&](const sim::Event &) {
+            if (fired)
+                return;
+            fired = true;
+            rig.machine.crash(sim::CrashCause::KernelPanic,
+                              "commit-window crash");
+        },
+        sim::eventBit(sim::EventKind::RioCommit));
+    try {
+        os::BufferCache::WriteWindow window(buf, ref);
+        window.store8(8000, 1);
+    } catch (const sim::CrashException &crash) {
+        rig.machine.noteCrash(crash.when());
+        return page;
     }
-
-  private:
-    sim::Machine &machine_;
-    bool fired_ = false;
-};
+    return 0;
+}
 
 } // namespace
 
@@ -301,28 +302,8 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
     // recover it via the physAddr fallback. The trusting policy is
     // shadow-or-bust and must give the entry up.
     RioRig rig(os::ProtectionMode::Off);
-    auto &buf = rig.kernel->bufferCache();
-    auto ref = buf.bread(1, rig.kernel->ufs().geometry().itStart);
-    const Addr page = buf.pageAddr(ref);
-    {
-        // Dirty the block first: only dirty metadata is shadowed.
-        os::BufferCache::WriteWindow window(buf, ref);
-        window.store8(8001, 7);
-    }
-
-    CommitCrasher crasher(rig.machine);
-    rig.rio->setProtocolObserver(&crasher);
-    bool crashed = false;
-    try {
-        os::BufferCache::WriteWindow window(buf, ref);
-        window.store8(8000, 1);
-    } catch (const sim::CrashException &crash) {
-        rig.machine.noteCrash(crash.when());
-        crashed = true;
-    }
-    rig.rio->setProtocolObserver(nullptr);
-    ASSERT_TRUE(crashed);
-    ASSERT_TRUE(crasher.fired());
+    const Addr page = crashInCommitWindow(rig);
+    ASSERT_NE(page, 0u);
 
     // The surviving image shows exactly the commit window: entry
     // still Changing, shadow already cleared, checksum current.
@@ -346,22 +327,7 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
     // shadow already cleared it has no source it is willing to use.
     {
         RioRig rig2(os::ProtectionMode::Off);
-        auto &buf2 = rig2.kernel->bufferCache();
-        auto ref2 =
-            buf2.bread(1, rig2.kernel->ufs().geometry().itStart);
-        {
-            os::BufferCache::WriteWindow window(buf2, ref2);
-            window.store8(8001, 7);
-        }
-        CommitCrasher crasher2(rig2.machine);
-        rig2.rio->setProtocolObserver(&crasher2);
-        try {
-            os::BufferCache::WriteWindow window(buf2, ref2);
-            window.store8(8000, 1);
-        } catch (const sim::CrashException &crash) {
-            rig2.machine.noteCrash(crash.when());
-        }
-        rig2.rio->setProtocolObserver(nullptr);
+        ASSERT_NE(crashInCommitWindow(rig2), 0u);
         rig2.rio->deactivate();
         rig2.rio.reset();
         rig2.kernel.reset();

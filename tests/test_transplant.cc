@@ -18,29 +18,13 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
-
-namespace
-{
-
-sim::MachineConfig
-machineConfig(u64 seed)
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    c.seed = seed;
-    return c;
-}
-
-} // namespace
 
 TEST(Transplant, MemoryBoardMovesToAnotherChassis)
 {
-    const sim::MachineConfig config = machineConfig(1);
+    const sim::MachineConfig config = test::smallMachine(1);
     sim::Machine failed(config);
 
     const os::KernelConfig kernelConfig =
@@ -72,7 +56,7 @@ TEST(Transplant, MemoryBoardMovesToAnotherChassis)
 
     // Reseat the memory board and the disks in a new chassis: same
     // geometry (the config describes the board), fresh CPU state.
-    sim::Machine replacement(machineConfig(2));
+    sim::Machine replacement(test::smallMachine(2));
     std::memcpy(replacement.mem().raw(), failed.mem().raw(),
                 failed.mem().size());
     for (SectorNo s = 0; s < failed.disk().numSectors(); ++s) {

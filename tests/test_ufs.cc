@@ -11,6 +11,8 @@
 #include "os/kernel.hh"
 #include "sim/machine.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
@@ -19,23 +21,11 @@ namespace
 class UfsTest : public ::testing::Test
 {
   protected:
-    UfsTest() : machine_(machineConfig())
+    UfsTest() : machine_(test::smallMachine())
     {
         kernel_ = std::make_unique<os::Kernel>(
             machine_, os::systemPreset(os::SystemPreset::UfsDelayAll));
         kernel_->boot(nullptr, true);
-    }
-
-    static sim::MachineConfig
-    machineConfig()
-    {
-        sim::MachineConfig c;
-        c.physMemBytes = 16ull << 20;
-        c.kernelHeapBytes = 4ull << 20;
-        c.bufPoolBytes = 1ull << 20;
-        c.diskBytes = 64ull << 20;
-        c.swapBytes = 16ull << 20;
-        return c;
     }
 
     os::Ufs &ufs() { return kernel_->ufs(); }
@@ -494,7 +484,7 @@ TEST_F(UfsTest, UnmountMarksCleanRemountWorks)
 
 TEST_F(UfsTest, MountRejectsGarbageDisk)
 {
-    sim::Machine other(machineConfig());
+    sim::Machine other(test::smallMachine());
     os::Kernel kernel(other,
                       os::systemPreset(os::SystemPreset::UfsDelayAll));
     // Boot without formatting a never-formatted disk must panic

@@ -12,27 +12,17 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
 {
 
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
 struct Rig
 {
     explicit Rig(os::SystemPreset preset)
-        : machine(machineConfig()),
+        : machine(test::smallMachine()),
           kernel(machine, os::systemPreset(preset))
     {
         kernel.boot(nullptr, true);
@@ -274,7 +264,7 @@ TEST(VfsPolicy, RioNeverWritesAndFsyncIsInstant)
 
 TEST(VfsPolicy, RioAdminOverrideReenablesReliabilityWrites)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     config.adminForceSync = true;

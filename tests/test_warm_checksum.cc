@@ -16,28 +16,13 @@
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
-
-namespace
-{
-
-sim::MachineConfig
-machineConfig()
-{
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
-    return c;
-}
-
-} // namespace
 
 TEST(WarmChecksum, CorruptedDataPageIsCountedAndStillRestored)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioNoProtection);
     core::RioOptions options;
@@ -91,7 +76,7 @@ TEST(WarmChecksum, CorruptedDataPageIsCountedAndStillRestored)
 
 TEST(WarmChecksum, CorruptedMetadataBlockIsCounted)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioNoProtection);
     core::RioOptions options;
@@ -134,7 +119,7 @@ TEST(WarmChecksum, CorruptedMetadataBlockIsCounted)
 
 TEST(WarmChecksum, PerfModeSkipsChecksums)
 {
-    sim::Machine machine(machineConfig());
+    sim::Machine machine(test::smallMachine());
     const os::KernelConfig config =
         os::systemPreset(os::SystemPreset::RioProtected);
     core::RioOptions options;

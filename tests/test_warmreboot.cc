@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <memory>
 
@@ -18,6 +19,8 @@
 #include "support/bytes.hh"
 #include "workload/script.hh"
 
+#include "testbed.hh"
+
 using namespace rio;
 
 namespace
@@ -26,12 +29,7 @@ namespace
 sim::MachineConfig
 machineConfig(bool survives = true)
 {
-    sim::MachineConfig c;
-    c.physMemBytes = 16ull << 20;
-    c.kernelHeapBytes = 4ull << 20;
-    c.bufPoolBytes = 1ull << 20;
-    c.diskBytes = 64ull << 20;
-    c.swapBytes = 16ull << 20;
+    sim::MachineConfig c = test::smallMachine();
     c.memorySurvivesReset = survives;
     return c;
 }
@@ -617,22 +615,32 @@ struct SweepPoint
     const char *name;
 };
 
-/** Arm @p warm to crash once at the requested recovery point. */
-void
-armCrashProbe(core::WarmReboot &warm, sim::Machine &machine,
-              const SweepPoint &point, bool &fired)
+/**
+ * Crash recovery once at the requested point. @p steps counts, per
+ * core::RecoveryPhase, the step events (not boundaries) seen before.
+ */
+sim::Machine::Subscription
+armCrashProbe(sim::Machine &machine, const SweepPoint &point,
+              bool &fired, std::array<u64, 4> &steps)
 {
-    warm.setProbe([&machine, point, &fired](core::RecoveryPhase phase,
-                                            u64 step, u64 total) {
-        if (fired || phase != point.phase)
+    const auto probe = [&machine, point, &fired,
+                        &steps](const sim::Event &event) {
+        const u32 phase = static_cast<u32>(event.kind) -
+                          static_cast<u32>(sim::EventKind::RecoveryDump);
+        const bool boundary = event.a == event.b;
+        if (fired)
             return;
-        if (point.boundary ? step != total : step != 0)
+        if (phase != static_cast<u32>(point.phase) ||
+            (point.boundary ? !boundary : event.a != 0)) {
+            steps[phase] += boundary ? 0 : 1;
             return;
+        }
         fired = true;
         throw sim::CrashException(sim::CrashCause::KernelPanic,
                                   "second crash during recovery",
                                   machine.clock().now());
-    });
+    };
+    return machine.subscribe(probe, sim::kRecoveryEvents);
 }
 
 /** The standard three-file workload the sweep recovers. */
@@ -711,14 +719,15 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
     rig.crashAndReset();
 
     // Pass 1: crash at the requested point of recovery.
-    core::WarmRebootReport pass1;
+    std::array<u64, 4> pass1Steps{};
     bool fired = false;
     bool crashed = false;
     {
         core::WarmReboot warm(rig.machine);
-        armCrashProbe(warm, rig.machine, point, fired);
+        const auto probe =
+            armCrashProbe(rig.machine, point, fired, pass1Steps);
         try {
-            pass1 = recoverOnce(rig, warm);
+            recoverOnce(rig, warm);
         } catch (const sim::CrashException &crash) {
             crashed = true;
             rig.machine.noteCrash(crash.when());
@@ -766,7 +775,9 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
         point.boundary) {
         // Every metadata entry was processed (and checkpointed) by
         // the dead pass: none may be pushed to disk twice.
-        EXPECT_GT(pass1.entriesSeen, 0u);
+        EXPECT_GT(pass1Steps[static_cast<u32>(
+                      core::RecoveryPhase::MetadataRestore)],
+                  0u);
         EXPECT_EQ(pass2.metadataRestored, 0u);
         EXPECT_GT(pass2.recovery.metadataSkippedResume, 0u);
         EXPECT_EQ(static_cast<core::RecoveryPhase>(
@@ -782,10 +793,11 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
         // The dead pass fsync'd every rebuilt file before its
         // checkpoint advanced, so the resumed pass replays nothing:
         // no data page is restored twice...
-        EXPECT_GT(pass1.dataPagesRestored, 0u);
+        const u64 pass1Pages =
+            pass1Steps[static_cast<u32>(core::RecoveryPhase::DataRestore)];
+        EXPECT_GT(pass1Pages, 0u);
         EXPECT_EQ(pass2.dataPagesRestored, 0u);
-        EXPECT_EQ(pass2.recovery.dataSkippedResume,
-                  pass1.dataPagesRestored);
+        EXPECT_EQ(pass2.recovery.dataSkippedResume, pass1Pages);
         // ...and the platter proves it: the recovered files' data
         // blocks are byte-identical to the image the second crash
         // left behind (extension of the disk-byte snapshot oracle).
@@ -844,24 +856,27 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
 
     // Crash halfway through the data restore: past at least one
     // file boundary, short of the last.
-    core::WarmRebootReport pass1;
+    u64 pass1Pages = 0;
     bool fired = false;
     bool crashed = false;
     {
         core::WarmReboot warm(rig.machine);
-        warm.setProbe([&](core::RecoveryPhase phase, u64 step,
-                          u64 total) {
-            if (fired || phase != core::RecoveryPhase::DataRestore)
-                return;
-            if (step * 2 < total || step == total)
-                return;
-            fired = true;
-            throw sim::CrashException(sim::CrashCause::KernelPanic,
-                                      "second crash mid-file",
-                                      rig.machine.clock().now());
-        });
+        const auto probe = rig.machine.subscribe(
+            [&](const sim::Event &event) {
+                if (fired || event.a == event.b)
+                    return;
+                if (event.a * 2 < event.b) {
+                    ++pass1Pages;
+                    return;
+                }
+                fired = true;
+                throw sim::CrashException(sim::CrashCause::KernelPanic,
+                                          "second crash mid-file",
+                                          rig.machine.clock().now());
+            },
+            sim::eventBit(sim::EventKind::RecoveryDataRestore));
         try {
-            pass1 = recoverOnce(rig, warm);
+            recoverOnce(rig, warm);
         } catch (const sim::CrashException &crash) {
             crashed = true;
             rig.machine.noteCrash(crash.when());
@@ -880,7 +895,6 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
     // Files fully rebuilt and fsync'd before the crash are skipped;
     // only the file that was mid-rebuild (plus the rest) is redone.
     EXPECT_GT(pass2.recovery.dataSkippedResume, 0u);
-    EXPECT_LE(pass2.recovery.dataSkippedResume,
-              pass1.dataPagesRestored);
+    EXPECT_LE(pass2.recovery.dataSkippedResume, pass1Pages);
     EXPECT_GT(pass2.dataPagesRestored, 0u);
 }
