@@ -127,7 +127,7 @@ main(int argc, char **argv)
     double seconds[3] = {0, 0, 0};
     {
         harness::WorkerPool pool(harness::resolveJobs(
-            static_cast<u32>(harness::envU64("RIO_T1_JOBS", 0))));
+            static_cast<u32>(harness::envU64("RIO_T1_JOBS", 0, 1))));
         harness::parallelFor(pool, 3, [&](u64 index) {
             seconds[index] = macroRun(modes[index]);
         });

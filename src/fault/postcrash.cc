@@ -40,6 +40,26 @@ putField(u8 *slot, u64 off, T value)
 
 } // namespace
 
+PostCrashStats &
+PostCrashStats::operator+=(const PostCrashStats &other)
+{
+    ops += other.ops;
+    registryBitsFlipped += other.registryBitsFlipped;
+    magicsSmashed += other.magicsSmashed;
+    claimsCrossLinked += other.claimsCrossLinked;
+    pagesCrossLinked += other.pagesCrossLinked;
+    pageBytesSmashed += other.pageBytesSmashed;
+    shadowsSmashed += other.shadowsSmashed;
+    tailBytesZeroed += other.tailBytesZeroed;
+    nvBitsFlipped += other.nvBitsFlipped;
+    nvLinesTorn += other.nvLinesTorn;
+    nvMirrorsSmashed += other.nvMirrorsSmashed;
+    jrnCommitsTorn += other.jrnCommitsTorn;
+    jrnStaleSeqs += other.jrnStaleSeqs;
+    jrnDescriptorsSmashed += other.jrnDescriptorsSmashed;
+    return *this;
+}
+
 PostCrashCorruptor::PostCrashCorruptor(sim::Machine &machine,
                                        support::Rng rng,
                                        PostCrashConfig config)

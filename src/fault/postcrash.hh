@@ -84,6 +84,9 @@ struct PostCrashStats
     u64 jrnCommitsTorn = 0; ///< Journal payload blocks scrambled.
     u64 jrnStaleSeqs = 0;   ///< Descriptor seqs rewritten stale.
     u64 jrnDescriptorsSmashed = 0; ///< Descriptor blocks scribbled.
+
+    /** Field-wise sum, for a trial that is damaged once per outage. */
+    PostCrashStats &operator+=(const PostCrashStats &other);
 };
 
 class PostCrashCorruptor

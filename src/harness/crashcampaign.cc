@@ -94,10 +94,12 @@ trialMachineConfig(SystemKind kind, u64 seed)
 CrashRunResult
 CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
 {
-    if (config_.powerCycleOps > 0 && isRio(kind))
-        return runPowerCycle(kind, type, seed);
-
+    // Power loss replaces fault injection for the Rio systems when
+    // powerCycleOps is set; the fault coordinate then only
+    // differentiates the seed chain.
+    const bool powerCycle = config_.powerCycleOps > 0 && isRio(kind);
     CrashRunResult result;
+    result.powerCycleMode = powerCycle;
 
     sim::MachineConfig machineConfig = trialMachineConfig(kind, seed);
     sim::Machine machine(machineConfig);
@@ -111,14 +113,13 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     kernelConfig.ioRetry.enabled = config_.ioRetryEnabled;
     kernelConfig.lockdep = config_.lockdep;
 
+    core::RioOptions rioOptions;
+    rioOptions.protection = kernelConfig.protection;
+    rioOptions.maintainChecksums = true;
+    rioOptions.nvBacked = kernelConfig.rioNvMirror;
     std::unique_ptr<core::RioSystem> rio;
-    if (isRio(kind)) {
-        core::RioOptions options;
-        options.protection = kernelConfig.protection;
-        options.maintainChecksums = true;
-        options.nvBacked = kernelConfig.rioNvMirror;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-    }
+    if (isRio(kind))
+        rio = std::make_unique<core::RioSystem>(machine, rioOptions);
 
     // NV fault model: decays bits / tears in-flight lines when the
     // machine crashes. Seeded purely from the run seed, same as every
@@ -155,6 +156,9 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     }
 
     // --- Workload: memTest + four looping copies of Andrew. -------
+    // MemTest::rebind carries the model and operation stream across
+    // power cycles; the Andrew scripts have no rebind, so the
+    // background load stays out of power-cycle trials.
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed * 17 + 3;
     memtestConfig.fsyncEveryWrite = !isRio(kind);
@@ -164,7 +168,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     std::vector<std::unique_ptr<wl::Andrew>> andrews;
     wl::Scheduler scheduler;
     scheduler.add(memtest);
-    if (config_.backgroundAndrew) {
+    if (config_.backgroundAndrew && !powerCycle) {
         for (u32 i = 0; i < config_.andrewCopies; ++i) {
             wl::AndrewConfig andrewConfig;
             andrewConfig.root = "/a" + std::to_string(i);
@@ -179,81 +183,47 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         }
     }
 
-    // --- Inject 20 faults, spread over the first seconds. ---------
+    // --- Segment end. A fault-injection segment takes 20 faults,
+    // spread over its first seconds, and ends with the observation
+    // window. A power-cycle segment loses power every powerCycleOps
+    // scheduler steps; once the outage budget is spent it ends
+    // cleanly instead, and the survivors are verified.
     fault::FaultInjector injector(*kernel,
                                   support::Rng(seed * 101 + 7));
     const SimNs startNs = machine.clock().now();
     u32 injected = 0;
+    u64 steps = 0;
     scheduler.setBetweenSteps([&] {
         const SimNs elapsed = machine.clock().now() - startNs;
-        while (injected < config_.faultsPerRun &&
-               elapsed >= injected * config_.injectSpacingNs) {
-            injector.inject(type);
-            ++injected;
+        if (!powerCycle) {
+            while (injected < config_.faultsPerRun &&
+                   elapsed >= injected * config_.injectSpacingNs) {
+                injector.inject(type);
+                ++injected;
+            }
+        } else if (++steps >= config_.powerCycleOps) {
+            if (result.powerCycles < config_.powerCycles) {
+                ++result.powerCycles;
+                machine.crash(sim::CrashCause::KernelPanic,
+                              "power loss: intermittent supply");
+            }
+            return false;
         }
         return elapsed < config_.observationNs;
     });
-
-    try {
-        scheduler.run();
-        // No crash within the window: discard this run.
-        result.discarded = true;
-        return result;
-    } catch (const sim::CrashException &crash) {
-        machine.noteCrash(crash.when());
-        result.crashed = true;
-        result.cause = crash.cause();
-        result.message = crash.what();
-        result.crashAfterNs = crash.when() - startNs;
-    }
-
-    // --- Detection pass 1: registry checksums (direct corruption).
-    if (rio) {
-        const auto sweep = rio->verifyChecksums();
-        result.checksumDetected = sweep.mismatches > 0;
-        result.protectionSaves = rio->stats().protectionSaves;
-        result.nvMirrorWrites = rio->stats().nvMirrorWrites;
-        rio->deactivate();
-        rio.reset();
-    }
-
-    // --- Reboot. ---------------------------------------------------
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-
-    // Post-crash corruption stage: damage the surviving image before
-    // the warm reboot looks at it. Seeded purely from the run seed so
-    // a JSONL record replays with identical damage.
-    if (isRio(kind) && config_.postCrashIntensity > 0.0) {
-        fault::PostCrashConfig postConfig;
-        postConfig.intensity = config_.postCrashIntensity;
-        if (config_.postCrashNvRepairable) {
-            postConfig.flipRegistryBits = false;
-            postConfig.smashPageBytes = false;
-            postConfig.zeroTail = false;
-            postConfig.nvBitDecay = false;
-            postConfig.nvTornLines = false;
-            postConfig.nvSmashMirror = false;
-        }
-        fault::PostCrashCorruptor corruptor(
-            machine,
-            support::Rng(mix64(seed ^ 0x506f737443727Eull)),
-            postConfig);
-        result.postCrash = corruptor.corrupt();
-    }
 
     core::RestorePolicy policy =
         config_.hardenedRecovery ? core::RestorePolicy::hardened()
                                  : core::RestorePolicy::trusting();
     policy.reentrantRecovery = config_.reentrantRecovery;
 
-    // Double-crash dimension: one trial in doubleCrashRate takes a
-    // second crash in the middle of recovery, at a point drawn
-    // uniformly over the recovery phases. Seeded purely from the run
-    // seed so a JSONL record replays identically.
+    // Double-crash dimension: one fault-injection trial in
+    // doubleCrashRate takes a second crash in the middle of recovery,
+    // at a point drawn uniformly over the recovery phases. Seeded
+    // purely from the run seed so a JSONL record replays identically.
     support::Rng doubleCrashRng(
         mix64(seed ^ 0x44626c43727368ull)); // "DblCrsh"
-    bool doubleCrashArmed = isRio(kind) &&
+    bool doubleCrashArmed = isRio(kind) && !powerCycle &&
                             config_.doubleCrashRate > 0.0 &&
                             doubleCrashRng.chance(
                                 config_.doubleCrashRate);
@@ -262,68 +232,116 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     const double doubleCrashFraction =
         static_cast<double>(doubleCrashRng.below(1000)) / 1000.0;
 
-    // --- Recovery, re-run to convergence. --------------------------
-    // A pass that crashes (the injected double crash, or a kernel
-    // panic out of a faulty boot) is followed by another full warm
-    // reboot; with re-entrant recovery each pass resumes from the
-    // previous pass's checkpoint. Bounded: a volume that cannot be
-    // recovered in maxRecoveryPasses attempts is scored as lost.
-    std::unique_ptr<core::RioSystem> rio2;
-    std::unique_ptr<os::Kernel> rebooted;
-    for (u32 pass = 0; pass < std::max(config_.maxRecoveryPasses, 1u);
-         ++pass) {
-        ++result.recoveryPasses;
-        core::WarmReboot warmReboot(machine, policy);
-        warmReboot.setIoPolicy(kernelConfig.ioRetry);
-        const auto doubleCrash = machine.subscribe(
-            [&](const sim::Event &event) {
-                const u32 phase = static_cast<u32>(event.kind) -
-                                  static_cast<u32>(
-                                      sim::EventKind::RecoveryDump);
-                if (!doubleCrashArmed || phase != doubleCrashPhase)
-                    return;
-                const u64 trigger = static_cast<u64>(
-                    doubleCrashFraction *
-                    static_cast<double>(event.b));
-                if (event.a < trigger)
-                    return;
-                doubleCrashArmed = false;
-                result.doubleCrashFired = true;
-                result.doubleCrashPhase = phase;
-                machine.crash(
-                    sim::CrashCause::KernelPanic,
-                    "double crash: second failure during recovery");
-            },
-            doubleCrashArmed ? sim::kRecoveryEvents : 0);
+    // --- Powered segments, each ended by a crash and a warm reboot.
+    while (true) {
+        steps = 0;
         try {
-            if (isRio(kind)) {
-                result.warm = warmReboot.dumpAndRestoreMetadata();
-                core::RioOptions options;
-                options.protection = kernelConfig.protection;
-                options.maintainChecksums = true;
-                options.nvBacked = kernelConfig.rioNvMirror;
-                rio2 = std::make_unique<core::RioSystem>(machine,
-                                                         options);
+            scheduler.run();
+            if (!result.crashed) {
+                // No crash within the window: discard this run.
+                result.discarded = true;
+                return result;
             }
-            rebooted = std::make_unique<os::Kernel>(machine,
-                                                    kernelConfig);
-            if (rio2)
-                rio2->bindNvLock(rebooted->locks());
-            rebooted->boot(rio2.get(), false);
-            if (isRio(kind))
-                warmReboot.restoreData(rebooted->vfs(), result.warm);
-            result.retriedSectors +=
-                result.warm.recovery.retriedSectors;
-            result.remappedSectors +=
-                result.warm.recovery.remappedSectors;
-            result.abandonedSectors +=
-                result.warm.recovery.abandonedSectors;
-            result.checkpointWrites +=
-                result.warm.recovery.checkpointWrites;
             break;
         } catch (const sim::CrashException &crash) {
-            // Account what the dead pass managed before it went down,
-            // then go around for another pass.
+            machine.noteCrash(crash.when());
+            if (!result.crashed)
+                result.crashAfterNs = crash.when() - startNs;
+            result.crashed = true;
+            result.cause = crash.cause();
+            result.message = crash.what();
+        }
+
+        // --- Detection pass 1: registry checksums (direct
+        // corruption), then teardown.
+        if (rio) {
+            const auto sweep = rio->verifyChecksums();
+            result.checksumDetected |= sweep.mismatches > 0;
+            result.protectionSaves += rio->stats().protectionSaves;
+            result.nvMirrorWrites += rio->stats().nvMirrorWrites;
+            rio->deactivate();
+            rio.reset();
+        }
+        kernel.reset();
+        machine.reset(sim::ResetKind::Warm);
+
+        // Post-crash corruption stage: damage the surviving image
+        // before the warm reboot looks at it. Seeded purely from the
+        // run seed (and, under intermittent power, the outage number)
+        // so a JSONL record replays with identical damage.
+        if (isRio(kind) && config_.postCrashIntensity > 0.0) {
+            fault::PostCrashConfig postConfig;
+            postConfig.intensity = config_.postCrashIntensity;
+            if (config_.postCrashNvRepairable) {
+                postConfig.flipRegistryBits = false;
+                postConfig.smashPageBytes = false;
+                postConfig.zeroTail = false;
+                postConfig.nvBitDecay = false;
+                postConfig.nvTornLines = false;
+                postConfig.nvSmashMirror = false;
+            }
+            u64 damageSeed = mix64(seed ^ 0x506f737443727Eull);
+            if (powerCycle)
+                damageSeed = mix64(damageSeed ^ result.powerCycles);
+            fault::PostCrashCorruptor corruptor(
+                machine, support::Rng(damageSeed), postConfig);
+            result.postCrash += corruptor.corrupt();
+        }
+
+        // --- Recovery, re-run to convergence. ----------------------
+        // A pass that crashes (the injected double crash, or a kernel
+        // panic out of a faulty boot) is followed by another full
+        // warm reboot; with re-entrant recovery each pass resumes
+        // from the previous pass's checkpoint. Bounded: a volume that
+        // cannot be recovered in maxRecoveryPasses attempts is
+        // scored as lost.
+        const SimNs recoveryStart = machine.clock().now();
+        for (u32 pass = 0;
+             !kernel && pass < std::max(config_.maxRecoveryPasses, 1u);
+             ++pass) {
+            ++result.recoveryPasses;
+            core::WarmReboot warmReboot(machine, policy);
+            warmReboot.setIoPolicy(kernelConfig.ioRetry);
+            const auto doubleCrash = machine.subscribe(
+                [&](const sim::Event &event) {
+                    const u32 phase =
+                        static_cast<u32>(event.kind) -
+                        static_cast<u32>(sim::EventKind::RecoveryDump);
+                    if (!doubleCrashArmed || phase != doubleCrashPhase)
+                        return;
+                    const u64 trigger = static_cast<u64>(
+                        doubleCrashFraction *
+                        static_cast<double>(event.b));
+                    if (event.a < trigger)
+                        return;
+                    doubleCrashArmed = false;
+                    result.doubleCrashFired = true;
+                    result.doubleCrashPhase = phase;
+                    machine.crash(
+                        sim::CrashCause::KernelPanic,
+                        "double crash: second failure during recovery");
+                },
+                doubleCrashArmed ? sim::kRecoveryEvents : 0);
+            try {
+                if (isRio(kind)) {
+                    result.warm = warmReboot.dumpAndRestoreMetadata();
+                    rio = std::make_unique<core::RioSystem>(machine,
+                                                            rioOptions);
+                }
+                kernel = std::make_unique<os::Kernel>(machine,
+                                                      kernelConfig);
+                if (rio)
+                    rio->bindNvLock(kernel->locks());
+                kernel->boot(rio.get(), false);
+                if (rio)
+                    warmReboot.restoreData(kernel->vfs(), result.warm);
+            } catch (const sim::CrashException &crash) {
+                machine.noteCrash(crash.when());
+                rio.reset();
+                kernel.reset();
+                machine.reset(sim::ResetKind::Warm);
+            }
+            // Account what the pass managed, a dead one included.
             result.retriedSectors +=
                 result.warm.recovery.retriedSectors;
             result.remappedSectors +=
@@ -332,17 +350,24 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
                 result.warm.recovery.abandonedSectors;
             result.checkpointWrites +=
                 result.warm.recovery.checkpointWrites;
-            machine.noteCrash(crash.when());
-            rio2.reset();
-            rebooted.reset();
-            machine.reset(sim::ResetKind::Warm);
         }
+        result.recoveryNs += machine.clock().now() - recoveryStart;
+        if (!kernel)
+            break; // Recovery never converged: the volume is lost.
+        result.nvMirrorPresent = result.warm.nvMirrorPresent;
+        result.nvMirrorCorrupt |= result.warm.nvMirrorCorrupt;
+        result.nvEntriesGrafted += result.warm.nvEntriesGrafted;
+        result.nvShadowsUsed += result.warm.nvShadowsUsed;
+        if (!powerCycle)
+            break;
+        // Power is back: the workload picks up where it left off.
+        memtest.rebind(*kernel);
     }
 
-    if (rebooted != nullptr) {
+    if (kernel != nullptr) {
         try {
             // --- Detection pass 2: memTest replay comparison. ------
-            result.verify = memtest.verify(*rebooted);
+            result.verify = memtest.verify(*kernel);
         } catch (const sim::CrashException &crash) {
             // The recovered state was so damaged that even the
             // verifier tripped kernel checks: the volume is
@@ -356,277 +381,18 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
             result.verify.details.push_back(
                 std::string("verifier crashed: ") + crash.what());
         }
-        result.readOnlyDegraded = rebooted->ufs().readOnly();
+        result.readOnlyDegraded = kernel->ufs().readOnly();
     } else {
-        // Recovery never converged within the pass budget.
         result.verify.readErrors += 1;
         result.verify.missingFiles += memtest.model().files().size();
         result.verify.details.push_back(
             "recovery never completed: volume lost");
     }
-    result.diskTransientErrors =
-        machine.disk().stats().transientErrors +
-        machine.swap().stats().transientErrors;
-    result.diskBadSectorErrors =
-        machine.disk().stats().badSectorErrors +
-        machine.swap().stats().badSectorErrors;
-    result.diskSectorsRemapped =
-        machine.disk().stats().sectorsRemapped +
-        machine.swap().stats().sectorsRemapped;
-    result.memtestDetected = result.verify.corrupt() ||
-                             memtest.liveMismatchSeen();
-    result.corruptFiles = result.verify.missingFiles +
-                          result.verify.contentMismatches +
-                          result.verify.sizeMismatches +
-                          result.verify.extraFiles +
-                          result.verify.duplicateMismatches;
-    result.corrupt = result.memtestDetected || result.checksumDetected;
-    // rio-nv accounting: the final pass's graft report plus lifetime
-    // fault-model and mirror-store counters.
-    if (result.nvBacked) {
-        result.nvMirrorPresent = result.warm.nvMirrorPresent;
-        result.nvMirrorCorrupt = result.warm.nvMirrorCorrupt;
-        result.nvEntriesGrafted = result.warm.nvEntriesGrafted;
-        result.nvShadowsUsed = result.warm.nvShadowsUsed;
-        if (rio2)
-            result.nvMirrorWrites += rio2->stats().nvMirrorWrites;
-        result.nvBitsFlipped = nvFaults.stats().bitsFlipped;
-        result.nvLinesTorn = nvFaults.stats().linesTorn;
-    }
-    result.workloadOps = memtest.opsCompleted();
-    return result;
-}
-
-CrashRunResult
-CrashCampaign::runPowerCycle(SystemKind kind, fault::FaultType type,
-                             u64 seed)
-{
-    // Power loss replaces fault injection in this mode; the fault
-    // coordinate only differentiates the seed chain.
-    (void)type;
-
-    CrashRunResult result;
-    result.powerCycleMode = true;
-
-    sim::MachineConfig machineConfig = trialMachineConfig(kind, seed);
-    sim::Machine machine(machineConfig);
-    result.nvBacked = machine.nv() != nullptr;
-
-    os::KernelConfig kernelConfig = kernelConfigFor(kind);
-    if (config_.rioIdleFlushNs > 0) {
-        kernelConfig.rioIdleFlush = true;
-        kernelConfig.updateIntervalNs = config_.rioIdleFlushNs;
-    }
-    kernelConfig.ioRetry.enabled = config_.ioRetryEnabled;
-    kernelConfig.lockdep = config_.lockdep;
-
-    core::RioOptions options;
-    options.protection = kernelConfig.protection;
-    options.maintainChecksums = true;
-    options.nvBacked = kernelConfig.rioNvMirror;
-
-    fault::NvFaultConfig nvFaultConfig;
-    nvFaultConfig.intensity = config_.nvFaultIntensity;
-    fault::NvFaultModel nvFaults(
-        support::Rng(mix64(seed ^ 0x4E76466C74ull)), // "NvFlt"
-        nvFaultConfig);
-    if (nvFaults.enabled() && machine.nv() != nullptr)
-        nvFaults.install(*machine.nv());
-
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel =
-        std::make_unique<os::Kernel>(machine, kernelConfig);
-    rio->bindNvLock(kernel->locks());
-    kernel->boot(rio.get(), true);
-
-    // Same discipline as runOne: disk faults installed after the
-    // initial format so every arm starts from a healthy file system.
-    fault::DiskFaultConfig diskFaultConfig;
-    diskFaultConfig.intensity = config_.diskFaultIntensity;
-    fault::DiskFaultModel diskFaults(
-        support::Rng(mix64(seed ^ 0x4469736b466c74ull)), // "DiskFlt"
-        diskFaultConfig);
-    fault::DiskFaultModel swapFaults(
-        support::Rng(mix64(seed ^ 0x53776170466c74ull)), // "SwapFlt"
-        diskFaultConfig);
-    if (diskFaults.enabled()) {
-        diskFaults.install(machine.disk());
-        swapFaults.install(machine.swap());
-    }
-
-    // Workload: memTest only. MemTest::rebind carries the model and
-    // operation stream across power cycles; the Andrew scripts have
-    // no rebind, so the background load stays out of this mode.
-    wl::MemTestConfig memtestConfig;
-    memtestConfig.seed = seed * 17 + 3;
-    memtestConfig.fsyncEveryWrite = false; // Always a Rio system.
-    wl::MemTest memtest(*kernel, memtestConfig);
-    memtest.setup();
-
-    core::RestorePolicy policy =
-        config_.hardenedRecovery ? core::RestorePolicy::hardened()
-                                 : core::RestorePolicy::trusting();
-    policy.reentrantRecovery = config_.reentrantRecovery;
-
-    const SimNs startNs = machine.clock().now();
-    while (true) {
-        // --- One powered segment: run until the supply dies. -------
-        wl::Scheduler scheduler;
-        scheduler.add(memtest);
-        u64 steps = 0;
-        bool lostPower = false;
-        scheduler.setBetweenSteps([&] {
-            ++steps;
-            if (steps >= config_.powerCycleOps) {
-                if (result.powerCycles < config_.powerCycles)
-                    machine.crash(
-                        sim::CrashCause::KernelPanic,
-                        "power loss: intermittent supply");
-                // Outage budget spent: one last full-length powered
-                // segment, then stop cleanly and verify.
-                return false;
-            }
-            return machine.clock().now() - startNs <
-                   config_.observationNs;
-        });
-        try {
-            scheduler.run();
-        } catch (const sim::CrashException &crash) {
-            machine.noteCrash(crash.when());
-            lostPower = true;
-            result.crashed = true;
-            result.cause = crash.cause();
-            result.message = crash.what();
-            if (result.powerCycles == 0)
-                result.crashAfterNs = crash.when() - startNs;
-            ++result.powerCycles;
-        }
-        if (!lostPower)
-            break; // Cycle budget spent (or workload finished).
-
-        // --- Detection pass 1 on the dead image, then teardown. ----
-        {
-            const auto sweep = rio->verifyChecksums();
-            result.checksumDetected |= sweep.mismatches > 0;
+    if (rio) {
+        // Only intermittent power scores the surviving kernel's saves;
+        // a fault-injection trial counts those of the faulty run.
+        if (powerCycle)
             result.protectionSaves += rio->stats().protectionSaves;
-            result.nvMirrorWrites += rio->stats().nvMirrorWrites;
-            rio->deactivate();
-            rio.reset();
-        }
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
-
-        // Post-crash corruption stage, re-seeded per cycle so every
-        // outage damages the survivors differently but a record
-        // still replays exactly.
-        if (config_.postCrashIntensity > 0.0) {
-            fault::PostCrashConfig postConfig;
-            postConfig.intensity = config_.postCrashIntensity;
-            if (config_.postCrashNvRepairable) {
-                postConfig.flipRegistryBits = false;
-                postConfig.smashPageBytes = false;
-                postConfig.zeroTail = false;
-                postConfig.nvBitDecay = false;
-                postConfig.nvTornLines = false;
-                postConfig.nvSmashMirror = false;
-            }
-            fault::PostCrashCorruptor corruptor(
-                machine,
-                support::Rng(
-                    mix64(mix64(seed ^ 0x506f737443727Eull) ^
-                          result.powerCycles)),
-                postConfig);
-            const fault::PostCrashStats damage = corruptor.corrupt();
-            result.postCrash.ops += damage.ops;
-            result.postCrash.registryBitsFlipped +=
-                damage.registryBitsFlipped;
-            result.postCrash.magicsSmashed += damage.magicsSmashed;
-            result.postCrash.claimsCrossLinked +=
-                damage.claimsCrossLinked;
-            result.postCrash.pagesCrossLinked +=
-                damage.pagesCrossLinked;
-            result.postCrash.pageBytesSmashed +=
-                damage.pageBytesSmashed;
-            result.postCrash.shadowsSmashed += damage.shadowsSmashed;
-            result.postCrash.tailBytesZeroed +=
-                damage.tailBytesZeroed;
-        }
-
-        // --- Warm reboot, bounded retries; recovery time is the
-        // recovery-throughput number the JSONL sinks report. --------
-        const SimNs recoveryStart = machine.clock().now();
-        bool recovered = false;
-        for (u32 pass = 0;
-             pass < std::max(config_.maxRecoveryPasses, 1u); ++pass) {
-            ++result.recoveryPasses;
-            core::WarmReboot warmReboot(machine, policy);
-            warmReboot.setIoPolicy(kernelConfig.ioRetry);
-            try {
-                result.warm = warmReboot.dumpAndRestoreMetadata();
-                rio = std::make_unique<core::RioSystem>(machine,
-                                                        options);
-                kernel = std::make_unique<os::Kernel>(machine,
-                                                      kernelConfig);
-                rio->bindNvLock(kernel->locks());
-                kernel->boot(rio.get(), false);
-                warmReboot.restoreData(kernel->vfs(), result.warm);
-                recovered = true;
-            } catch (const sim::CrashException &crash) {
-                machine.noteCrash(crash.when());
-                rio.reset();
-                kernel.reset();
-                machine.reset(sim::ResetKind::Warm);
-            }
-            result.retriedSectors +=
-                result.warm.recovery.retriedSectors;
-            result.remappedSectors +=
-                result.warm.recovery.remappedSectors;
-            result.abandonedSectors +=
-                result.warm.recovery.abandonedSectors;
-            result.checkpointWrites +=
-                result.warm.recovery.checkpointWrites;
-            if (recovered)
-                break;
-        }
-        result.recoveryNs += machine.clock().now() - recoveryStart;
-        if (!recovered) {
-            result.verify.readErrors += 1;
-            result.verify.missingFiles +=
-                memtest.model().files().size();
-            result.verify.details.push_back(
-                "recovery never completed: volume lost");
-            break;
-        }
-        result.nvMirrorPresent = result.warm.nvMirrorPresent;
-        result.nvMirrorCorrupt = result.nvMirrorCorrupt ||
-                                 result.warm.nvMirrorCorrupt;
-        result.nvEntriesGrafted += result.warm.nvEntriesGrafted;
-        result.nvShadowsUsed += result.warm.nvShadowsUsed;
-
-        // Power is back: the workload picks up where it left off.
-        memtest.rebind(*kernel);
-    }
-
-    if (!result.crashed) {
-        // The observation window closed before the first outage:
-        // nothing to score, same as a fault run that never crashed.
-        result.discarded = true;
-        return result;
-    }
-
-    // --- Detection pass 2: memTest replay comparison. --------------
-    if (kernel != nullptr) {
-        try {
-            result.verify = memtest.verify(*kernel);
-        } catch (const sim::CrashException &crash) {
-            result.verify.readErrors += 1;
-            result.verify.missingFiles +=
-                memtest.model().files().size();
-            result.verify.details.push_back(
-                std::string("verifier crashed: ") + crash.what());
-        }
-        result.readOnlyDegraded = kernel->ufs().readOnly();
-        result.protectionSaves += rio->stats().protectionSaves;
         result.nvMirrorWrites += rio->stats().nvMirrorWrites;
     }
     result.diskTransientErrors =
@@ -638,9 +404,6 @@ CrashCampaign::runPowerCycle(SystemKind kind, fault::FaultType type,
     result.diskSectorsRemapped =
         machine.disk().stats().sectorsRemapped +
         machine.swap().stats().sectorsRemapped;
-    result.nvBitsFlipped = nvFaults.stats().bitsFlipped;
-    result.nvLinesTorn = nvFaults.stats().linesTorn;
-    result.workloadOps = memtest.opsCompleted();
     result.memtestDetected = result.verify.corrupt() ||
                              memtest.liveMismatchSeen();
     result.corruptFiles = result.verify.missingFiles +
@@ -649,6 +412,9 @@ CrashCampaign::runPowerCycle(SystemKind kind, fault::FaultType type,
                           result.verify.extraFiles +
                           result.verify.duplicateMismatches;
     result.corrupt = result.memtestDetected || result.checksumDetected;
+    result.nvBitsFlipped = nvFaults.stats().bitsFlipped;
+    result.nvLinesTorn = nvFaults.stats().linesTorn;
+    result.workloadOps = memtest.opsCompleted();
     return result;
 }
 

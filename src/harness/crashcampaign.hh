@@ -18,6 +18,14 @@
  * checksums (direct corruption) and by memTest's replay comparison
  * (direct and indirect corruption).
  *
+ * One loop runs every trial: a series of powered segments, each
+ * ended by a crash that is followed by detection pass 1, teardown,
+ * post-crash damage and a bounded series of recovery passes; the
+ * replay comparison runs once, at the end. A fault-injection trial
+ * stops after its first crash. An intermittent-power trial loses
+ * power on a schedule instead and rides through several outages
+ * before it is verified.
+ *
  * The campaign fans out over a worker pool: each (system, fault,
  * trial) task owns a private sim::Machine and a seed derived purely
  * from its coordinates (splitmix64 chain, no shared RNG state), and
@@ -171,7 +179,7 @@ struct CampaignConfig
 
     /** Worker threads; unset = all hardware threads. Explicit values
      *  must be >= 1 — garbage or zero throws (RIO_T1_JOBS). */
-    u32 jobs = static_cast<u32>(envU64Strict("RIO_T1_JOBS", 0));
+    u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
     /** Live progress line on stderr (RIO_T1_PROGRESS). */
     bool progress = envBool("RIO_T1_PROGRESS", false);
     /** Structured-output directory; empty = off (RIO_T1_JSON). */
@@ -296,7 +304,15 @@ class CrashCampaign
   public:
     explicit CrashCampaign(const CampaignConfig &config);
 
-    /** One fault-injection run (one attempt; may be discarded). */
+    /**
+     * One attempt of a trial; it is discarded when no crash comes
+     * within the observation window. A fault-injection attempt
+     * crashes under injected faults and is recovered once. When
+     * config.powerCycleOps > 0, a Rio attempt instead loses power
+     * every powerCycleOps scheduler steps and takes up to
+     * config.powerCycles warm reboots, with the workload carried
+     * across by MemTest::rebind, before its survivors are verified.
+     */
     CrashRunResult runOne(SystemKind kind, fault::FaultType type,
                           u64 seed);
 
@@ -330,17 +346,6 @@ class CrashCampaign
   private:
     void mergeTrial(CampaignResult &result,
                     const TrialRecord &record) const;
-
-    /**
-     * Intermittent-power variant of runOne, taken when
-     * config_.powerCycleOps > 0 and @p kind is a Rio system: no
-     * fault injection — power dies every powerCycleOps scheduler
-     * steps instead — and the trial rides through up to
-     * config_.powerCycles warm reboots (workload carried across via
-     * MemTest::rebind) before the survivor set is verified.
-     */
-    CrashRunResult runPowerCycle(SystemKind kind,
-                                 fault::FaultType type, u64 seed);
 
     CampaignConfig config_;
 };

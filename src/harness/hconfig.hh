@@ -40,6 +40,11 @@
  *   RIO_PERF_MB      cp+rm source tree megabytes  (default 40)
  *   RIO_VERBOSE      print per-run details        (default 0)
  *
+ * A knob that is set must parse cleanly: numbers are plain decimals
+ * with nothing after them, switches are exactly 0 or 1. Anything
+ * else throws when the config is built, instead of running a
+ * vacuous experiment.
+ *
  * Same seed + same config produce bit-identical campaign results and
  * JSONL records at any RIO_T1_JOBS value: every trial derives its
  * own seed purely from (seed, system, fault, trial) and results are
@@ -50,6 +55,7 @@
 #define RIO_HARNESS_HCONFIG_HH
 
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -60,25 +66,25 @@
 namespace rio::harness
 {
 
-inline u64
-envU64(const char *name, u64 fallback)
+/**
+ * @{ Environment knobs. Unset (or empty) uses the fallback; anything
+ * else must parse cleanly, or the read throws std::invalid_argument
+ * naming the knob and the remedy instead of silently running at
+ * whatever strtoull salvaged — a night of trials at the wrong thread
+ * or trial count is worth failing loudly over.
+ */
+[[noreturn]] inline void
+rejectEnv(const char *name, const char *value,
+          const std::string &expected)
 {
-    const char *value = std::getenv(name);
-    if (value == nullptr || *value == '\0')
-        return fallback;
-    return std::strtoull(value, nullptr, 10);
+    throw std::invalid_argument(std::string(name) + "=\"" + value +
+                                "\" is not " + expected +
+                                "; unset it for the default");
 }
 
-/**
- * Strict u64 knob: unset (or empty) uses the fallback; anything else
- * must be a clean non-negative decimal number no smaller than
- * @p minValue. Garbage ("abc", "5x", "-1") or an out-of-range value
- * throws std::invalid_argument instead of silently running the
- * campaign at whatever strtoull salvaged — a night of trials at the
- * wrong thread or trial count is worth failing loudly over.
- */
+/** A clean non-negative decimal number no smaller than @p minValue. */
 inline u64
-envU64Strict(const char *name, u64 fallback, u64 minValue = 1)
+envU64(const char *name, u64 fallback, u64 minValue = 0)
 {
     const char *value = std::getenv(name);
     if (value == nullptr || *value == '\0')
@@ -88,38 +94,41 @@ envU64Strict(const char *name, u64 fallback, u64 minValue = 1)
     const unsigned long long parsed = std::strtoull(value, &end, 10);
     const bool negative = std::string(value).find('-') !=
                           std::string::npos;
-    if (end == value || *end != '\0' || errno == ERANGE || negative) {
-        throw std::invalid_argument(
-            std::string(name) + "=\"" + value +
-            "\" is not a non-negative decimal number; unset it for "
-            "the default");
-    }
-    if (parsed < minValue) {
-        throw std::invalid_argument(
-            std::string(name) + "=" + std::to_string(parsed) +
-            " is below the minimum of " + std::to_string(minValue) +
-            "; unset it for the default");
-    }
+    if (end == value || *end != '\0' || errno == ERANGE || negative)
+        rejectEnv(name, value, "a non-negative decimal number");
+    if (parsed < minValue)
+        rejectEnv(name, value,
+                  "a number of at least " + std::to_string(minValue));
     return parsed;
 }
 
+/** Exactly "0" or "1". */
 inline bool
 envBool(const char *name, bool fallback)
 {
     const char *value = std::getenv(name);
     if (value == nullptr || *value == '\0')
         return fallback;
-    return std::string(value) != "0";
+    const std::string text(value);
+    if (text != "0" && text != "1")
+        rejectEnv(name, value, "0 or 1");
+    return text == "1";
 }
 
+/** A finite decimal number with nothing after it. */
 inline double
 envF64(const char *name, double fallback)
 {
     const char *value = std::getenv(name);
     if (value == nullptr || *value == '\0')
         return fallback;
-    return std::strtod(value, nullptr);
+    char *end = nullptr;
+    const double parsed = std::strtod(value, &end);
+    if (end == value || *end != '\0' || !std::isfinite(parsed))
+        rejectEnv(name, value, "a finite number");
+    return parsed;
 }
+/** @} */
 
 inline std::string
 envStr(const char *name, const char *fallback)

@@ -47,7 +47,7 @@ struct PerfConfig
      *  threads. Shares the campaign's RIO_T1_JOBS knob: each preset
      *  row is an independent machine, so the sweep fans out the same
      *  way the crash campaign does. */
-    u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0));
+    u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
 };
 
 class PerfRun

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/crashcampaign.hh"
+#include "harness/crashmc.hh"
 #include "harness/perfrun.hh"
 #include "harness/report.hh"
 
@@ -187,22 +188,22 @@ class EnvGuard
 TEST(EnvStrict, UnsetOrEmptyUsesFallbackEvenBelowMinimum)
 {
     ::unsetenv("RIO_TEST_KNOB");
-    EXPECT_EQ(harness::envU64Strict("RIO_TEST_KNOB", 0), 0u);
-    EXPECT_EQ(harness::envU64Strict("RIO_TEST_KNOB", 26), 26u);
+    EXPECT_EQ(harness::envU64("RIO_TEST_KNOB", 0, 1), 0u);
+    EXPECT_EQ(harness::envU64("RIO_TEST_KNOB", 26, 1), 26u);
     EnvGuard guard("RIO_TEST_KNOB", "");
-    EXPECT_EQ(harness::envU64Strict("RIO_TEST_KNOB", 7), 7u);
+    EXPECT_EQ(harness::envU64("RIO_TEST_KNOB", 7, 1), 7u);
 }
 
 TEST(EnvStrict, CleanValueParses)
 {
     EnvGuard guard("RIO_TEST_KNOB", "8");
-    EXPECT_EQ(harness::envU64Strict("RIO_TEST_KNOB", 1), 8u);
+    EXPECT_EQ(harness::envU64("RIO_TEST_KNOB", 1, 1), 8u);
 }
 
 TEST(EnvStrict, ExplicitZeroRejected)
 {
     EnvGuard guard("RIO_TEST_KNOB", "0");
-    EXPECT_THROW(harness::envU64Strict("RIO_TEST_KNOB", 4),
+    EXPECT_THROW(harness::envU64("RIO_TEST_KNOB", 4, 1),
                  std::invalid_argument);
 }
 
@@ -210,7 +211,7 @@ TEST(EnvStrict, GarbageRejectedLoudly)
 {
     for (const char *bad : {"abc", "5x", "-1", "0x10", "1.5", "+"}) {
         EnvGuard guard("RIO_TEST_KNOB", bad);
-        EXPECT_THROW(harness::envU64Strict("RIO_TEST_KNOB", 4),
+        EXPECT_THROW(harness::envU64("RIO_TEST_KNOB", 4, 1),
                      std::invalid_argument)
             << "accepted garbage value \"" << bad << "\"";
     }
@@ -220,7 +221,7 @@ TEST(EnvStrict, ErrorMessageNamesKnobAndRemedy)
 {
     EnvGuard guard("RIO_T1_JOBS", "banana");
     try {
-        harness::envU64Strict("RIO_T1_JOBS", 0);
+        harness::envU64("RIO_T1_JOBS", 0, 1);
         FAIL() << "garbage RIO_T1_JOBS did not throw";
     } catch (const std::invalid_argument &error) {
         const std::string what = error.what();
@@ -228,6 +229,65 @@ TEST(EnvStrict, ErrorMessageNamesKnobAndRemedy)
         EXPECT_NE(what.find("banana"), std::string::npos);
         EXPECT_NE(what.find("unset it for the default"),
                   std::string::npos);
+    }
+}
+
+TEST(EnvStrict, U64WithoutMinimumStillRejectsGarbage)
+{
+    {
+        EnvGuard guard("RIO_TEST_KNOB", "0");
+        EXPECT_EQ(harness::envU64("RIO_TEST_KNOB", 4), 0u);
+    }
+    for (const char *bad : {"abc", "four", "5x", "-1", "1.5"}) {
+        EnvGuard guard("RIO_TEST_KNOB", bad);
+        EXPECT_THROW(harness::envU64("RIO_TEST_KNOB", 4),
+                     std::invalid_argument)
+            << "accepted garbage value \"" << bad << "\"";
+    }
+    // The knobs that used to run a vacuous campaign or enumeration.
+    {
+        EnvGuard guard("RIO_T1_CRASHES", "abc");
+        EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument);
+    }
+    {
+        EnvGuard guard("RIO_MC_OPS", "four");
+        EXPECT_THROW(harness::CrashMcConfig{}, std::invalid_argument);
+    }
+}
+
+TEST(EnvStrict, BoolAcceptsOnlyZeroOrOne)
+{
+    {
+        EnvGuard guard("RIO_TEST_KNOB", "0");
+        EXPECT_FALSE(harness::envBool("RIO_TEST_KNOB", true));
+    }
+    {
+        EnvGuard guard("RIO_TEST_KNOB", "1");
+        EXPECT_TRUE(harness::envBool("RIO_TEST_KNOB", false));
+    }
+    for (const char *bad : {"false", "true", "no", "2", "01", " 1"}) {
+        EnvGuard guard("RIO_TEST_KNOB", bad);
+        EXPECT_THROW(harness::envBool("RIO_TEST_KNOB", true),
+                     std::invalid_argument)
+            << "accepted non-boolean value \"" << bad << "\"";
+    }
+    // "false" used to select the hardened arm it meant to turn off.
+    EnvGuard guard("RIO_MC_HARDENED", "false");
+    EXPECT_THROW(harness::CrashMcConfig{}, std::invalid_argument);
+}
+
+TEST(EnvStrict, F64RejectsTrailingGarbageAndNonFinite)
+{
+    {
+        EnvGuard guard("RIO_TEST_KNOB", "0.5");
+        EXPECT_EQ(harness::envF64("RIO_TEST_KNOB", 1.0), 0.5);
+    }
+    for (const char *bad :
+         {"abc", "1.0x", "0.5 ", "inf", "-inf", "nan", "1e999"}) {
+        EnvGuard guard("RIO_TEST_KNOB", bad);
+        EXPECT_THROW(harness::envF64("RIO_TEST_KNOB", 1.0),
+                     std::invalid_argument)
+            << "accepted bad number \"" << bad << "\"";
     }
 }
 
