@@ -10,10 +10,13 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <vector>
 
 #include "core/rio.hh"
 #include "os/kernel.hh"
 #include "sim/machine.hh"
+#include "support/checksum.hh"
+#include "support/rng.hh"
 #include "workload/script.hh"
 
 using namespace rio;
@@ -63,6 +66,32 @@ BM_BusBulkCopy8K(benchmark::State &state)
         static_cast<i64>(state.iterations()) * 8192);
 }
 BENCHMARK(BM_BusBulkCopy8K);
+
+/** The page checksum Rio recomputes on every legitimate write. */
+static void
+BM_Checksum32Page(benchmark::State &state)
+{
+    std::vector<u8> page(8192);
+    support::Rng(1).fill(page);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(support::checksum32(page));
+    state.SetBytesProcessed(
+        static_cast<i64>(state.iterations()) * 8192);
+}
+BENCHMARK(BM_Checksum32Page);
+
+/** The warm reboot's checksum over a whole 32 MiB memory dump. */
+static void
+BM_Checksum32Image(benchmark::State &state)
+{
+    std::vector<u8> image(32ull << 20);
+    support::Rng(2).fill(image);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(support::checksum32(image));
+    state.SetBytesProcessed(
+        static_cast<i64>(state.iterations()) * (32ll << 20));
+}
+BENCHMARK(BM_Checksum32Image);
 
 static void
 BM_KsegTranslatedStore(benchmark::State &state)

@@ -8,7 +8,7 @@ namespace rio::sim
 {
 
 Disk::Disk(u64 bytes, const CostModel &costs, support::Rng rng)
-    : numSectors_(bytes / kSectorSize), store_(bytes, 0), costs_(costs),
+    : numSectors_(bytes / kSectorSize), store_(bytes), costs_(costs),
       rng_(rng)
 {
     assert(bytes % kSectorSize == 0);

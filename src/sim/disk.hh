@@ -31,6 +31,7 @@
 #include "sim/event.hh"
 #include "support/rng.hh"
 #include "support/types.hh"
+#include "support/zeroed.hh"
 
 namespace rio::sim
 {
@@ -207,7 +208,7 @@ class Disk
     bool clampRange(SectorNo start, u64 &count);
 
     u64 numSectors_;
-    std::vector<u8> store_;
+    support::ZeroedBytes store_;
     CostModel costs_;
     support::Rng rng_;
     SectorNo head_ = 0;

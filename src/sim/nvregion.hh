@@ -23,12 +23,12 @@
 
 #include <deque>
 #include <span>
-#include <vector>
 
 #include "sim/clock.hh"
 #include "sim/config.hh"
 #include "sim/event.hh"
 #include "support/types.hh"
+#include "support/zeroed.hh"
 
 namespace rio::sim
 {
@@ -104,7 +104,7 @@ class NvRegion
     ///@{
     u8 *raw() { return store_.data(); }
     const u8 *raw() const { return store_.data(); }
-    std::span<const u8> image() const { return store_; }
+    std::span<const u8> image() const { return store_.span(); }
     std::span<u8> hostLine(u64 line);
     ///@}
 
@@ -121,7 +121,7 @@ class NvRegion
     void noteLines(u64 offset, u64 len);
     void checkRange(u64 offset, u64 len, const char *what) const;
 
-    std::vector<u8> store_;
+    support::ZeroedBytes store_;
     CostModel costs_;
     NvStats stats_;
     NvFaultSurface *faults_ = nullptr;

@@ -27,12 +27,12 @@ regionKindName(RegionKind kind)
 }
 
 PhysMem::PhysMem(const MachineConfig &config)
+    : bytes_(config.physMemBytes)
 {
     using support::roundUp;
 
     const u64 total = config.physMemBytes;
     assert(total % kPageSize == 0);
-    bytes_.assign(total, 0);
 
     const u64 num_pages = total >> kPageShift;
     vaPages_ = std::max(config.vaSpacePages, num_pages);
@@ -107,7 +107,7 @@ PhysMem::region(RegionKind kind) const
 void
 PhysMem::zeroAll()
 {
-    std::memset(bytes_.data(), 0, bytes_.size());
+    bytes_.zero();
 }
 
 void

@@ -17,6 +17,7 @@
 
 #include "sim/config.hh"
 #include "support/types.hh"
+#include "support/zeroed.hh"
 
 namespace rio::sim
 {
@@ -72,7 +73,7 @@ class PhysMem
     const u8 *raw() const { return bytes_.data(); }
 
     /** Whole memory as a span (e.g. for the warm-reboot dump). */
-    std::span<const u8> image() const { return bytes_; }
+    std::span<const u8> image() const { return bytes_.span(); }
 
     /** The region containing @p pa, or nullptr. */
     const Region *regionFor(Addr pa) const;
@@ -82,14 +83,17 @@ class PhysMem
 
     const std::vector<Region> &regions() const { return regions_; }
 
-    /** Zero all of memory (cold reset / power loss). */
+    /**
+     * Zero all of memory (cold reset / power loss). The pages go back
+     * to the OS rather than being written; raw() stays valid.
+     */
     void zeroAll();
 
     /** Zero the first @p n bytes (firmware reboot scribble). */
     void scribbleLow(u64 n);
 
   private:
-    std::vector<u8> bytes_;
+    support::ZeroedBytes bytes_;
     std::vector<Region> regions_;
     u64 vaPages_ = 0;
 };

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <set>
 #include <string>
@@ -180,6 +181,66 @@ TEST(Checksum, DeterministicAcrossCalls)
 {
     std::vector<u8> data(512, 0x5c);
     EXPECT_EQ(support::checksum32(data), support::checksum32(data));
+}
+
+TEST(Checksum, EverySingleBitFlipOfAPageChangesTheSum)
+{
+    std::vector<u8> page(8192);
+    support::Rng rng(7);
+    rng.fill(page);
+    const u32 clean = support::checksum32(page);
+    u64 misses = 0;
+    for (std::size_t bit = 0; bit < page.size() * 8; ++bit) {
+        page[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+        const u32 flipped = support::checksum32(page);
+        misses += flipped == clean || flipped == 0;
+        page[bit / 8] ^= static_cast<u8>(1u << (bit % 8));
+    }
+    EXPECT_EQ(misses, 0u);
+}
+
+TEST(Checksum, EverySwapInTheFirst256BytesChangesTheSum)
+{
+    std::vector<u8> page(8192);
+    support::Rng rng(8);
+    rng.fill(page);
+    const u32 clean = support::checksum32(page);
+    u64 swaps = 0;
+    auto expectChanged = [&](const char *what, std::size_t at) {
+        const u32 swapped = support::checksum32(page);
+        EXPECT_NE(swapped, clean) << what << " at " << at;
+        EXPECT_NE(swapped, 0u);
+        ++swaps;
+    };
+    for (std::size_t i = 0; i + 1 < 256; ++i) {
+        if (page[i] == page[i + 1])
+            continue; // The swap would not change the bytes.
+        std::swap(page[i], page[i + 1]);
+        expectChanged("adjacent-byte swap", i);
+        std::swap(page[i], page[i + 1]);
+    }
+    for (std::size_t a = 0; a < 256; a += 8) {
+        for (std::size_t b = a + 8; b < 256; b += 8) {
+            if (std::equal(&page[a], &page[a] + 8, &page[b]))
+                continue;
+            std::swap_ranges(&page[a], &page[a] + 8, &page[b]);
+            expectChanged("word swap", a * 256 + b);
+            std::swap_ranges(&page[a], &page[a] + 8, &page[b]);
+        }
+    }
+    EXPECT_GT(swaps, 700u); // Random bytes rarely repeat.
+}
+
+TEST(Checksum, ZeroRunsOfEveryLengthDiffer)
+{
+    const std::vector<u8> zeros(100, 0);
+    std::set<u32> sums;
+    for (std::size_t len = 0; len <= zeros.size(); ++len) {
+        const u32 sum = support::checksum32({zeros.data(), len});
+        EXPECT_NE(sum, 0u);
+        sums.insert(sum);
+    }
+    EXPECT_EQ(sums.size(), 101u);
 }
 
 TEST(Result, ValueRoundTrip)
