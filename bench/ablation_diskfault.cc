@@ -140,9 +140,8 @@ main()
     const double intensity = envF64("RIO_DISKFAULT_INTENSITY", 1.0);
     const double doubleCrashRate =
         envF64("RIO_DISKFAULT_DOUBLECRASH", 0.5);
-    const u32 trials =
-        static_cast<u32>(envU64("RIO_DF_TRIALS", 26, 1));
-    const u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
+    const u32 trials = envU32("RIO_DF_TRIALS", 26, 1);
+    const u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
 
     std::printf("A8: faulty disk + double crash vs. the robustness "
                 "machinery (intensity %.2f, double-crash rate %.2f, "

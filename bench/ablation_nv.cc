@@ -172,9 +172,8 @@ int
 main()
 {
     const u64 seed = envU64("RIO_SEED", 1);
-    const u32 trials =
-        static_cast<u32>(envU64("RIO_NV_TRIALS", 4, 1));
-    const u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
+    const u32 trials = envU32("RIO_NV_TRIALS", 4, 1);
+    const u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
     const std::string jsonPath =
         envStr("RIO_NV_JSON", "BENCH_nv.json");
 

@@ -105,7 +105,7 @@ macroRun(os::ProtectionMode mode)
 {
     Rig rig = makeRig(mode);
     wl::CpRmConfig config;
-    config.totalBytes = harness::envU64("RIO_ABL_MB", 8) << 20;
+    config.totalBytes = harness::envScaled("RIO_ABL_MB", 8, 1ull << 20);
     wl::CpRm workload(*rig.kernel, config);
     workload.buildSourceTree();
     return workload.run().total();
@@ -127,7 +127,7 @@ main(int argc, char **argv)
     double seconds[3] = {0, 0, 0};
     {
         harness::WorkerPool pool(harness::resolveJobs(
-            static_cast<u32>(harness::envU64("RIO_T1_JOBS", 0, 1))));
+            harness::envU32("RIO_T1_JOBS", 0, 1)));
         harness::parallelFor(pool, 3, [&](u64 index) {
             seconds[index] = macroRun(modes[index]);
         });

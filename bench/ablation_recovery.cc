@@ -126,9 +126,8 @@ main()
 {
     const u64 seed = envU64("RIO_SEED", 1);
     const double intensity = envF64("RIO_REC_INTENSITY", 1.0);
-    const u32 trials =
-        static_cast<u32>(envU64("RIO_REC_TRIALS", 26, 1));
-    const u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
+    const u32 trials = envU32("RIO_REC_TRIALS", 26, 1);
+    const u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
 
     std::printf("A7: recovery hardening under post-crash image "
                 "corruption (intensity %.2f, %u trials)\n\n",

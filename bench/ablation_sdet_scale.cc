@@ -85,7 +85,7 @@ main()
     double grid[kRows][5] = {};
     {
         harness::WorkerPool pool(harness::resolveJobs(
-            static_cast<u32>(harness::envU64("RIO_T1_JOBS", 0, 1))));
+            harness::envU32("RIO_T1_JOBS", 0, 1)));
         harness::parallelFor(pool, kRows * 5, [&](u64 index) {
             const std::size_t row = index / 5, col = index % 5;
             grid[row][col] =

@@ -2,7 +2,7 @@
  * @file
  * Tiny JSON emitter for the BENCH_*.json performance trajectory.
  * Every bench binary that contributes a point to the trajectory
- * (bench_server, bench_campaign, future ones) renders its results
+ * (ablation_nv, and riobench's result JSON) renders its results
  * through this one helper so the files stay uniform: a flat envelope
  * `{"bench": ..., "schema": ..., ...sections...}` with insertion-
  * ordered keys, no host timestamps (so committed artifacts diff

@@ -44,8 +44,7 @@ main()
     std::printf("  Rio w/ protection  4/650  -> MTTF %5.1f years\n\n",
                 mttfYears(4.0 / 650.0));
 
-    const u32 crashes =
-        static_cast<u32>(harness::envU64("RIO_MTTF_CRASHES", 4));
+    const u32 crashes = harness::envU32("RIO_MTTF_CRASHES", 4);
     if (crashes == 0) {
         std::printf("RIO_MTTF_CRASHES=0: skipping measured campaign.\n");
         return 0;

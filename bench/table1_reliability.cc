@@ -14,7 +14,6 @@
  *   RIO_T1_WINDOW_S  observation window in simulated seconds
  *   RIO_T1_JOBS      worker threads (0 = all hardware threads)
  *   RIO_T1_JSON      output directory for JSON results (default ".")
- *   RIO_T1_SPEEDUP   also run at 1 job and report the speedup
  *   RIO_SEED         campaign seed
  */
 
@@ -79,22 +78,6 @@ main()
                 static_cast<unsigned long long>(stats.attempts),
                 stats.wallSeconds, stats.jobs,
                 stats.trialsPerSecond());
-
-    if (harness::envBool("RIO_T1_SPEEDUP", false) && stats.jobs > 1) {
-        harness::CampaignConfig serialConfig = config;
-        serialConfig.jobs = 1;
-        harness::CrashCampaign serial(serialConfig);
-        harness::CampaignStats serialStats;
-        const harness::CampaignResult serialResult =
-            serial.runAll(nullptr, &serialStats);
-        std::printf("1-worker reference: %.1f s; speedup at %u "
-                    "workers: %.2fx; results identical: %s\n",
-                    serialStats.wallSeconds, stats.jobs,
-                    serialStats.wallSeconds > 0
-                        ? serialStats.wallSeconds / stats.wallSeconds
-                        : 0.0,
-                    serialResult == result ? "yes" : "NO (BUG)");
-    }
 
     std::ofstream json(jsonPath);
     json << harness::campaignToJson(result, config, &stats);

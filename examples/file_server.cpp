@@ -7,8 +7,9 @@
  * an OS crash every two months (the paper's pessimistic estimate),
  * a warm reboot after each, and an audit of every stored file at the
  * end of the year. The client logic lives in wl::ServerClient,
- * shared with bench/bench_server, and mirrors the actual outcome of
- * every system call into the ModelFs oracle so the audit is exact.
+ * shared with riobench's server op stream, and mirrors the actual
+ * outcome of every system call into the ModelFs oracle so the audit
+ * is exact.
  */
 
 #include <cstdio>

@@ -78,7 +78,7 @@ explore(os::SystemPreset preset, const std::string &workload)
         seconds = machine.clock().seconds() - start;
     } else {
         wl::CpRmConfig config;
-        config.totalBytes = harness::envU64("RIO_PERF_MB", 8) << 20;
+        config.totalBytes = harness::envScaled("RIO_PERF_MB", 8, 1ull << 20);
         wl::CpRm cprm(kernel, config);
         cprm.buildSourceTree();
         kernel.fsDisk().resetStats();

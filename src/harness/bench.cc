@@ -1,7 +1,6 @@
 #include "harness/bench.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -27,95 +26,6 @@ Zipfian::sample(support::Rng &rng) const
     const auto idx =
         static_cast<u64>(std::distance(cdf_.begin(), it));
     return std::min<u64>(idx, cdf_.size() - 1);
-}
-
-LatencyHistogram::LatencyHistogram() : buckets_(numBuckets()) {}
-
-std::size_t
-LatencyHistogram::bucketIndex(u64 value)
-{
-    if (value < kExact)
-        return static_cast<std::size_t>(value);
-    // Highest set bit is `top` >= 5; keep the top 4 bits below it as
-    // the linear subbucket within the octave.
-    const int top = std::bit_width(value) - 1;
-    const std::size_t octave = static_cast<std::size_t>(top - 5);
-    const u64 sub = (value >> (top - 4)) & (kSubBuckets - 1);
-    return kExact + octave * kSubBuckets +
-           static_cast<std::size_t>(sub);
-}
-
-u64
-LatencyHistogram::bucketUpperBound(std::size_t index)
-{
-    if (index < kExact)
-        return static_cast<u64>(index);
-    const std::size_t octave = (index - kExact) / kSubBuckets;
-    const u64 sub = (index - kExact) % kSubBuckets;
-    const u64 lo = (1ull << (octave + 5)) + (sub << (octave + 1));
-    const u64 width = 1ull << (octave + 1);
-    return lo + width - 1;
-}
-
-std::size_t
-LatencyHistogram::numBuckets()
-{
-    // Octaves cover top bits 5..63.
-    return static_cast<std::size_t>(kExact + 59 * kSubBuckets);
-}
-
-void
-LatencyHistogram::record(u64 value)
-{
-    ++buckets_[bucketIndex(value)];
-    if (count_ == 0 || value < min_)
-        min_ = value;
-    if (count_ == 0 || value > max_)
-        max_ = value;
-    ++count_;
-    sum_ += static_cast<double>(value);
-}
-
-void
-LatencyHistogram::merge(const LatencyHistogram &other)
-{
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
-    if (other.count_ > 0) {
-        if (count_ == 0 || other.min_ < min_)
-            min_ = other.min_;
-        if (count_ == 0 || other.max_ > max_)
-            max_ = other.max_;
-    }
-    count_ += other.count_;
-    sum_ += other.sum_;
-}
-
-double
-LatencyHistogram::mean() const
-{
-    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
-}
-
-u64
-LatencyHistogram::percentile(double p) const
-{
-    if (count_ == 0)
-        return 0;
-    if (p <= 0.0)
-        return min();
-    const double clamped = std::min(p, 100.0);
-    const u64 target = std::max<u64>(
-        1, static_cast<u64>(
-               std::ceil(clamped / 100.0 *
-                         static_cast<double>(count_))));
-    u64 seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (seen >= target)
-            return std::min(bucketUpperBound(i), max());
-    }
-    return max();
 }
 
 } // namespace rio::harness

@@ -1,10 +1,9 @@
 /**
  * @file
- * Deterministic building blocks for the sustained-traffic benchmarks
- * (bench/bench_server): a zipfian popularity distribution for file
- * selection and a log-linear latency histogram for per-op sim-time
- * percentiles. Both are seed-stable across platforms so benchmark
- * configs can be golden-tested.
+ * A zipfian popularity distribution for picking files in the
+ * server-traffic op stream (riobench's `oploop` and the tests that
+ * drive the same stream). It is seed-stable across platforms, so its
+ * sample streams can be golden-tested.
  */
 
 #ifndef RIO_HARNESS_BENCH_HH
@@ -39,51 +38,6 @@ class Zipfian
   private:
     std::vector<double> cdf_; ///< Cumulative, unnormalized weights.
     double theta_;
-};
-
-/**
- * Log-linear histogram for latency values (HDR-style): exact buckets
- * below 32, then 16 linear subbuckets per power of two. Worst-case
- * quantization error is one subbucket width (< 1/16 ≈ 6.3%), far
- * below run-to-run noise, while record() stays a handful of integer
- * ops — cheap enough for every op of a multi-million-op run.
- * Percentiles report the upper bound of the containing bucket, so
- * they never under-state a latency.
- */
-class LatencyHistogram
-{
-  public:
-    LatencyHistogram();
-
-    void record(u64 value);
-    void merge(const LatencyHistogram &other);
-
-    u64 count() const { return count_; }
-    u64 min() const { return count_ ? min_ : 0; }
-    u64 max() const { return count_ ? max_ : 0; }
-    double mean() const;
-
-    /**
-     * Value at percentile @p p in [0, 100]: the smallest bucket upper
-     * bound such that at least ceil(p/100 * count) samples are <= it.
-     * Returns 0 on an empty histogram; percentile(0) is min().
-     */
-    u64 percentile(double p) const;
-
-    /** @{ Bucket mapping, exposed for the golden tests. */
-    static constexpr u64 kExact = 32;   ///< Values < 32 are exact.
-    static constexpr u64 kSubBuckets = 16; ///< Per power of two.
-    static std::size_t bucketIndex(u64 value);
-    static u64 bucketUpperBound(std::size_t index);
-    static std::size_t numBuckets();
-    /** @} */
-
-  private:
-    std::vector<u64> buckets_;
-    u64 count_ = 0;
-    u64 min_ = 0;
-    u64 max_ = 0;
-    double sum_ = 0.0;
 };
 
 } // namespace rio::harness

@@ -163,14 +163,13 @@ struct CampaignCell
 struct CampaignConfig
 {
     u64 seed = envU64("RIO_SEED", 1);
-    u32 crashesPerCell =
-        static_cast<u32>(envU64("RIO_T1_CRASHES", 50));
+    u32 crashesPerCell = envU32("RIO_T1_CRASHES", 50);
     u32 faultsPerRun = 20;
     /** Faults are injected this far apart, starting immediately. */
     SimNs injectSpacingNs = 100'000'000;
     /** Observation window; no crash by then discards the run. */
     SimNs observationNs =
-        envU64("RIO_T1_WINDOW_S", 10) * sim::kNsPerSec;
+        envScaled("RIO_T1_WINDOW_S", 10, sim::kNsPerSec);
     /** Attempt budget per crash (discarded runs are retried). */
     u32 maxAttemptsPerCrash = 25;
     bool backgroundAndrew = true;
@@ -179,7 +178,7 @@ struct CampaignConfig
 
     /** Worker threads; unset = all hardware threads. Explicit values
      *  must be >= 1 — garbage or zero throws (RIO_T1_JOBS). */
-    u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
+    u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
     /** Live progress line on stderr (RIO_T1_PROGRESS). */
     bool progress = envBool("RIO_T1_PROGRESS", false);
     /** Structured-output directory; empty = off (RIO_T1_JSON). */
@@ -258,8 +257,7 @@ struct CampaignConfig
     u64 powerCycleOps = envU64("RIO_T1_POWERCYCLE", 0);
     /** Bound on power-loss crashes per intermittent-power trial
      *  (RIO_T1_POWERCYCLES). */
-    u32 powerCycles =
-        static_cast<u32>(envU64("RIO_T1_POWERCYCLES", 3));
+    u32 powerCycles = envU32("RIO_T1_POWERCYCLES", 3);
     /** @} */
 
     /** Campaign slice; defaults cover the paper's full 3 x 13 grid.

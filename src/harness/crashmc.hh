@@ -111,9 +111,9 @@ struct CrashMcConfig
 {
     u64 seed = envU64("RIO_SEED", 1);
     /** memTest operations per bounded workload. */
-    u32 ops = static_cast<u32>(envU64("RIO_MC_OPS", 12));
+    u32 ops = envU32("RIO_MC_OPS", 12);
     /** Worker threads; 0 = all hardware threads (RIO_MC_JOBS). */
-    u32 jobs = static_cast<u32>(envU64("RIO_MC_JOBS", 0));
+    u32 jobs = envU32("RIO_MC_JOBS", 0);
     /** hardened() restore when true, trusting() when false. */
     bool hardened = envBool("RIO_MC_HARDENED", true);
     /** RioOptions::shadowMetadata for the ShadowFlip workload;

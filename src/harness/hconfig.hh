@@ -41,9 +41,10 @@
  *   RIO_VERBOSE      print per-run details        (default 0)
  *
  * A knob that is set must parse cleanly: numbers are plain decimals
- * with nothing after them, switches are exactly 0 or 1. Anything
- * else throws when the config is built, instead of running a
- * vacuous experiment.
+ * with nothing after them that fit the field they fill (after any
+ * scaling to nanoseconds or bytes), switches are exactly 0 or 1.
+ * Anything else throws when the config is built, instead of running
+ * a vacuous experiment.
  *
  * Same seed + same config produce bit-identical campaign results and
  * JSONL records at any RIO_T1_JOBS value: every trial derives its
@@ -57,6 +58,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -82,9 +84,14 @@ rejectEnv(const char *name, const char *value,
                                 "; unset it for the default");
 }
 
-/** A clean non-negative decimal number no smaller than @p minValue. */
+/**
+ * A clean non-negative decimal number in [@p minValue, @p maxValue].
+ * A knob that is narrowed or scaled passes the largest value that
+ * still fits, so it cannot truncate or wrap.
+ */
 inline u64
-envU64(const char *name, u64 fallback, u64 minValue = 0)
+envU64(const char *name, u64 fallback, u64 minValue = 0,
+       u64 maxValue = std::numeric_limits<u64>::max())
 {
     const char *value = std::getenv(name);
     if (value == nullptr || *value == '\0')
@@ -99,7 +106,28 @@ envU64(const char *name, u64 fallback, u64 minValue = 0)
     if (parsed < minValue)
         rejectEnv(name, value,
                   "a number of at least " + std::to_string(minValue));
+    if (parsed > maxValue)
+        rejectEnv(name, value,
+                  "a number of at most " + std::to_string(maxValue));
     return parsed;
+}
+
+/** envU64 for a knob held in a u32. */
+inline u32
+envU32(const char *name, u32 fallback, u32 minValue = 0)
+{
+    return static_cast<u32>(envU64(name, fallback, minValue,
+                                   std::numeric_limits<u32>::max()));
+}
+
+/** envU64 for a knob counted in units of @p unit (seconds, MiB):
+ * returns value * unit, rejecting a value whose product overflows. */
+inline u64
+envScaled(const char *name, u64 fallback, u64 unit)
+{
+    return envU64(name, fallback, 0,
+                  std::numeric_limits<u64>::max() / unit) *
+           unit;
 }
 
 /** Exactly "0" or "1". */

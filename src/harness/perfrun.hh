@@ -38,7 +38,7 @@ struct PerfConfig
 {
     u64 seed = envU64("RIO_SEED", 1);
     /** cp+rm source tree size (paper: 40 MB). */
-    u64 cprmBytes = envU64("RIO_PERF_MB", 40) << 20;
+    u64 cprmBytes = envScaled("RIO_PERF_MB", 40, 1ull << 20);
     u32 sdetScripts = 5;
     /** Andrew scale: number of source files. */
     u32 andrewFiles = 50;
@@ -47,7 +47,7 @@ struct PerfConfig
      *  threads. Shares the campaign's RIO_T1_JOBS knob: each preset
      *  row is an independent machine, so the sweep fans out the same
      *  way the crash campaign does. */
-    u32 jobs = static_cast<u32>(envU64("RIO_T1_JOBS", 0, 1));
+    u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
 };
 
 class PerfRun

@@ -139,9 +139,10 @@ class MemBus
     }
 
     /**
-     * Enable/disable the last-translation cache (on by default).
-     * Exists for A/B benchmarking and equivalence tests; results are
-     * identical either way, only host-side speed differs.
+     * Enable/disable the last-translation cache (on by default). A
+     * test seam: TranslationCache.OnOffEquivalence proves results
+     * identical either way, and the store microbenchmark times both
+     * arms. Only host-side speed differs.
      */
     void
     setTranslationCache(bool on)
@@ -149,7 +150,6 @@ class MemBus
         tcEnabled_ = on;
         tcGen_ = kTcInvalidGen;
     }
-    bool translationCache() const { return tcEnabled_; }
 
     /** Enable/disable the code-patching store checks. */
     void setCodePatching(bool on) { codePatching_ = on; }

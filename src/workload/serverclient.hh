@@ -1,9 +1,10 @@
 /**
  * @file
  * The departmental file-server client (paper section 7), shared by
- * examples/file_server and bench/bench_server: mail deliveries append
- * to mailboxes, document saves overwrite files, reads fetch them
- * back. Every completed operation is mirrored into a host-side
+ * examples/file_server, riobench's server op stream and the
+ * translation-cache equivalence test: mail deliveries append to
+ * mailboxes, document saves overwrite files, reads fetch them back.
+ * Every completed operation is mirrored into a host-side
  * ModelFs oracle with the *actual* outcome of each system call — an
  * open that truncated, a write that failed or was short, a rotation —
  * so the oracle never diverges from the simulated file system on

@@ -1,11 +1,10 @@
 /**
  * @file
  * Golden tests for the benchmark building blocks: the zipfian
- * popularity distribution, the log-linear latency histogram
- * (harness/bench.hh) and the block checksum (support/checksum.hh).
- * The benchmark's published percentiles are only as trustworthy as
- * this math, so the bucket mapping and the sample streams are pinned
- * at fixed seeds, and so are the checksum's values.
+ * popularity distribution (harness/bench.hh) and the block checksum
+ * (support/checksum.hh). The server op stream is only as
+ * reproducible as this math, so the sample streams are pinned at
+ * fixed seeds, and so are the checksum's values.
  */
 
 #include <gtest/gtest.h>
@@ -18,76 +17,7 @@
 #include "support/rng.hh"
 
 using namespace rio;
-using harness::LatencyHistogram;
 using harness::Zipfian;
-
-TEST(LatencyHistogramTest, ExactBelowThirtyTwo)
-{
-    LatencyHistogram hist;
-    for (u64 v = 0; v < 32; ++v)
-        hist.record(v);
-    EXPECT_EQ(hist.count(), 32u);
-    EXPECT_EQ(hist.min(), 0u);
-    EXPECT_EQ(hist.max(), 31u);
-    // With one sample per value, percentile boundaries are exact.
-    EXPECT_EQ(hist.percentile(50), 15u);
-    EXPECT_EQ(hist.percentile(100), 31u);
-    EXPECT_EQ(hist.percentile(0), 0u);
-}
-
-TEST(LatencyHistogramTest, BucketMappingInvariants)
-{
-    // Every value maps to a bucket whose upper bound is >= the value
-    // and within 1/16 relative error; bounds are monotone.
-    for (u64 v : {0ull, 1ull, 31ull, 32ull, 33ull, 63ull, 64ull,
-                  100ull, 1000ull, 40'000ull, 123'456'789ull,
-                  (1ull << 40) + 12345, ~0ull >> 1}) {
-        const std::size_t idx = LatencyHistogram::bucketIndex(v);
-        const u64 upper = LatencyHistogram::bucketUpperBound(idx);
-        EXPECT_GE(upper, v);
-        EXPECT_LE(upper - v, v / 16 + 1) << "value " << v;
-        if (idx > 0) {
-            EXPECT_LT(LatencyHistogram::bucketUpperBound(idx - 1),
-                      v);
-        }
-    }
-    EXPECT_LT(LatencyHistogram::bucketIndex(~0ull),
-              LatencyHistogram::numBuckets());
-}
-
-TEST(LatencyHistogramTest, GoldenPercentiles)
-{
-    // 1..100000 recorded in order; percentiles land in known
-    // buckets. These are golden values: if the bucket layout ever
-    // changes, every committed BENCH_server.json becomes
-    // incomparable with future ones, so changing them must be loud.
-    LatencyHistogram hist;
-    for (u64 v = 1; v <= 100'000; ++v)
-        hist.record(v);
-    EXPECT_EQ(hist.count(), 100'000u);
-    EXPECT_EQ(hist.percentile(50), 51199u); // bucket upper bound
-    EXPECT_EQ(hist.percentile(90), 90111u); // bucket upper bound
-    EXPECT_EQ(hist.percentile(99), 100000u);   // clamped to max
-    EXPECT_EQ(hist.percentile(99.9), 100000u); // clamped to max
-    EXPECT_NEAR(hist.mean(), 50000.5, 0.01);
-}
-
-TEST(LatencyHistogramTest, MergeMatchesCombinedStream)
-{
-    support::Rng rng(7);
-    LatencyHistogram a, b, combined;
-    for (int i = 0; i < 5000; ++i) {
-        const u64 v = rng.next() >> (rng.below(40));
-        combined.record(v);
-        (i % 2 ? a : b).record(v);
-    }
-    a.merge(b);
-    EXPECT_EQ(a.count(), combined.count());
-    EXPECT_EQ(a.min(), combined.min());
-    EXPECT_EQ(a.max(), combined.max());
-    for (double p : {1.0, 25.0, 50.0, 90.0, 99.0, 99.9})
-        EXPECT_EQ(a.percentile(p), combined.percentile(p)) << p;
-}
 
 TEST(ZipfianTest, UniformWhenThetaZero)
 {
@@ -117,8 +47,8 @@ TEST(ZipfianTest, SkewOrdersRanks)
 
 TEST(ZipfianTest, GoldenSampleStream)
 {
-    // The first draws at a fixed seed are pinned: the benchmark's op
-    // stream (and thus any committed BENCH numbers) depends on them.
+    // The first draws at a fixed seed are pinned: the server op
+    // stream (and thus riobench's per-op numbers) depends on them.
     Zipfian zipf(64, 0.99);
     support::Rng rng(42);
     std::vector<u64> draws;

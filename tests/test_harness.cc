@@ -305,3 +305,54 @@ TEST(EnvStrict, CampaignConfigAcceptsUnsetJobs)
     harness::CampaignConfig config;
     EXPECT_EQ(config.jobs, 0u); // 0 = "use all hardware threads".
 }
+
+TEST(EnvStrict, NarrowedKnobsRejectValuesAboveU32)
+{
+    // 2^32 used to truncate to 0: RIO_T1_CRASHES=4294967296 ran a
+    // 0-trial campaign and exited 0.
+    for (const char *knob :
+         {"RIO_T1_CRASHES", "RIO_T1_JOBS", "RIO_T1_POWERCYCLES"}) {
+        EnvGuard guard(knob, "4294967296");
+        EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument)
+            << knob;
+    }
+    for (const char *knob : {"RIO_MC_OPS", "RIO_MC_JOBS"}) {
+        EnvGuard guard(knob, "4294967296");
+        EXPECT_THROW(harness::CrashMcConfig{}, std::invalid_argument)
+            << knob;
+    }
+    {
+        EnvGuard guard("RIO_T1_JOBS", "4294967296");
+        EXPECT_THROW(harness::PerfConfig{}, std::invalid_argument);
+    }
+    {
+        // The bench-local trial counts go through the same reader.
+        EnvGuard guard("RIO_REC_TRIALS", "4294967296");
+        EXPECT_THROW(harness::envU32("RIO_REC_TRIALS", 26, 1),
+                     std::invalid_argument);
+    }
+    EnvGuard guard("RIO_T1_CRASHES", "4294967295");
+    EXPECT_EQ(harness::CampaignConfig{}.crashesPerCell, 4294967295u);
+}
+
+TEST(EnvStrict, ScaledKnobsRejectValuesThatWrap)
+{
+    // 18446744074 s used to wrap the observation window to 0.29 s.
+    {
+        EnvGuard guard("RIO_T1_WINDOW_S", "18446744074");
+        EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument);
+    }
+    {
+        // 2^44 MiB used to shift to a 0-byte cp+rm tree.
+        EnvGuard guard("RIO_PERF_MB", "17592186044416");
+        EXPECT_THROW(harness::PerfConfig{}, std::invalid_argument);
+    }
+    // The largest values that fit still parse.
+    {
+        EnvGuard guard("RIO_T1_WINDOW_S", "18446744073");
+        EXPECT_EQ(harness::CampaignConfig{}.observationNs,
+                  18446744073ull * sim::kNsPerSec);
+    }
+    EnvGuard guard("RIO_PERF_MB", "17592186044415");
+    EXPECT_EQ(harness::PerfConfig{}.cprmBytes, 17592186044415ull << 20);
+}
