@@ -133,6 +133,7 @@ runSweep(SimNs updatePeriod, bool rioMode, u64 seed)
 int
 main()
 {
+    harness::rejectUnknownKnobs();
     const u64 seed = harness::envU64("RIO_SEED", 1);
 
     std::printf("A2: write-back delay period vs disk traffic and "

@@ -13,9 +13,10 @@
  * second crash restarts recovery from whatever the (already rebooted)
  * memory image happens to hold.
  *
- * Knobs: RIO_SEED, RIO_DF_TRIALS (default 26 = two per fault type),
- * RIO_DISKFAULT_INTENSITY (default 1.0 here), RIO_DISKFAULT_DOUBLECRASH
- * (default 0.5 here), RIO_T1_JOBS (worker threads).
+ * Knobs: RIO_SEED, RIO_DF_TRIALS (26 = two per fault type),
+ * RIO_DISKFAULT_INTENSITY, RIO_DISKFAULT_DOUBLECRASH (both default
+ * higher here than in the campaign), RIO_T1_JOBS; defaults and help
+ * in knobTable() (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -23,7 +24,6 @@
 
 #include "harness/crashcampaign.hh"
 #include "harness/hconfig.hh"
-#include "harness/pool.hh"
 
 using namespace rio;
 using namespace rio::harness;
@@ -58,22 +58,12 @@ runArm(bool machineryOn, u64 seed, double intensity,
     config.ioRetryEnabled = machineryOn;
     config.reentrantRecovery = machineryOn;
     config.hardenedRecovery = true;
-    config.progress = false;
-    config.verbose = false;
-    CrashCampaign campaign(config);
+    config.jobs = jobs;
 
-    // Spread the trials over the 13 fault types; trial coordinates
-    // (and so every seed and every fault-model draw) are identical
-    // for both arms.
-    const auto faults = CampaignConfig::allFaultTypes();
-    std::vector<TrialRecord> records(trials);
-    WorkerPool pool(resolveJobs(jobs));
-    parallelFor(pool, trials, [&](u64 t) {
-        const auto type = faults[t % faults.size()];
-        const u32 trial = static_cast<u32>(t / faults.size());
-        records[t] = campaign.runTrial(SystemKind::RioWithProtection,
-                                       type, trial);
-    });
+    // Both arms run the same trial coordinates, so every seed and
+    // every fault-model draw is identical.
+    const std::vector<TrialRecord> records = CrashCampaign(config).runTrials(
+        SystemKind::RioWithProtection, trials);
 
     Tally tally;
     for (const TrialRecord &record : records) {
@@ -136,6 +126,7 @@ printTally(const char *label, const Tally &tally)
 int
 main()
 {
+    rejectUnknownKnobs();
     const u64 seed = envU64("RIO_SEED", 1);
     const double intensity = envF64("RIO_DISKFAULT_INTENSITY", 1.0);
     const double doubleCrashRate =

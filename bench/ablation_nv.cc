@@ -23,9 +23,9 @@
  * simulated recovery nanosecond). Nothing host-timed is emitted, so
  * the artifact is byte-stable at a fixed seed.
  *
- * Knobs: RIO_SEED, RIO_NV_TRIALS (trials per interval per arm,
- * default 4), RIO_NV_JSON (output path, default BENCH_nv.json),
- * RIO_T1_JOBS (worker threads).
+ * Knobs: RIO_SEED, RIO_NV_TRIALS (trials per interval per arm),
+ * RIO_NV_JSON (output path), RIO_T1_JOBS; defaults and help in
+ * knobTable() (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -34,7 +34,6 @@
 
 #include "harness/crashcampaign.hh"
 #include "harness/hconfig.hh"
-#include "harness/pool.hh"
 
 #include "emit_bench.hh"
 
@@ -82,22 +81,13 @@ runArm(bool hardened, u64 seed, u64 interval, u32 trials, u32 jobs)
     // The sweep's multiple warm reboots cost serious simulated time;
     // a roomy window lets every trial spend its full outage budget.
     config.observationNs = 600 * sim::kNsPerSec;
-    config.progress = false;
-    config.verbose = false;
-    CrashCampaign campaign(config);
+    config.jobs = jobs;
 
-    // Spread trials over the fault types purely for seed diversity:
-    // the power-cycle path injects no faults, so the coordinate only
-    // picks the seed chain. Both arms see identical coordinates.
-    const auto faults = CampaignConfig::allFaultTypes();
-    std::vector<TrialRecord> records(trials);
-    WorkerPool pool(resolveJobs(jobs));
-    parallelFor(pool, trials, [&](u64 t) {
-        const auto type = faults[t % faults.size()];
-        const u32 trial = static_cast<u32>(t / faults.size());
-        records[t] = campaign.runTrial(SystemKind::RioNvProtected,
-                                       type, trial);
-    });
+    // The power-cycle path injects no faults, so spreading the trials
+    // over the fault types only diversifies their seeds. Both arms
+    // see identical coordinates.
+    const std::vector<TrialRecord> records = CrashCampaign(config).runTrials(
+        SystemKind::RioNvProtected, trials);
 
     Tally tally;
     for (const TrialRecord &record : records) {
@@ -171,6 +161,7 @@ tallyJson(const Tally &tally)
 int
 main()
 {
+    rejectUnknownKnobs();
     const u64 seed = envU64("RIO_SEED", 1);
     const u32 trials = envU32("RIO_NV_TRIALS", 4, 1);
     const u32 jobs = envU32("RIO_T1_JOBS", 0, 1);

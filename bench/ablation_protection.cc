@@ -116,6 +116,7 @@ macroRun(os::ProtectionMode mode)
 int
 main(int argc, char **argv)
 {
+    harness::rejectUnknownKnobs();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
 

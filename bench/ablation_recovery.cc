@@ -13,9 +13,9 @@
  * pre-hardening behaviour: restore whatever the registry points at)
  * and RestorePolicy::hardened(), and compares post-reboot damage.
  *
- * Knobs: RIO_SEED, RIO_REC_TRIALS (default 26 = two per fault type),
- * RIO_REC_INTENSITY (corruption-stage intensity, default 1.0),
- * RIO_T1_JOBS (worker threads).
+ * Knobs: RIO_SEED, RIO_REC_TRIALS (26 = two per fault type),
+ * RIO_REC_INTENSITY, RIO_REC_FLUSH_NS, RIO_T1_JOBS; defaults and help
+ * in knobTable() (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -23,7 +23,6 @@
 
 #include "harness/crashcampaign.hh"
 #include "harness/hconfig.hh"
-#include "harness/pool.hh"
 
 using namespace rio;
 using namespace rio::harness;
@@ -58,23 +57,14 @@ runPolicy(bool hardened, u64 seed, double intensity, u32 trials,
     // and "keep the stale copy" lose the same young files.
     config.rioIdleFlushNs =
         envU64("RIO_REC_FLUSH_NS", 1'000'000'000);
-    config.progress = false;
-    config.verbose = false;
-    CrashCampaign campaign(config);
+    config.jobs = jobs;
 
-    // Spread the trials over the 13 fault types so every crash shape
-    // feeds the recovery path; the trial coordinates (and so every
-    // seed, fault and corruption-stage mutation) are identical for
-    // both policies.
-    const auto faults = CampaignConfig::allFaultTypes();
-    std::vector<TrialRecord> records(trials);
-    WorkerPool pool(resolveJobs(jobs));
-    parallelFor(pool, trials, [&](u64 t) {
-        const auto type = faults[t % faults.size()];
-        const u32 trial = static_cast<u32>(t / faults.size());
-        records[t] = campaign.runTrial(SystemKind::RioWithProtection,
-                                       type, trial);
-    });
+    // Trials spread over the 13 fault types, so every crash shape
+    // feeds the recovery path; both policies run the same trial
+    // coordinates, so every seed, fault and corruption-stage mutation
+    // is identical.
+    const std::vector<TrialRecord> records = CrashCampaign(config).runTrials(
+        SystemKind::RioWithProtection, trials);
 
     Tally tally;
     for (const TrialRecord &record : records) {
@@ -124,6 +114,7 @@ printTally(const char *label, const Tally &tally)
 int
 main()
 {
+    rejectUnknownKnobs();
     const u64 seed = envU64("RIO_SEED", 1);
     const double intensity = envF64("RIO_REC_INTENSITY", 1.0);
     const u32 trials = envU32("RIO_REC_TRIALS", 26, 1);

@@ -72,6 +72,7 @@ runWorkload(bool rioMode, u64 seed, u64 ops, core::RioStats *stats)
 int
 main()
 {
+    harness::rejectUnknownKnobs();
     const u64 seed = harness::envU64("RIO_SEED", 1);
     const u64 ops = harness::envU64("RIO_ABL_OPS", 20000);
 

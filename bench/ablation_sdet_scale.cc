@@ -55,6 +55,7 @@ run(os::SystemPreset preset, u32 scripts, u64 seed)
 int
 main()
 {
+    harness::rejectUnknownKnobs();
     const u64 seed = harness::envU64("RIO_SEED", 1);
     const u32 points[] = {1, 2, 5, 10, 15};
 

@@ -130,6 +130,7 @@ runTrials(bool shadow, u64 trials, u64 seedBase)
 int
 main()
 {
+    harness::rejectUnknownKnobs();
     const u64 trials = harness::envU64("RIO_ABL_TRIALS", 40);
     const u64 seed = harness::envU64("RIO_SEED", 1);
 

@@ -103,6 +103,7 @@ crashAndRecover(bool memorySurvives, u64 seed)
 int
 main()
 {
+    harness::rejectUnknownKnobs();
     const u64 seed = harness::envU64("RIO_SEED", 1);
 
     std::printf("A5: warm reboot on memory-preserving vs "

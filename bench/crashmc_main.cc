@@ -17,21 +17,9 @@
  * RestorePolicy::trusting(); RIO_MC_SHADOW=0 disables registry
  * shadow pages.
  *
- * Scale knobs (environment):
- *   RIO_MC_OPS       memTest ops per workload (default 12)
- *   RIO_MC_JOBS      worker threads (0 = all hardware threads)
- *   RIO_MC_HARDENED  1 = hardened restore (default), 0 = trusting
- *   RIO_MC_SHADOW    1 = shadow metadata (default), 0 = off
- *   RIO_MC_WORKLOAD  comma-separated workloads from "shadow-flip",
- *                    "journal", "journal-writeback", "journal-ordered",
- *                    "journal-data"; or "all" (default)
- *   RIO_MC_JCHECKSUM 1 = commit checksums (default); 0 is the
- *                    journal's weakened arm
- *   RIO_MC_TORN      1 = scramble a committed tx payload between
- *                    crash and reboot (torn-commit window)
- *   RIO_MC_JSON      output directory for JSON results (default ".")
- *   RIO_MC_PROGRESS  1 = live progress line on stderr
- *   RIO_SEED         workload seed
+ * Knobs: RIO_SEED and the RIO_MC_* family (crashMcConfigFromEnv, plus
+ * RIO_MC_WORKLOAD and RIO_MC_JSON read here); defaults and help in
+ * knobTable() (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -48,7 +36,7 @@ main()
 {
     using namespace rio;
 
-    const harness::CrashMcConfig config;
+    const harness::CrashMcConfig config = harness::crashMcConfigFromEnv();
     harness::CrashMc checker(config);
 
     const std::string which =

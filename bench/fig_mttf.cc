@@ -10,7 +10,8 @@
  * By default the corruption probabilities come from a small measured
  * campaign (RIO_MTTF_CRASHES crashes per cell across all 13 fault
  * types); set RIO_MTTF_CRASHES=0 to print only the paper-rate
- * derivation.
+ * derivation. The measured campaign also takes the campaign knobs
+ * (campaignConfigFromEnv); see knobTable() in harness/hconfig.cc.
  */
 
 #include <cstdio>
@@ -23,6 +24,7 @@ main()
 {
     using namespace rio;
 
+    harness::CampaignConfig config = harness::campaignConfigFromEnv();
     const double kCrashIntervalMonths = 2.0;
     auto mttfYears = [&](double corruptionsPerCrash) {
         if (corruptionsPerCrash <= 0)
@@ -50,7 +52,6 @@ main()
         return 0;
     }
 
-    harness::CampaignConfig config;
     config.crashesPerCell = crashes;
     harness::CrashCampaign campaign(config);
     const harness::CampaignResult result = campaign.runAll();
@@ -60,8 +61,8 @@ main()
                 crashes);
     for (int system = 0; system < 3; ++system) {
         const auto kind = static_cast<harness::SystemKind>(system);
-        const u64 total = result.totalCrashes(kind);
-        const u64 corrupt = result.totalCorruptions(kind);
+        const u64 total = result.total(kind).crashes;
+        const u64 corrupt = result.total(kind).corruptions;
         const double rate =
             total ? static_cast<double>(corrupt) /
                         static_cast<double>(total)

@@ -9,12 +9,9 @@
  * binary also emits machine-readable results: per-trial records to
  * `<dir>/trials.jsonl` and a summary to `<dir>/table1.json`.
  *
- * Scale knobs (environment):
- *   RIO_T1_CRASHES   trials per cell (paper: 50 crashes)
- *   RIO_T1_WINDOW_S  observation window in simulated seconds
- *   RIO_T1_JOBS      worker threads (0 = all hardware threads)
- *   RIO_T1_JSON      output directory for JSON results (default ".")
- *   RIO_SEED         campaign seed
+ * Knobs: the campaign's (campaignConfigFromEnv), among them
+ * RIO_T1_CRASHES, RIO_T1_WINDOW_S, RIO_T1_JOBS, RIO_T1_JSON and
+ * RIO_SEED; defaults and help in knobTable() (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -23,15 +20,16 @@
 #include "harness/crashcampaign.hh"
 #include "harness/pool.hh"
 #include "harness/sink.hh"
+#include "sim/crash.hh"
 
 int
 main()
 {
     using namespace rio;
 
-    harness::CampaignConfig config;
-    if (config.jsonDir.empty())
-        config.jsonDir = ".";
+    const harness::CampaignConfig config =
+        harness::campaignConfigFromEnv();
+    const std::string dir = config.jsonDir.empty() ? "." : config.jsonDir;
     harness::CrashCampaign campaign(config);
 
     std::printf("Table 1: Comparing Disk and Memory Reliability\n");
@@ -41,21 +39,23 @@ main()
     std::printf("workers: %u\n\n",
                 harness::resolveJobs(config.jobs));
 
-    const std::string jsonlPath = config.jsonDir + "/trials.jsonl";
-    const std::string jsonPath = config.jsonDir + "/table1.json";
+    const std::string jsonlPath = dir + "/trials.jsonl";
+    const std::string jsonPath = dir + "/table1.json";
     std::ofstream jsonl(jsonlPath);
     const bool jsonlOpened = static_cast<bool>(jsonl);
     if (!jsonlOpened) {
         std::fprintf(stderr,
                      "table1_reliability: cannot write %s "
                      "(RIO_T1_JSON=%s); structured output disabled\n",
-                     jsonlPath.c_str(), config.jsonDir.c_str());
+                     jsonlPath.c_str(), dir.c_str());
     }
-    harness::JsonlSink sink(jsonl);
 
+    std::vector<harness::TrialRecord> records;
     harness::CampaignStats stats;
     const harness::CampaignResult result =
-        campaign.runAll(&sink, &stats);
+        campaign.runAll(&records, &stats);
+    for (const harness::TrialRecord &record : records)
+        jsonl << harness::trialToJson(record) << '\n';
     jsonl.close();
 
     std::fputs(
@@ -63,11 +63,9 @@ main()
         stdout);
 
     std::printf("\ncrash causes observed:\n");
-    static const char *kCauseNames[] = {
-        "machine check", "protection fault", "kernel panic",
-        "consistency check", "watchdog timeout", "deadlock"};
     for (int cause = 0; cause < 6; ++cause) {
-        std::printf("  %-18s %llu\n", kCauseNames[cause],
+        std::printf("  %-18s %llu\n",
+                    sim::crashCauseName(static_cast<sim::CrashCause>(cause)),
                     static_cast<unsigned long long>(
                         result.crashCauseCounts[cause]));
     }

@@ -5,9 +5,9 @@
  * the ratio analysis quoted in the abstract (Rio vs write-through,
  * vs default UFS, vs delay-everything UFS).
  *
- * Scale knobs (environment):
- *   RIO_PERF_MB  cp+rm source tree megabytes (paper: 40)
- *   RIO_SEED     seed
+ * Knobs: RIO_PERF_MB, RIO_SEED, RIO_T1_JOBS and RIO_VERBOSE
+ * (perfConfigFromEnv); defaults and help in knobTable()
+ * (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -21,7 +21,7 @@ main()
 {
     using namespace rio;
 
-    harness::PerfConfig config;
+    const harness::PerfConfig config = harness::perfConfigFromEnv();
     harness::PerfRun perf(config);
 
     std::printf("Table 2: Performance Comparison (simulated seconds)\n");

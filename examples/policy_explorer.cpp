@@ -8,6 +8,9 @@
  *   system:   mfs | delay | advfs | ufs | wtclose | wtwrite |
  *             rio | rio-noprot        (default: all)
  *   workload: cprm | sdet | andrew    (default: cprm)
+ *
+ * Knob: RIO_PERF_MB, the cprm tree in MiB (see knobTable() in
+ * harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -113,6 +116,7 @@ explore(os::SystemPreset preset, const std::string &workload)
 int
 main(int argc, char **argv)
 {
+    harness::rejectUnknownKnobs();
     const std::string system = argc > 1 ? argv[1] : "all";
     const std::string workload = argc > 2 ? argv[2] : "cprm";
 

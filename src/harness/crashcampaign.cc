@@ -10,10 +10,12 @@
 #include "core/warmreboot.hh"
 #include "fault/diskfault.hh"
 #include "fault/nvfault.hh"
+#include "fault/postcrash.hh"
 #include "harness/pool.hh"
 #include "harness/report.hh"
 #include "support/log.hh"
 #include "workload/andrew.hh"
+#include "workload/memtest.hh"
 
 namespace rio::harness
 {
@@ -168,8 +170,8 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     std::vector<std::unique_ptr<wl::Andrew>> andrews;
     wl::Scheduler scheduler;
     scheduler.add(memtest);
-    if (config_.backgroundAndrew && !powerCycle) {
-        for (u32 i = 0; i < config_.andrewCopies; ++i) {
+    if (!powerCycle) {
+        for (u32 i = 0; i < kAndrewCopies; ++i) {
             wl::AndrewConfig andrewConfig;
             andrewConfig.root = "/a" + std::to_string(i);
             andrewConfig.seed = seed * 37 + i;
@@ -196,8 +198,8 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     scheduler.setBetweenSteps([&] {
         const SimNs elapsed = machine.clock().now() - startNs;
         if (!powerCycle) {
-            while (injected < config_.faultsPerRun &&
-                   elapsed >= injected * config_.injectSpacingNs) {
+            while (injected < kFaultsPerRun &&
+                   elapsed >= injected * kInjectSpacingNs) {
                 injector.inject(type);
                 ++injected;
             }
@@ -248,7 +250,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
             if (!result.crashed)
                 result.crashAfterNs = crash.when() - startNs;
             result.crashed = true;
-            result.cause = crash.cause();
+            result.cause = static_cast<u32>(crash.cause());
             result.message = crash.what();
         }
 
@@ -285,7 +287,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
                 damageSeed = mix64(damageSeed ^ result.powerCycles);
             fault::PostCrashCorruptor corruptor(
                 machine, support::Rng(damageSeed), postConfig);
-            result.postCrash += corruptor.corrupt();
+            result.postCrashOps += corruptor.corrupt().ops;
         }
 
         // --- Recovery, re-run to convergence. ----------------------
@@ -293,12 +295,10 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         // panic out of a faulty boot) is followed by another full
         // warm reboot; with re-entrant recovery each pass resumes
         // from the previous pass's checkpoint. Bounded: a volume that
-        // cannot be recovered in maxRecoveryPasses attempts is
+        // cannot be recovered in kMaxRecoveryPasses attempts is
         // scored as lost.
         const SimNs recoveryStart = machine.clock().now();
-        for (u32 pass = 0;
-             !kernel && pass < std::max(config_.maxRecoveryPasses, 1u);
-             ++pass) {
+        for (u32 pass = 0; !kernel && pass < kMaxRecoveryPasses; ++pass) {
             ++result.recoveryPasses;
             core::WarmReboot warmReboot(machine, policy);
             warmReboot.setIoPolicy(kernelConfig.ioRetry);
@@ -364,29 +364,26 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         memtest.rebind(*kernel);
     }
 
+    wl::MemTest::VerifyResult verify;
     if (kernel != nullptr) {
         try {
             // --- Detection pass 2: memTest replay comparison. ------
-            result.verify = memtest.verify(*kernel);
-        } catch (const sim::CrashException &crash) {
+            verify = memtest.verify(*kernel);
+        } catch (const sim::CrashException &) {
             // The recovered state was so damaged that even the
             // verifier tripped kernel checks: the volume is
             // unusable, which is worse than any count of
             // individually stale files. Score it as total loss —
             // otherwise a restore that renders the fs unbootable
             // out-scores one that keeps stale-but-valid copies.
-            result.verify.readErrors += 1;
-            result.verify.missingFiles +=
-                memtest.model().files().size();
-            result.verify.details.push_back(
-                std::string("verifier crashed: ") + crash.what());
+            verify.readErrors += 1;
+            verify.missingFiles += memtest.model().files().size();
         }
         result.readOnlyDegraded = kernel->ufs().readOnly();
     } else {
-        result.verify.readErrors += 1;
-        result.verify.missingFiles += memtest.model().files().size();
-        result.verify.details.push_back(
-            "recovery never completed: volume lost");
+        // Recovery never completed: the volume is lost.
+        verify.readErrors += 1;
+        verify.missingFiles += memtest.model().files().size();
     }
     if (rio) {
         // Only intermittent power scores the surviving kernel's saves;
@@ -404,17 +401,25 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     result.diskSectorsRemapped =
         machine.disk().stats().sectorsRemapped +
         machine.swap().stats().sectorsRemapped;
-    result.memtestDetected = result.verify.corrupt() ||
+    result.memtestDetected = verify.corrupt() ||
                              memtest.liveMismatchSeen();
-    result.corruptFiles = result.verify.missingFiles +
-                          result.verify.contentMismatches +
-                          result.verify.sizeMismatches +
-                          result.verify.extraFiles +
-                          result.verify.duplicateMismatches;
+    result.corruptFiles = verify.missingFiles + verify.contentMismatches +
+                          verify.sizeMismatches + verify.extraFiles +
+                          verify.duplicateMismatches;
     result.corrupt = result.memtestDetected || result.checksumDetected;
     result.nvBitsFlipped = nvFaults.stats().bitsFlipped;
     result.nvLinesTorn = nvFaults.stats().linesTorn;
     result.workloadOps = memtest.opsCompleted();
+    // The flat summary of the final recovery pass.
+    const core::RecoveryReport &recovery = result.warm.recovery;
+    result.dumpOk = recovery.dumpOk;
+    result.metadataQuarantined = recovery.metadataQuarantined;
+    result.duplicateClaims = recovery.duplicateClaims;
+    result.boundsViolations = recovery.boundsViolations;
+    result.shadowChecksumBad = recovery.shadowChecksumBad;
+    result.dataQuarantined = recovery.dataQuarantined;
+    result.metadataUnrestorable = result.warm.metadataUnrestorable;
+    result.recoveryResumed = recovery.resumed;
     return result;
 }
 
@@ -437,50 +442,8 @@ CrashCampaign::runTrial(SystemKind kind, fault::FaultType type,
             ++record.discards;
             continue;
         }
-        record.crashed = true;
+        static_cast<TrialOutcome &>(record) = run;
         record.crashSeed = seed;
-        record.cause = static_cast<u32>(run.cause);
-        record.crashAfterNs = run.crashAfterNs;
-        record.corrupt = run.corrupt;
-        record.checksumDetected = run.checksumDetected;
-        record.memtestDetected = run.memtestDetected;
-        record.corruptFiles = run.corruptFiles;
-        record.protectionSaves = run.protectionSaves;
-        record.postCrashOps = run.postCrash.ops;
-        record.dumpOk = run.warm.recovery.dumpOk;
-        record.metadataQuarantined =
-            run.warm.recovery.metadataQuarantined;
-        record.duplicateClaims = run.warm.recovery.duplicateClaims;
-        record.boundsViolations = run.warm.recovery.boundsViolations;
-        record.shadowChecksumBad =
-            run.warm.recovery.shadowChecksumBad;
-        record.dataQuarantined = run.warm.recovery.dataQuarantined;
-        record.metadataUnrestorable = run.warm.metadataUnrestorable;
-        record.doubleCrashFired = run.doubleCrashFired;
-        record.doubleCrashPhase = run.doubleCrashPhase;
-        record.recoveryPasses = run.recoveryPasses;
-        record.recoveryResumed = run.warm.recovery.resumed;
-        record.checkpointWrites = run.checkpointWrites;
-        record.retriedSectors = run.retriedSectors;
-        record.remappedSectors = run.remappedSectors;
-        record.abandonedSectors = run.abandonedSectors;
-        record.diskTransientErrors = run.diskTransientErrors;
-        record.diskBadSectorErrors = run.diskBadSectorErrors;
-        record.diskSectorsRemapped = run.diskSectorsRemapped;
-        record.readOnlyDegraded = run.readOnlyDegraded;
-        record.nvBacked = run.nvBacked;
-        record.nvMirrorPresent = run.nvMirrorPresent;
-        record.nvMirrorCorrupt = run.nvMirrorCorrupt;
-        record.nvEntriesGrafted = run.nvEntriesGrafted;
-        record.nvShadowsUsed = run.nvShadowsUsed;
-        record.nvMirrorWrites = run.nvMirrorWrites;
-        record.nvBitsFlipped = run.nvBitsFlipped;
-        record.nvLinesTorn = run.nvLinesTorn;
-        record.powerCycleMode = run.powerCycleMode;
-        record.powerCycles = run.powerCycles;
-        record.workloadOps = run.workloadOps;
-        record.recoveryNs = run.recoveryNs;
-        record.message = run.message;
         if (config_.verbose) {
             RIO_LOG_INFO << systemKindName(kind) << " / "
                          << fault::faultTypeName(type) << ": "
@@ -490,6 +453,19 @@ CrashCampaign::runTrial(SystemKind kind, fault::FaultType type,
         break;
     }
     return record;
+}
+
+std::vector<TrialRecord>
+CrashCampaign::runTrials(SystemKind kind, u32 trials)
+{
+    const u64 n = config_.faults.size();
+    std::vector<TrialRecord> records(trials);
+    WorkerPool pool(resolveJobs(config_.jobs));
+    parallelFor(pool, trials, [&](u64 t) {
+        records[t] = runTrial(kind, config_.faults[t % n],
+                              static_cast<u32>(t / n));
+    });
+    return records;
 }
 
 void
@@ -523,7 +499,8 @@ CrashCampaign::runCell(SystemKind kind, fault::FaultType type,
 }
 
 CampaignResult
-CrashCampaign::runAll(CampaignSink *sink, CampaignStats *stats)
+CrashCampaign::runAll(std::vector<TrialRecord> *trialRecords,
+                      CampaignStats *stats)
 {
     struct Task
     {
@@ -579,19 +556,19 @@ CrashCampaign::runAll(CampaignSink *sink, CampaignStats *stats)
         std::fputc('\n', stderr);
 
     // Deterministic merge: cell-major task order, never completion
-    // order. The sink sees the same stream at any thread count.
+    // order, so the records are the same at any thread count.
     CampaignResult result;
     u64 attempts = 0;
     for (const TrialRecord &record : records) {
         mergeTrial(result, record);
         attempts += record.attempts;
-        if (sink != nullptr)
-            sink->onTrial(record);
     }
+    if (trialRecords != nullptr)
+        *trialRecords = std::move(records);
 
     if (stats != nullptr) {
         stats->jobs = jobs;
-        stats->trials = records.size();
+        stats->trials = tasks.size();
         stats->attempts = attempts;
         stats->wallSeconds =
             std::chrono::duration<double>(
@@ -602,31 +579,18 @@ CrashCampaign::runAll(CampaignSink *sink, CampaignStats *stats)
     return result;
 }
 
-u64
-CampaignResult::totalCrashes(SystemKind kind) const
+CampaignCell
+CampaignResult::total(SystemKind kind) const
 {
-    u64 total = 0;
-    for (const auto &cell : cells[static_cast<int>(kind)])
-        total += cell.crashes;
-    return total;
-}
-
-u64
-CampaignResult::totalCorruptions(SystemKind kind) const
-{
-    u64 total = 0;
-    for (const auto &cell : cells[static_cast<int>(kind)])
-        total += cell.corruptions;
-    return total;
-}
-
-u64
-CampaignResult::totalSaves(SystemKind kind) const
-{
-    u64 total = 0;
-    for (const auto &cell : cells[static_cast<int>(kind)])
-        total += cell.savesRuns;
-    return total;
+    CampaignCell sum;
+    for (const CampaignCell &cell : cells[static_cast<int>(kind)]) {
+        sum.crashes += cell.crashes;
+        sum.corruptions += cell.corruptions;
+        sum.discards += cell.discards;
+        sum.attempts += cell.attempts;
+        sum.savesRuns += cell.savesRuns;
+    }
+    return sum;
 }
 
 std::string
@@ -670,8 +634,8 @@ CrashCampaign::renderTable1(const CampaignResult &result,
 
     std::vector<std::string> totals{"Total"};
     for (const SystemKind kind : config.systems) {
-        const u64 crashes = result.totalCrashes(kind);
-        const u64 corruptions = result.totalCorruptions(kind);
+        const u64 crashes = result.total(kind).crashes;
+        const u64 corruptions = result.total(kind).corruptions;
         const double pct =
             crashes ? 100.0 * static_cast<double>(corruptions) /
                           static_cast<double>(crashes)
@@ -731,7 +695,7 @@ CrashCampaign::renderTable1(const CampaignResult &result,
         config.systems.end()) {
         out += "\nprotection-mechanism saves (runs): " +
                std::to_string(
-                   result.totalSaves(SystemKind::RioWithProtection));
+                   result.total(SystemKind::RioWithProtection).savesRuns);
     }
     out += "\n";
     return out;

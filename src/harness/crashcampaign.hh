@@ -7,9 +7,9 @@
  * and measure how often file data was corrupted. A fourth system —
  * rio-nv, Rio with the registry mirrored into battery-backed DRAM
  * (paper section 7) — and an intermittent-power trial mode
- * (RIO_T1_POWERCYCLE) extend the grid; both are off by default and
- * the classic three-system campaign is byte-identical with the NV
- * knobs at their defaults.
+ * (CampaignConfig::powerCycleOps) extend the grid; both are off by
+ * default and the classic three-system campaign is byte-identical
+ * with the NV settings at their defaults.
  *
  * Methodology follows section 3: 20 faults per run injected into a
  * running system (memTest plus four looping copies of Andrew);
@@ -43,10 +43,8 @@
 
 #include "core/warmreboot.hh"
 #include "fault/injector.hh"
-#include "fault/postcrash.hh"
 #include "harness/hconfig.hh"
 #include "harness/sink.hh"
-#include "workload/memtest.hh"
 
 namespace rio::harness
 {
@@ -101,52 +99,11 @@ attemptSeed(u64 trialSeedValue, u32 attempt)
                  (static_cast<u64>(attempt) * 0xd1342543de82ef95ull));
 }
 
-struct CrashRunResult
+/** One attempt: its outcome plus the final warm reboot's report. */
+struct CrashRunResult : TrialOutcome
 {
-    bool crashed = false;
     bool discarded = false; ///< No crash in the observation window.
-    sim::CrashCause cause = sim::CrashCause::KernelPanic;
-    std::string message;
-    SimNs crashAfterNs = 0; ///< Time from first injection to crash.
-
-    bool corrupt = false;
-    bool checksumDetected = false; ///< Direct corruption (registry).
-    bool memtestDetected = false;  ///< Replay comparison failed.
-    u64 corruptFiles = 0;
-    u64 protectionSaves = 0;
-
     core::WarmRebootReport warm;
-    fault::PostCrashStats postCrash; ///< Corruption-stage damage.
-    wl::MemTest::VerifyResult verify;
-
-    /** @{ Faulty-disk + double-crash dimensions. */
-    bool doubleCrashFired = false;
-    u32 doubleCrashPhase = 0; ///< core::RecoveryPhase index.
-    u32 recoveryPasses = 0;   ///< Recovery attempts (1 = no retry).
-    u64 retriedSectors = 0;   ///< Summed over recovery passes.
-    u64 remappedSectors = 0;
-    u64 abandonedSectors = 0;
-    u64 checkpointWrites = 0;
-    u64 diskTransientErrors = 0; ///< Device lifetime (workload+rec).
-    u64 diskBadSectorErrors = 0;
-    u64 diskSectorsRemapped = 0;
-    bool readOnlyDegraded = false;
-    /** @} */
-
-    /** @{ rio-nv + intermittent-power dimensions. */
-    bool nvBacked = false;     ///< Machine had an NV region fitted.
-    bool nvMirrorPresent = false; ///< Final reboot saw the mirror.
-    bool nvMirrorCorrupt = false; ///< Any reboot saw a bad header.
-    u64 nvEntriesGrafted = 0;  ///< Registry slots taken from NV.
-    u64 nvShadowsUsed = 0;     ///< Shadow pages staged from NV.
-    u64 nvMirrorWrites = 0;    ///< Mirror stores over the whole run.
-    u64 nvBitsFlipped = 0;     ///< Fault model: decayed bits.
-    u64 nvLinesTorn = 0;       ///< Fault model: torn cache lines.
-    bool powerCycleMode = false; ///< Intermittent-power trial.
-    u32 powerCycles = 0;       ///< Power-loss crashes taken.
-    u64 workloadOps = 0;       ///< memTest ops finished, all cycles.
-    SimNs recoveryNs = 0;      ///< Sim time inside warm reboots.
-    /** @} */
 };
 
 struct CampaignCell
@@ -160,38 +117,40 @@ struct CampaignCell
     bool operator==(const CampaignCell &) const = default;
 };
 
+/** @{ Section 3's methodology (see above), fixed; a volume not
+ *  recovered after kMaxRecoveryPasses warm reboots is lost. */
+constexpr u32 kFaultsPerRun = 20;
+constexpr SimNs kInjectSpacingNs = 100'000'000;
+constexpr u32 kAndrewCopies = 4;
+constexpr u32 kMaxRecoveryPasses = 4;
+/** @} */
+
+/** Plain values, defaulting to the classic Table 1 campaign; its two
+ *  binaries read their knobs via campaignConfigFromEnv. */
 struct CampaignConfig
 {
-    u64 seed = envU64("RIO_SEED", 1);
-    u32 crashesPerCell = envU32("RIO_T1_CRASHES", 50);
-    u32 faultsPerRun = 20;
-    /** Faults are injected this far apart, starting immediately. */
-    SimNs injectSpacingNs = 100'000'000;
+    u64 seed = 1;
+    u32 crashesPerCell = 50;
     /** Observation window; no crash by then discards the run. */
-    SimNs observationNs =
-        envScaled("RIO_T1_WINDOW_S", 10, sim::kNsPerSec);
+    SimNs observationNs = 10 * sim::kNsPerSec;
     /** Attempt budget per crash (discarded runs are retried). */
     u32 maxAttemptsPerCrash = 25;
-    bool backgroundAndrew = true;
-    u32 andrewCopies = 4;
-    bool verbose = envBool("RIO_VERBOSE", false);
+    bool verbose = false;
 
-    /** Worker threads; unset = all hardware threads. Explicit values
-     *  must be >= 1 — garbage or zero throws (RIO_T1_JOBS). */
-    u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
-    /** Live progress line on stderr (RIO_T1_PROGRESS). */
-    bool progress = envBool("RIO_T1_PROGRESS", false);
-    /** Structured-output directory; empty = off (RIO_T1_JSON). */
-    std::string jsonDir = envStr("RIO_T1_JSON", "");
+    /** Worker threads; 0 = all hardware threads. */
+    u32 jobs = 0;
+    /** Live progress line on stderr. */
+    bool progress = false;
+    /** Structured-output directory; empty = off. */
+    std::string jsonDir;
 
     /** Post-crash corruption stage (fault/postcrash.hh) applied to
      *  the surviving image of the Rio systems before warm reboot;
-     *  0 = off, preserving the paper's Table 1 semantics
-     *  (RIO_T1_POSTCRASH). */
-    double postCrashIntensity = envF64("RIO_T1_POSTCRASH", 0.0);
+     *  0 = off, preserving the paper's Table 1 semantics. */
+    double postCrashIntensity = 0.0;
     /** Warm-reboot RestorePolicy: hardened() when true, trusting()
-     *  when false (RIO_T1_HARDENED). */
-    bool hardenedRecovery = envBool("RIO_T1_HARDENED", true);
+     *  when false. */
+    bool hardenedRecovery = true;
     /** Restrict the post-crash corruptor to the damage classes the
      *  NV mirror can provably repair: smashed magics, cross-linked
      *  claims/pages, smashed shadows. Random bit flips stay off —
@@ -203,80 +162,60 @@ struct CampaignConfig
      *  or beheading the mirror damages the repair medium itself,
      *  which no merge rule can compensate for. The NV ablation sets
      *  this to show hardened rio-nv grafting back to zero
-     *  corruption; no env knob, programmatic use only. */
+     *  corruption. */
     bool postCrashNvRepairable = false;
     /** When > 0, enable Rio's idle-period write-back with this
      *  period. The short simulated runs never age metadata to disk
      *  the way hours of real uptime would, so recovery-hardening
      *  experiments use this to give the quarantine path a disk copy
-     *  of realistic freshness (RIO_T1_IDLEFLUSH_NS). */
-    SimNs rioIdleFlushNs = envU64("RIO_T1_IDLEFLUSH_NS", 0);
+     *  of realistic freshness. */
+    SimNs rioIdleFlushNs = 0;
 
     /** @{ Faulty-disk + double-crash trial dimensions. The fault
      *  model is installed on both the fs disk and the swap device
      *  *after* the initial format, so both ablation arms start from
      *  an identical healthy file system. */
-    /** fault/diskfault.hh intensity; 0 = pristine device
-     *  (RIO_DISKFAULT_INTENSITY). */
-    double diskFaultIntensity =
-        envF64("RIO_DISKFAULT_INTENSITY", 0.0);
+    /** fault/diskfault.hh intensity; 0 = pristine device. */
+    double diskFaultIntensity = 0.0;
     /** Probability a crashed trial takes a second crash during
-     *  recovery, uniform over recovery phases
-     *  (RIO_DISKFAULT_DOUBLECRASH). */
-    double doubleCrashRate = envF64("RIO_DISKFAULT_DOUBLECRASH", 0.0);
-    /** Bounded retry/remap discipline in the OS I/O path
-     *  (RIO_DISKFAULT_RETRY). */
-    bool ioRetryEnabled = envBool("RIO_DISKFAULT_RETRY", true);
-    /** Checkpointed, resumable warm reboot
-     *  (RIO_DISKFAULT_REENTRANT). */
-    bool reentrantRecovery = envBool("RIO_DISKFAULT_REENTRANT", true);
-    /** Recovery attempts per trial before scoring the volume as
-     *  lost; each pass re-enters warm reboot after a mid-recovery
-     *  crash. */
-    u32 maxRecoveryPasses = 4;
+     *  recovery, uniform over recovery phases. */
+    double doubleCrashRate = 0.0;
+    /** Bounded retry/remap discipline in the OS I/O path. */
+    bool ioRetryEnabled = true;
+    /** Checkpointed, resumable warm reboot. */
+    bool reentrantRecovery = true;
     /** @} */
 
-    /** Lockdep rank validator on the kernel lock table
-     *  (RIO_T1_LOCKDEP). Pure bookkeeping: trial records must be
-     *  byte-identical with it on or off, and the determinism tests
-     *  prove it. */
-    bool lockdep = envBool("RIO_T1_LOCKDEP", true);
+    /** Lockdep rank validator on the kernel lock table. Pure
+     *  bookkeeping: trial records must be byte-identical with it on
+     *  or off, and the determinism tests prove it. */
+    bool lockdep = true;
 
     /** @{ rio-nv + intermittent-power dimensions. All default off;
-     *  with every knob at its default the legacy three systems run
+     *  with every one at its default the legacy three systems run
      *  byte-identically to a build without the NV tier. */
     /** fault/nvfault.hh intensity applied to the NV region at each
-     *  crash; 0 = pristine NV (RIO_NV_FAULT). Only meaningful for
+     *  crash; 0 = pristine NV. Only meaningful for
      *  SystemKind::RioNvProtected — other systems have no NV
      *  region. */
-    double nvFaultIntensity = envF64("RIO_NV_FAULT", 0.0);
+    double nvFaultIntensity = 0.0;
     /** Intermittent power: when > 0, Rio trials skip fault injection
      *  and instead lose power every this many scheduler steps,
-     *  taking a bounded series of warm reboots in one trial
-     *  (RIO_T1_POWERCYCLE). 0 = classic Table 1 semantics. */
-    u64 powerCycleOps = envU64("RIO_T1_POWERCYCLE", 0);
-    /** Bound on power-loss crashes per intermittent-power trial
-     *  (RIO_T1_POWERCYCLES). */
-    u32 powerCycles = envU32("RIO_T1_POWERCYCLES", 3);
+     *  taking a bounded series of warm reboots in one trial.
+     *  0 = classic Table 1 semantics. */
+    u64 powerCycleOps = 0;
+    /** Bound on power-loss crashes per intermittent-power trial. */
+    u32 powerCycles = 3;
     /** @} */
 
     /** Campaign slice; defaults cover the paper's full 3 x 13 grid.
-     *  RIO_T1_NV=1 appends the rio-nv tier as a fourth Table 1
-     *  column (an extra column, never a reordering, so the legacy
-     *  three systems' trials keep their seeds and bytes). Reduced
-     *  slices keep the determinism tests fast. */
-    std::vector<SystemKind> systems = defaultSystems();
-
-    static std::vector<SystemKind> defaultSystems()
-    {
-        std::vector<SystemKind> systems{
-            SystemKind::DiskWriteThrough,
-            SystemKind::RioNoProtection,
-            SystemKind::RioWithProtection};
-        if (envBool("RIO_T1_NV", false))
-            systems.push_back(SystemKind::RioNvProtected);
-        return systems;
-    }
+     *  The rio-nv tier goes after them as a fourth Table 1 column
+     *  (an extra column, never a reordering, so the legacy three
+     *  systems' trials keep their seeds and bytes). Reduced slices
+     *  keep the determinism tests fast. */
+    std::vector<SystemKind> systems{SystemKind::DiskWriteThrough,
+                                    SystemKind::RioNoProtection,
+                                    SystemKind::RioWithProtection};
     std::vector<fault::FaultType> faults = allFaultTypes();
 
     static std::vector<fault::FaultType> allFaultTypes();
@@ -290,9 +229,8 @@ struct CampaignResult
     std::set<std::string> uniqueErrorMessages;
     std::array<u64, 6> crashCauseCounts{}; ///< By sim::CrashCause.
 
-    u64 totalCrashes(SystemKind kind) const;
-    u64 totalCorruptions(SystemKind kind) const;
-    u64 totalSaves(SystemKind kind) const;
+    /** One system's cells summed. */
+    CampaignCell total(SystemKind kind) const;
 
     bool operator==(const CampaignResult &) const = default;
 };
@@ -322,6 +260,11 @@ class CrashCampaign
     TrialRecord runTrial(SystemKind kind, fault::FaultType type,
                          u32 trial);
 
+    /** @p trials trials of @p kind over config.jobs workers, in t
+     *  order: trial t runs config.faults[t mod n] as trial t / n, so
+     *  its seeds depend on t alone (the ablations' arms). */
+    std::vector<TrialRecord> runTrials(SystemKind kind, u32 trials);
+
     /** Run crashesPerCell trials for one (system, fault) cell; a
      *  trial that exhausts its attempt budget yields no crash. */
     CampaignCell runCell(SystemKind kind, fault::FaultType type,
@@ -329,12 +272,11 @@ class CrashCampaign
 
     /**
      * The full campaign (config.systems x config.faults), fanned out
-     * over config.jobs workers and merged by cell index. @p sink, if
-     * given, receives every trial record in deterministic order
-     * after the merge; @p stats, if given, receives host wall-clock
-     * accounting.
+     * over config.jobs workers and merged by cell index. @p records,
+     * if given, receives every trial record in deterministic order;
+     * @p stats, if given, receives host wall-clock accounting.
      */
-    CampaignResult runAll(CampaignSink *sink = nullptr,
+    CampaignResult runAll(std::vector<TrialRecord> *records = nullptr,
                           CampaignStats *stats = nullptr);
 
     /** Render the result in the paper's Table 1 shape. */

@@ -41,10 +41,8 @@
  * record (workload, event index, seed) that
  * tests/test_crashmc_corpus.cc replays as an ordinary ctest case.
  *
- * Environment knobs (see CrashMcConfig): RIO_SEED, RIO_MC_OPS,
- * RIO_MC_JOBS, RIO_MC_HARDENED, RIO_MC_SHADOW, RIO_MC_NV,
- * RIO_MC_JCHECKSUM, RIO_MC_TORN, RIO_MC_WORKLOAD (see
- * bench/crashmc_main.cc), RIO_MC_JSON, RIO_MC_PROGRESS.
+ * bench/crashmc_main.cc drives it from the RIO_MC_* knobs (see
+ * knobTable() in harness/hconfig.cc).
  */
 
 #ifndef RIO_HARNESS_CRASHMC_HH
@@ -107,33 +105,34 @@ struct McEvent
     u64 addr = 0; ///< Physical address, or start sector (DiskFlush).
 };
 
+/** Plain values; crashmc_main reads its knobs via crashMcConfigFromEnv. */
 struct CrashMcConfig
 {
-    u64 seed = envU64("RIO_SEED", 1);
+    u64 seed = 1;
     /** memTest operations per bounded workload. */
-    u32 ops = envU32("RIO_MC_OPS", 12);
-    /** Worker threads; 0 = all hardware threads (RIO_MC_JOBS). */
-    u32 jobs = envU32("RIO_MC_JOBS", 0);
+    u32 ops = 12;
+    /** Worker threads; 0 = all hardware threads. */
+    u32 jobs = 0;
     /** hardened() restore when true, trusting() when false. */
-    bool hardened = envBool("RIO_MC_HARDENED", true);
+    bool hardened = true;
     /** RioOptions::shadowMetadata for the ShadowFlip workload;
      *  disabling it is the second deliberately-weakened arm. */
-    bool shadowMetadata = envBool("RIO_MC_SHADOW", true);
+    bool shadowMetadata = true;
     /** rio-nv: fit an NV region and mirror the registry into it for
      *  the ShadowFlip workload; every mirror store becomes an
-     *  enumerable crash point (RIO_MC_NV). */
-    bool nvBacked = envBool("RIO_MC_NV", false);
+     *  enumerable crash point. */
+    bool nvBacked = false;
     /** Journal workloads: commit-record checksums on. Turning this off
      *  is the journal's deliberately-weakened arm — combined with
-     *  tornCommit it must demonstrably fail (RIO_MC_JCHECKSUM). */
-    bool journalChecksum = envBool("RIO_MC_JCHECKSUM", true);
+     *  tornCommit it must demonstrably fail. */
+    bool journalChecksum = true;
     /** Journal workloads: between the modeled crash and the reboot,
      *  scramble one committed transaction's payload while its commit
      *  record survives — the torn-commit window a strict-FIFO sim
-     *  disk cannot produce on its own (RIO_MC_TORN). */
-    bool tornCommit = envBool("RIO_MC_TORN", false);
-    /** Live progress line on stderr (RIO_MC_PROGRESS). */
-    bool progress = envBool("RIO_MC_PROGRESS", false);
+     *  disk cannot produce on its own. */
+    bool tornCommit = false;
+    /** Live progress line on stderr. */
+    bool progress = false;
 };
 
 /** Outcome of replaying one crash point. */

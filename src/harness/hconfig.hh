@@ -1,50 +1,21 @@
 /**
  * @file
- * Harness configuration: experiment scales and environment-variable
- * overrides, so the same binaries run at CI speed by default and at
- * paper scale on demand.
+ * Harness configuration: experiment scales and the RIO_* environment
+ * knobs, so the same binaries run at CI speed by default and at paper
+ * scale on demand.
  *
- *   RIO_SEED         campaign seed                (default 1)
- *   RIO_T1_CRASHES   crashes per Table 1 cell     (default 50)
- *   RIO_T1_WINDOW_S  crash observation window     (default 10 s)
- *   RIO_T1_JOBS      worker threads for campaign  (unset = all
- *                    hardware threads; explicit values must be >= 1);
- *                    also drives the Table 2 preset sweep and the
- *                    ablation macro loops
- *   RIO_T1_JSON      directory for table1.json + trials.jsonl
- *                    (default: unset = no structured output; the
- *                    table1_reliability bench defaults it to ".")
- *   RIO_T1_PROGRESS  live progress line on stderr (default 0)
- *   RIO_T1_POSTCRASH post-crash corruption-stage intensity for the
- *                    Rio systems (default 0 = off; 1.0 = the
- *                    ablation_recovery default)
- *   RIO_T1_HARDENED  hardened RestorePolicy for warm reboot
- *                    (default 1; 0 = pre-hardening trusting restore)
- *   RIO_T1_LOCKDEP   lockdep rank validator on the kernel lock
- *                    table (default 1; results are byte-identical
- *                    either way)
- *   RIO_DISKFAULT_INTENSITY
- *                    faulty-disk model intensity for the campaign
- *                    (default 0 = pristine device; 1.0 = the
- *                    fault/diskfault.hh default rates)
- *   RIO_DISKFAULT_DOUBLECRASH
- *                    probability that a crashed trial suffers a
- *                    second crash during recovery, uniform over
- *                    recovery phases (default 0 = off)
- *   RIO_DISKFAULT_RETRY
- *                    bounded retry/remap discipline in the OS I/O
- *                    path (default 1; 0 = paper-era assume-success)
- *   RIO_DISKFAULT_REENTRANT
- *                    checkpointed, resumable warm reboot
- *                    (default 1; 0 = single-shot recovery)
- *   RIO_PERF_MB      cp+rm source tree megabytes  (default 40)
- *   RIO_VERBOSE      print per-run details        (default 0)
+ * Every knob is declared once, in knobTable() (hconfig.cc), with the
+ * binaries that read it, its defaults and a line of help. The config
+ * structs (CampaignConfig, CrashMcConfig, PerfConfig) are plain
+ * values: only the binaries that document a knob read it, through
+ * the readers below, so a test, an ablation or an example gets
+ * exactly the config it writes.
  *
- * A knob that is set must parse cleanly: numbers are plain decimals
- * with nothing after them that fit the field they fill (after any
+ * A binary that reads a knob first rejects every RIO_ variable the
+ * table does not name. A knob that is set must parse cleanly:
+ * numbers are plain decimals that fit the field they fill (after any
  * scaling to nanoseconds or bytes), switches are exactly 0 or 1.
- * Anything else throws when the config is built, instead of running
- * a vacuous experiment.
+ * Anything else throws instead of running a vacuous experiment.
  *
  * Same seed + same config produce bit-identical campaign results and
  * JSONL records at any RIO_T1_JOBS value: every trial derives its
@@ -59,6 +30,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <span>
 #include <stdexcept>
 #include <string>
 
@@ -67,6 +39,32 @@
 
 namespace rio::harness
 {
+
+struct CampaignConfig;
+struct CrashMcConfig;
+struct PerfConfig;
+
+struct Knob
+{
+    const char *name;
+    const char *readBy;   ///< The binaries that read it.
+    const char *defaults; ///< Per binary where they differ.
+    const char *help;
+};
+
+/** Every knob any binary reads. */
+std::span<const Knob> knobTable();
+
+/** Throw std::invalid_argument naming the first RIO_ variable in the
+ *  environment that knobTable() does not declare. */
+void rejectUnknownKnobs();
+
+/** @{ rejectUnknownKnobs(), then one config's knobs applied over its
+ *  defaults. */
+CampaignConfig campaignConfigFromEnv();
+CrashMcConfig crashMcConfigFromEnv();
+PerfConfig perfConfigFromEnv();
+/** @} */
 
 /**
  * @{ Environment knobs. Unset (or empty) uses the fallback; anything

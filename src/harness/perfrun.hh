@@ -34,20 +34,21 @@ struct PerfRow
     }
 };
 
+/** Plain values; table2_performance reads its knobs via
+ *  perfConfigFromEnv. */
 struct PerfConfig
 {
-    u64 seed = envU64("RIO_SEED", 1);
+    u64 seed = 1;
     /** cp+rm source tree size (paper: 40 MB). */
-    u64 cprmBytes = envScaled("RIO_PERF_MB", 40, 1ull << 20);
+    u64 cprmBytes = 40ull << 20;
     u32 sdetScripts = 5;
     /** Andrew scale: number of source files. */
     u32 andrewFiles = 50;
-    bool verbose = envBool("RIO_VERBOSE", false);
+    bool verbose = false;
     /** Worker threads for the preset sweep; 0 = all hardware
-     *  threads. Shares the campaign's RIO_T1_JOBS knob: each preset
-     *  row is an independent machine, so the sweep fans out the same
-     *  way the crash campaign does. */
-    u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
+     *  threads. Each preset row is an independent machine, so the
+     *  sweep fans out the same way the crash campaign does. */
+    u32 jobs = 0;
 };
 
 class PerfRun

@@ -147,12 +147,6 @@ trialToJson(const TrialRecord &record)
     return out;
 }
 
-void
-JsonlSink::onTrial(const TrialRecord &record)
-{
-    out_ << trialToJson(record) << '\n';
-}
-
 std::string
 campaignToJson(const CampaignResult &result,
                const CampaignConfig &config,
@@ -163,7 +157,7 @@ campaignToJson(const CampaignResult &result,
     out += "  \"seed\": " + num(config.seed) + ",\n";
     out += "  \"trialsPerCell\": " + num(config.crashesPerCell) +
            ",\n";
-    out += "  \"faultsPerRun\": " + num(config.faultsPerRun) + ",\n";
+    out += "  \"faultsPerRun\": " + num(kFaultsPerRun) + ",\n";
     out += "  \"observationNs\": " + num(config.observationNs) +
            ",\n";
     out += "  \"postCrashIntensity\": " +
@@ -179,10 +173,10 @@ campaignToJson(const CampaignResult &result,
             out += ", ";
         firstSystem = false;
         out += "{\"name\": \"" + jsonEscape(systemKindName(kind)) +
-               "\", \"crashes\": " + num(result.totalCrashes(kind)) +
+               "\", \"crashes\": " + num(result.total(kind).crashes) +
                ", \"corruptions\": " +
-               num(result.totalCorruptions(kind)) +
-               ", \"saveRuns\": " + num(result.totalSaves(kind)) +
+               num(result.total(kind).corruptions) +
+               ", \"saveRuns\": " + num(result.total(kind).savesRuns) +
                "}";
     }
     out += "],\n";

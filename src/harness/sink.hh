@@ -1,8 +1,8 @@
 /**
  * @file
- * Structured observability for the crash campaign: a sink interface
- * fed one record per trial, a JSONL writer for those records, and a
- * machine-readable summary (`table1.json`) mirroring the text table.
+ * Structured observability for the crash campaign: one record per
+ * trial, its JSONL line, and a machine-readable summary
+ * (`table1.json`) mirroring the text table.
  *
  * Records are emitted in deterministic (cell-major, trial-minor)
  * order after the parallel merge, never in completion order, so a
@@ -14,10 +14,8 @@
 #ifndef RIO_HARNESS_SINK_HH
 #define RIO_HARNESS_SINK_HH
 
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/types.hh"
 
@@ -27,29 +25,22 @@ namespace rio::harness
 struct CampaignConfig;
 struct CampaignResult;
 
-/** Everything recorded about one (system, fault, trial) task. */
-struct TrialRecord
+/** What a crashed attempt came to, as its JSONL record reports it:
+ *  runOne fills it for every attempt (CrashRunResult), and a trial's
+ *  TrialRecord takes it whole from the attempt that crashed. */
+struct TrialOutcome
 {
-    u32 system = 0; ///< SystemKind index.
-    u32 fault = 0;  ///< FaultType index.
-    u32 trial = 0;  ///< Trial index within the cell.
-
-    u64 trialSeed = 0; ///< Pure derivation; see trialSeed().
-    u64 crashSeed = 0; ///< Seed of the attempt that crashed (0: none).
-    u32 attempts = 0;
-    u32 discards = 0;
-
     bool crashed = false;
     bool corrupt = false;
-    bool checksumDetected = false;
-    bool memtestDetected = false;
+    bool checksumDetected = false; ///< Direct corruption (registry).
+    bool memtestDetected = false;  ///< Replay comparison failed.
     u32 cause = 0; ///< sim::CrashCause index (valid when crashed).
-    SimNs crashAfterNs = 0;
+    SimNs crashAfterNs = 0; ///< Time from first injection to crash.
     u64 corruptFiles = 0;
     u64 protectionSaves = 0;
 
-    /** @{ Warm-reboot recovery accounting (core::RecoveryReport);
-     *  meaningful for the Rio systems only. */
+    /** @{ Warm-reboot recovery accounting of the final pass
+     *  (core::RecoveryReport); meaningful for the Rio systems only. */
     bool dumpOk = true;
     u64 metadataQuarantined = 0;
     u64 duplicateClaims = 0;
@@ -89,7 +80,7 @@ struct TrialRecord
     /** @} */
 
     /** @{ Intermittent-power dimension: emitted only for power-cycle
-     *  trials (RIO_T1_POWERCYCLE > 0). */
+     *  trials (CampaignConfig::powerCycleOps > 0). */
     bool powerCycleMode = false;
     u32 powerCycles = 0; ///< Power-loss crashes survived.
     u64 workloadOps = 0; ///< memTest ops finished across cycles.
@@ -98,42 +89,22 @@ struct TrialRecord
 
     std::string message;
 
+    bool operator==(const TrialOutcome &) const = default;
+};
+
+/** Everything recorded about one (system, fault, trial) task. */
+struct TrialRecord : TrialOutcome
+{
+    u32 system = 0; ///< SystemKind index.
+    u32 fault = 0;  ///< FaultType index.
+    u32 trial = 0;  ///< Trial index within the cell.
+
+    u64 trialSeed = 0; ///< Pure derivation; see trialSeed().
+    u64 crashSeed = 0; ///< Seed of the attempt that crashed (0: none).
+    u32 attempts = 0;
+    u32 discards = 0;
+
     bool operator==(const TrialRecord &) const = default;
-};
-
-/** Receives merged trial records in deterministic order. */
-class CampaignSink
-{
-  public:
-    virtual ~CampaignSink() = default;
-    virtual void onTrial(const TrialRecord &record) = 0;
-};
-
-/** One JSON object per line, in trial order. */
-class JsonlSink : public CampaignSink
-{
-  public:
-    explicit JsonlSink(std::ostream &out) : out_(out) {}
-    void onTrial(const TrialRecord &record) override;
-
-  private:
-    std::ostream &out_;
-};
-
-/** Fans each record out to several sinks. */
-class MultiSink : public CampaignSink
-{
-  public:
-    void add(CampaignSink &sink) { sinks_.push_back(&sink); }
-    void
-    onTrial(const TrialRecord &record) override
-    {
-        for (CampaignSink *sink : sinks_)
-            sink->onTrial(record);
-    }
-
-  private:
-    std::vector<CampaignSink *> sinks_;
 };
 
 /** Wall-clock accounting for one runAll() (host time, not sim). */

@@ -68,8 +68,6 @@ retryOp(sim::Disk &disk, SectorNo start, u64 count,
     const u32 budget = std::max(policy.maxAttempts, 1u);
     while (out.status != sim::DiskStatus::Ok && attempts < budget) {
         if (out.status == sim::DiskStatus::BadSector) {
-            if (!policy.remapOnBadSector)
-                return out;
             const u32 remapped = remapBadRange(disk, start, count);
             out.remaps += remapped;
             if (remapped == 0)

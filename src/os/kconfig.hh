@@ -111,8 +111,6 @@ struct IoRetryPolicy
     u32 maxAttempts = 4;
     /** Backoff before the first retry; doubles on each further one. */
     SimNs backoffNs = 2'000'000;
-    /** Remap latently-bad sectors onto spares, then retry. */
-    bool remapOnBadSector = true;
 };
 
 struct KernelConfig

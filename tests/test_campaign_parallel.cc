@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_set>
 #include <vector>
@@ -175,19 +174,6 @@ TEST(WorkerPoolTest, FirstOfSeveralErrorsIsReported)
 namespace
 {
 
-/** Captures the merged record stream for comparison. */
-class RecordingSink : public CampaignSink
-{
-  public:
-    void
-    onTrial(const TrialRecord &record) override
-    {
-        records.push_back(record);
-    }
-
-    std::vector<TrialRecord> records;
-};
-
 CampaignConfig
 reducedConfig(u64 seed, u32 jobs)
 {
@@ -197,8 +183,6 @@ reducedConfig(u64 seed, u32 jobs)
     config.crashesPerCell = 3;
     config.maxAttemptsPerCrash = 4;
     config.observationNs = 2 * sim::kNsPerSec;
-    config.progress = false;
-    config.verbose = false;
     config.systems = {SystemKind::DiskWriteThrough,
                       SystemKind::RioNoProtection};
     config.faults = {fault::FaultType::PointerCorruption,
@@ -221,17 +205,10 @@ runReduced(const CampaignConfig &config)
 {
     CrashCampaign campaign(config);
 
-    std::ostringstream jsonl;
-    JsonlSink jsonlSink(jsonl);
-    RecordingSink recorder;
-    MultiSink sinks;
-    sinks.add(jsonlSink);
-    sinks.add(recorder);
-
     CampaignOutput out;
-    out.result = campaign.runAll(&sinks);
-    out.records = std::move(recorder.records);
-    out.jsonl = jsonl.str();
+    out.result = campaign.runAll(&out.records);
+    for (const TrialRecord &record : out.records)
+        out.jsonl += trialToJson(record) + '\n';
     out.table = CrashCampaign::renderTable1(out.result, config);
     out.json = campaignToJson(out.result, config, nullptr);
     return out;
@@ -344,9 +321,9 @@ TEST(CampaignParallel, TrialRecordReplaysWithRecordedSeed)
     // workflow documented in docs/TUTORIAL.md.
     const CampaignConfig config = reducedConfig(42, 2);
     CrashCampaign campaign(config);
-    RecordingSink recorder;
-    campaign.runAll(&recorder);
-    for (const TrialRecord &record : recorder.records) {
+    std::vector<TrialRecord> records;
+    campaign.runAll(&records);
+    for (const TrialRecord &record : records) {
         if (!record.crashed)
             continue;
         const auto replay = campaign.runOne(

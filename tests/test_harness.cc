@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <set>
+
 #include "harness/crashcampaign.hh"
 #include "harness/crashmc.hh"
 #include "harness/perfrun.hh"
@@ -247,11 +253,13 @@ TEST(EnvStrict, U64WithoutMinimumStillRejectsGarbage)
     // The knobs that used to run a vacuous campaign or enumeration.
     {
         EnvGuard guard("RIO_T1_CRASHES", "abc");
-        EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument);
+        EXPECT_THROW(harness::campaignConfigFromEnv(),
+                     std::invalid_argument);
     }
     {
         EnvGuard guard("RIO_MC_OPS", "four");
-        EXPECT_THROW(harness::CrashMcConfig{}, std::invalid_argument);
+        EXPECT_THROW(harness::crashMcConfigFromEnv(),
+                     std::invalid_argument);
     }
 }
 
@@ -273,7 +281,7 @@ TEST(EnvStrict, BoolAcceptsOnlyZeroOrOne)
     }
     // "false" used to select the hardened arm it meant to turn off.
     EnvGuard guard("RIO_MC_HARDENED", "false");
-    EXPECT_THROW(harness::CrashMcConfig{}, std::invalid_argument);
+    EXPECT_THROW(harness::crashMcConfigFromEnv(), std::invalid_argument);
 }
 
 TEST(EnvStrict, F64RejectsTrailingGarbageAndNonFinite)
@@ -296,13 +304,14 @@ TEST(EnvStrict, CampaignConfigRejectsZeroJobs)
     // RIO_T1_JOBS=0 must fail loudly at config construction instead
     // of silently running the campaign single-threaded (or worse).
     EnvGuard guard("RIO_T1_JOBS", "0");
-    EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument);
+    EXPECT_THROW(harness::campaignConfigFromEnv(), std::invalid_argument);
 }
 
 TEST(EnvStrict, CampaignConfigAcceptsUnsetJobs)
 {
     ::unsetenv("RIO_T1_JOBS");
-    harness::CampaignConfig config;
+    const harness::CampaignConfig config =
+        harness::campaignConfigFromEnv();
     EXPECT_EQ(config.jobs, 0u); // 0 = "use all hardware threads".
 }
 
@@ -313,17 +322,20 @@ TEST(EnvStrict, NarrowedKnobsRejectValuesAboveU32)
     for (const char *knob :
          {"RIO_T1_CRASHES", "RIO_T1_JOBS", "RIO_T1_POWERCYCLES"}) {
         EnvGuard guard(knob, "4294967296");
-        EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument)
+        EXPECT_THROW(harness::campaignConfigFromEnv(),
+                     std::invalid_argument)
             << knob;
     }
     for (const char *knob : {"RIO_MC_OPS", "RIO_MC_JOBS"}) {
         EnvGuard guard(knob, "4294967296");
-        EXPECT_THROW(harness::CrashMcConfig{}, std::invalid_argument)
+        EXPECT_THROW(harness::crashMcConfigFromEnv(),
+                     std::invalid_argument)
             << knob;
     }
     {
         EnvGuard guard("RIO_T1_JOBS", "4294967296");
-        EXPECT_THROW(harness::PerfConfig{}, std::invalid_argument);
+        EXPECT_THROW(harness::perfConfigFromEnv(),
+                     std::invalid_argument);
     }
     {
         // The bench-local trial counts go through the same reader.
@@ -332,7 +344,8 @@ TEST(EnvStrict, NarrowedKnobsRejectValuesAboveU32)
                      std::invalid_argument);
     }
     EnvGuard guard("RIO_T1_CRASHES", "4294967295");
-    EXPECT_EQ(harness::CampaignConfig{}.crashesPerCell, 4294967295u);
+    EXPECT_EQ(harness::campaignConfigFromEnv().crashesPerCell,
+              4294967295u);
 }
 
 TEST(EnvStrict, ScaledKnobsRejectValuesThatWrap)
@@ -340,19 +353,164 @@ TEST(EnvStrict, ScaledKnobsRejectValuesThatWrap)
     // 18446744074 s used to wrap the observation window to 0.29 s.
     {
         EnvGuard guard("RIO_T1_WINDOW_S", "18446744074");
-        EXPECT_THROW(harness::CampaignConfig{}, std::invalid_argument);
+        EXPECT_THROW(harness::campaignConfigFromEnv(),
+                     std::invalid_argument);
     }
     {
         // 2^44 MiB used to shift to a 0-byte cp+rm tree.
         EnvGuard guard("RIO_PERF_MB", "17592186044416");
-        EXPECT_THROW(harness::PerfConfig{}, std::invalid_argument);
+        EXPECT_THROW(harness::perfConfigFromEnv(),
+                     std::invalid_argument);
     }
     // The largest values that fit still parse.
     {
         EnvGuard guard("RIO_T1_WINDOW_S", "18446744073");
-        EXPECT_EQ(harness::CampaignConfig{}.observationNs,
+        EXPECT_EQ(harness::campaignConfigFromEnv().observationNs,
                   18446744073ull * sim::kNsPerSec);
     }
     EnvGuard guard("RIO_PERF_MB", "17592186044415");
-    EXPECT_EQ(harness::PerfConfig{}.cprmBytes, 17592186044415ull << 20);
+    EXPECT_EQ(harness::perfConfigFromEnv().cprmBytes,
+              17592186044415ull << 20);
+}
+
+TEST(EnvStrict, ConfigsIgnoreTheEnvironment)
+{
+    // Knobs a shell may carry over from another experiment: none of
+    // them may reach a config that a test, ablation or example builds
+    // itself. RIO_T1_POSTCRASH=1.0 used to fail
+    // PowerCycle.RunsTheOutageBudgetAndRecoversClean, and
+    // RIO_MC_SHADOW=0 NvCrashMc.EveryShadowFlipPointRecoversWithTheMirror.
+    std::deque<EnvGuard> hostile;
+    for (const auto &[name, value] :
+         std::initializer_list<std::pair<const char *, const char *>>{
+             {"RIO_SEED", "9"},
+             {"RIO_T1_CRASHES", "3"},
+             {"RIO_T1_WINDOW_S", "2"},
+             {"RIO_VERBOSE", "1"},
+             {"RIO_T1_JOBS", "2"},
+             {"RIO_T1_PROGRESS", "1"},
+             {"RIO_T1_JSON", "out"},
+             {"RIO_T1_POSTCRASH", "1.0"},
+             {"RIO_T1_HARDENED", "0"},
+             {"RIO_T1_IDLEFLUSH_NS", "5"},
+             {"RIO_DISKFAULT_INTENSITY", "1.0"},
+             {"RIO_DISKFAULT_DOUBLECRASH", "0.5"},
+             {"RIO_DISKFAULT_RETRY", "0"},
+             {"RIO_DISKFAULT_REENTRANT", "0"},
+             {"RIO_NV_FAULT", "1.0"},
+             {"RIO_T1_POWERCYCLE", "1000"},
+             {"RIO_T1_POWERCYCLES", "1"},
+             {"RIO_T1_NV", "1"},
+             {"RIO_MC_OPS", "4"},
+             {"RIO_MC_JOBS", "2"},
+             {"RIO_MC_HARDENED", "0"},
+             {"RIO_MC_SHADOW", "0"},
+             {"RIO_MC_NV", "1"},
+             {"RIO_MC_JCHECKSUM", "0"},
+             {"RIO_MC_TORN", "1"},
+             {"RIO_MC_PROGRESS", "1"},
+             {"RIO_PERF_MB", "2"},
+         })
+        hostile.emplace_back(name, value);
+
+    const harness::CampaignConfig campaign;
+    EXPECT_EQ(campaign.seed, 1u);
+    EXPECT_EQ(campaign.crashesPerCell, 50u);
+    EXPECT_EQ(campaign.observationNs, 10 * sim::kNsPerSec);
+    EXPECT_FALSE(campaign.verbose);
+    EXPECT_EQ(campaign.jobs, 0u);
+    EXPECT_FALSE(campaign.progress);
+    EXPECT_EQ(campaign.jsonDir, "");
+    EXPECT_EQ(campaign.postCrashIntensity, 0.0);
+    EXPECT_TRUE(campaign.hardenedRecovery);
+    EXPECT_EQ(campaign.rioIdleFlushNs, 0u);
+    EXPECT_EQ(campaign.diskFaultIntensity, 0.0);
+    EXPECT_EQ(campaign.doubleCrashRate, 0.0);
+    EXPECT_TRUE(campaign.ioRetryEnabled);
+    EXPECT_TRUE(campaign.reentrantRecovery);
+    EXPECT_EQ(campaign.nvFaultIntensity, 0.0);
+    EXPECT_EQ(campaign.powerCycleOps, 0u);
+    EXPECT_EQ(campaign.powerCycles, 3u);
+    EXPECT_EQ(campaign.systems.size(), 3u);
+
+    const harness::CrashMcConfig mc;
+    EXPECT_EQ(mc.seed, 1u);
+    EXPECT_EQ(mc.ops, 12u);
+    EXPECT_EQ(mc.jobs, 0u);
+    EXPECT_TRUE(mc.hardened);
+    EXPECT_TRUE(mc.shadowMetadata);
+    EXPECT_FALSE(mc.nvBacked);
+    EXPECT_TRUE(mc.journalChecksum);
+    EXPECT_FALSE(mc.tornCommit);
+    EXPECT_FALSE(mc.progress);
+
+    const harness::PerfConfig perf;
+    EXPECT_EQ(perf.seed, 1u);
+    EXPECT_EQ(perf.cprmBytes, 40ull << 20);
+    EXPECT_FALSE(perf.verbose);
+    EXPECT_EQ(perf.jobs, 0u);
+
+    // The readers do see the same environment.
+    const harness::CampaignConfig read = harness::campaignConfigFromEnv();
+    EXPECT_EQ(read.seed, 9u);
+    EXPECT_EQ(read.postCrashIntensity, 1.0);
+    EXPECT_EQ(read.systems.size(), 4u);
+    EXPECT_FALSE(harness::crashMcConfigFromEnv().shadowMetadata);
+    EXPECT_EQ(harness::perfConfigFromEnv().cprmBytes, 2ull << 20);
+}
+
+TEST(EnvStrict, UnknownKnobIsRejected)
+{
+    // A typo of RIO_T1_CRASHES used to run 50 crashes per cell.
+    EnvGuard guard("RIO_T1_CRASH", "5");
+    try {
+        harness::campaignConfigFromEnv();
+        FAIL() << "RIO_T1_CRASH did not throw";
+    } catch (const std::invalid_argument &error) {
+        EXPECT_NE(std::string(error.what()).find("RIO_T1_CRASH"),
+                  std::string::npos);
+    }
+    EXPECT_THROW(harness::crashMcConfigFromEnv(), std::invalid_argument);
+    EXPECT_THROW(harness::perfConfigFromEnv(), std::invalid_argument);
+    EXPECT_THROW(harness::rejectUnknownKnobs(), std::invalid_argument);
+    ::unsetenv("RIO_T1_CRASH");
+    EXPECT_NO_THROW(harness::rejectUnknownKnobs());
+}
+
+TEST(EnvStrict, EveryKnobInTheSourceIsInTheTable)
+{
+    // Every "RIO_..." literal under src/, bench/ and examples/ names a
+    // knob of knobTable(), each declared once and read somewhere
+    // besides its declaration.
+    std::map<std::string, int> literals;
+    for (const char *dir : {"src", "bench", "examples"}) {
+        for (const auto &entry :
+             std::filesystem::recursive_directory_iterator(
+                 std::filesystem::path(RIO_SOURCE_ROOT) / dir)) {
+            const std::string ext = entry.path().extension().string();
+            if (ext != ".cc" && ext != ".hh" && ext != ".cpp")
+                continue;
+            std::ifstream in(entry.path());
+            const std::string text{std::istreambuf_iterator<char>(in),
+                                   std::istreambuf_iterator<char>()};
+            for (std::size_t at = text.find("\"RIO_");
+                 at != std::string::npos; at = text.find("\"RIO_", at + 1)) {
+                const std::size_t end = text.find_first_not_of(
+                    "ABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_", at + 5);
+                if (end > at + 5 && end != std::string::npos &&
+                    text[end] == '"')
+                    ++literals[text.substr(at + 1, end - at - 1)];
+            }
+        }
+    }
+    std::set<std::string> declared;
+    for (const harness::Knob &knob : harness::knobTable()) {
+        EXPECT_TRUE(declared.insert(knob.name).second)
+            << knob.name << " is declared twice";
+        EXPECT_GE(literals[knob.name], 2)
+            << knob.name << " is declared but never read";
+    }
+    for (const auto &[name, count] : literals)
+        EXPECT_TRUE(declared.contains(name))
+            << name << " is read but missing from knobTable()";
 }

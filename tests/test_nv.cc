@@ -352,8 +352,6 @@ TEST(PowerCycle, RunsTheOutageBudgetAndRecoversClean)
     config.powerCycleOps = 400;
     config.powerCycles = 2;
     config.observationNs = 600 * sim::kNsPerSec;
-    config.progress = false;
-    config.verbose = false;
     harness::CrashCampaign campaign(config);
 
     const auto record = campaign.runTrial(
@@ -407,8 +405,6 @@ TEST(NvSink, NvKnobsDoNotPerturbANonNvTrial)
     // nothing and emits nothing.
     harness::CampaignConfig plain;
     plain.seed = 11;
-    plain.progress = false;
-    plain.verbose = false;
     harness::CampaignConfig knobbed = plain;
     knobbed.nvFaultIntensity = 1.0;
 
@@ -435,7 +431,6 @@ TEST(NvCrashMc, EveryShadowFlipPointRecoversWithTheMirror)
     config.ops = 3;
     config.hardened = true;
     config.nvBacked = true;
-    config.progress = false;
     harness::CrashMc checker(config);
 
     const auto result =

@@ -23,43 +23,12 @@ using namespace rio::harness;
 namespace
 {
 
-/** Every trial-shaping field set explicitly, so no RIO_* variable in
- *  the test environment can move the pinned bytes. */
-CampaignConfig
-pinnedConfig()
-{
-    CampaignConfig config;
-    config.seed = 1;
-    config.faultsPerRun = 20;
-    config.injectSpacingNs = 100'000'000;
-    config.observationNs = 10 * sim::kNsPerSec;
-    config.maxAttemptsPerCrash = 25;
-    config.backgroundAndrew = true;
-    config.andrewCopies = 4;
-    config.verbose = false;
-    config.progress = false;
-    config.postCrashIntensity = 0.0;
-    config.hardenedRecovery = true;
-    config.postCrashNvRepairable = false;
-    config.rioIdleFlushNs = 0;
-    config.diskFaultIntensity = 0.0;
-    config.doubleCrashRate = 0.0;
-    config.ioRetryEnabled = true;
-    config.reentrantRecovery = true;
-    config.maxRecoveryPasses = 4;
-    config.lockdep = true;
-    config.nvFaultIntensity = 0.0;
-    config.powerCycleOps = 0;
-    config.powerCycles = 3;
-    return config;
-}
-
 /** The intermittent-power setting of
  *  PowerCycle.RunsTheOutageBudgetAndRecoversClean. */
 CampaignConfig
 powerCycleConfig()
 {
-    CampaignConfig config = pinnedConfig();
+    CampaignConfig config;
     config.seed = 7;
     config.powerCycleOps = 400;
     config.powerCycles = 2;
@@ -78,7 +47,7 @@ trialJson(const CampaignConfig &config, SystemKind kind,
 
 TEST(GoldenTrial, DiskBased)
 {
-    EXPECT_EQ(trialJson(pinnedConfig(), SystemKind::DiskWriteThrough,
+    EXPECT_EQ(trialJson(CampaignConfig{}, SystemKind::DiskWriteThrough,
                         fault::FaultType::PointerCorruption, 0),
               "{\"system\":\"Disk-based\",\"systemIndex\":0"
               ",\"fault\":\"pointer\",\"faultIndex\":8,\"trial\":0"
@@ -105,7 +74,7 @@ TEST(GoldenTrial, DiskBased)
 
 TEST(GoldenTrial, RioWithProtection)
 {
-    EXPECT_EQ(trialJson(pinnedConfig(), SystemKind::RioWithProtection,
+    EXPECT_EQ(trialJson(CampaignConfig{}, SystemKind::RioWithProtection,
                         fault::FaultType::CopyOverrun, 0),
               "{\"system\":\"Rio w/ protection\",\"systemIndex\":2"
               ",\"fault\":\"copy overrun\",\"faultIndex\":10"
@@ -131,7 +100,7 @@ TEST(GoldenTrial, RioWithProtection)
 
 TEST(GoldenTrial, PostCrashCorruption)
 {
-    CampaignConfig config = pinnedConfig();
+    CampaignConfig config;
     config.postCrashIntensity = 1.0;
     EXPECT_EQ(trialJson(config, SystemKind::RioNoProtection,
                         fault::FaultType::BitFlipHeap, 0),
@@ -160,7 +129,7 @@ TEST(GoldenTrial, PostCrashCorruption)
 
 TEST(GoldenTrial, DiskFaultsWithDoubleCrash)
 {
-    CampaignConfig config = pinnedConfig();
+    CampaignConfig config;
     config.diskFaultIntensity = 1.0;
     config.doubleCrashRate = 0.5;
     EXPECT_EQ(trialJson(config, SystemKind::RioWithProtection,
@@ -191,7 +160,7 @@ TEST(GoldenTrial, DiskFaultsWithDoubleCrash)
 
 TEST(GoldenTrial, RioNvClassic)
 {
-    EXPECT_EQ(trialJson(pinnedConfig(), SystemKind::RioNvProtected,
+    EXPECT_EQ(trialJson(CampaignConfig{}, SystemKind::RioNvProtected,
                         fault::FaultType::PointerCorruption, 0),
               "{\"system\":\"Rio w/ NV registry\",\"systemIndex\":3"
               ",\"fault\":\"pointer\",\"faultIndex\":8,\"trial\":0"
