@@ -93,14 +93,13 @@ BM_Checksum32Image(benchmark::State &state)
 }
 BENCHMARK(BM_Checksum32Image);
 
-/** Arg 0 turns the MemBus translation cache off, Arg 1 leaves it on. */
+/** A checked store to the UBC through the TLB (Rio's mapKseg mode). */
 static void
 BM_KsegTranslatedStore(benchmark::State &state)
 {
     sim::Machine machine(machineConfig());
     machine.pageTable().initIdentity();
     machine.cpu().setMapKsegThroughTlb(true);
-    machine.bus().setTranslationCache(state.range(0) != 0);
     const Addr ubc =
         machine.mem().region(sim::RegionKind::UbcPool).base;
     u64 i = 0;
@@ -110,7 +109,7 @@ BM_KsegTranslatedStore(benchmark::State &state)
         ++i;
     }
 }
-BENCHMARK(BM_KsegTranslatedStore)->Arg(0)->Arg(1);
+BENCHMARK(BM_KsegTranslatedStore);
 
 static void
 BM_DiskQueuedWrite(benchmark::State &state)

@@ -77,6 +77,8 @@ constexpr Knob kKnobs[] = {
     {"RIO_ABL_MB", "ablation_protection", "8", "cp+rm tree in MiB"},
     {"RIO_ABL_OPS", "ablation_registry", "20000", "ops per arm"},
     {"RIO_ABL_TRIALS", "ablation_shadow", "40", "trials per arm"},
+    {"RIO_FUZZ_PROFILE", "rio_tests", "unset",
+     "set: RegistryFuzz prints per-seed damage and verdict counts"},
 };
 
 } // namespace

@@ -33,24 +33,23 @@ makeDirent(std::span<u8> slot, std::string_view name, InodeNo ino,
         {reinterpret_cast<const u8 *>(name.data()), name.size()});
 }
 
+/** A parsed slot. @c name views the slot's bytes in place, so it
+ * is valid only until the scan refills the buffer it points into. */
 struct RawDirent
 {
     InodeNo ino;
     FileType type;
-    std::string name;
+    std::string_view name;
 };
 
 RawDirent
 parseDirent(std::span<const u8> slot)
 {
-    RawDirent entry;
-    entry.ino = support::loadLE<u32>(slot, 0);
-    entry.type = static_cast<FileType>(slot[4]);
     const u8 len = std::min<u8>(slot[5],
                                 static_cast<u8>(Ufs::kNameMax));
-    entry.name.assign(
-        reinterpret_cast<const char *>(slot.data() + 6), len);
-    return entry;
+    return {support::loadLE<u32>(slot, 0),
+            static_cast<FileType>(slot[4]),
+            {reinterpret_cast<const char *>(slot.data() + 6), len}};
 }
 
 /** Split an absolute path into components. */
@@ -278,12 +277,12 @@ Ufs::dirList(InodeNo dir)
         buf_.brelse(ref);
         for (u64 off = 0; off + kDirentSize <= bytes;
              off += kDirentSize) {
-            RawDirent entry = parseDirent(
+            const RawDirent entry = parseDirent(
                 std::span<const u8>(scratch_).subspan(
                     off, kDirentSize));
             if (entry.ino != 0) {
                 out.push_back(
-                    {std::move(entry.name), entry.ino, entry.type});
+                    {std::string(entry.name), entry.ino, entry.type});
             }
         }
     }

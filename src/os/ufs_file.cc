@@ -133,6 +133,7 @@ u32
 Ufs::fillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys)
 {
     assert(dev == dev_);
+    (void)dev; // Only the assert reads it.
     auto inodeRes = iget(ino);
     if (!inodeRes.ok()) {
         machine_.crash(sim::CrashCause::ConsistencyCheck,
@@ -201,6 +202,7 @@ Ufs::spillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys,
                u32 validBytes, bool sync)
 {
     assert(dev == dev_);
+    (void)dev; // Only the assert reads it.
     (void)validBytes;
     auto inodeRes = iget(ino);
     if (!inodeRes.ok()) {

@@ -86,14 +86,6 @@ MemBus::translateMapped(Addr va, bool write, Addr orig)
     const Addr pa = (pte.pfn << kPageShift) | (va & (kPageSize - 1));
     if (pa >= mem_.size())
         machineCheck(orig); // Corrupted PTE redirected us off the end.
-
-    // Remember the translation for the inline fast path. Safe even
-    // for a read on a read-only page: the fast path re-checks the
-    // writable bit and falls back here for a faulting store.
-    tcVpn_ = vpn;
-    tcPaBase_ = pa & ~(kPageSize - 1);
-    tcWritable_ = pte.writable;
-    tcGen_ = tcEnabled_ ? tlb_.generation() : kTcInvalidGen;
     return pa;
 }
 

@@ -105,15 +105,10 @@ class MemBus
     /**
      * Translate @p va for a read or write access.
      *
-     * The common case — same page as the previous translation, no
-     * TLB change since — is served inline from a one-entry
-     * last-translation cache; everything else (TLB walk, faults,
-     * cache refill) lives in the out-of-line translateMapped(). The
-     * cache is keyed on the TLB generation counter, so TLB fills,
-     * invalidations and flushes (and therefore all protection
-     * changes, which always invalidate) implicitly invalidate it.
-     * The fast path charges the same stats as the TLB-hit slow path,
-     * keeping campaign results bit-identical at fixed seeds.
+     * A TLB hit whose PTE passes every check (valid, writable for a
+     * store, frame inside physical memory) is served inline with the
+     * same hit charge as the out-of-line translateMapped(), which
+     * handles TLB misses and raises every fault.
      *
      * @throws CrashException on machine check or protection fault.
      */
@@ -129,26 +124,16 @@ class MemBus
                 return mapped; // TLB bypass: no protection possible.
             }
         }
-        if (tcEnabled_ && tcGen_ == tlb_.generation() &&
-            (mapped >> kPageShift) == tcVpn_ &&
-            (!write || tcWritable_)) {
-            tlb_.noteHit();
-            return tcPaBase_ | (mapped & (kPageSize - 1));
+        if (const Pte *pte = tlb_.lookup(mapped >> kPageShift)) {
+            const Addr pa =
+                (pte->pfn << kPageShift) | (mapped & (kPageSize - 1));
+            if (pte->valid && (!write || pte->writable) &&
+                pa < mem_.size()) {
+                tlb_.noteHit();
+                return pa;
+            }
         }
         return translateMapped(mapped, write, va);
-    }
-
-    /**
-     * Enable/disable the last-translation cache (on by default). A
-     * test seam: TranslationCache.OnOffEquivalence proves results
-     * identical either way, and the store microbenchmark times both
-     * arms. Only host-side speed differs.
-     */
-    void
-    setTranslationCache(bool on)
-    {
-        tcEnabled_ = on;
-        tcGen_ = kTcInvalidGen;
     }
 
     /** Enable/disable the code-patching store checks. */
@@ -191,17 +176,6 @@ class MemBus
     EventHook hook_;
     bool codePatching_ = false;
     BusStats stats_;
-
-    /** @{ Last-translation cache (see translate()). Valid iff
-     * tcGen_ == tlb_.generation(); populated by translateMapped()
-     * after a translation passes every check. */
-    static constexpr u64 kTcInvalidGen = ~0ull;
-    bool tcEnabled_ = true;
-    u64 tcGen_ = kTcInvalidGen;
-    u64 tcVpn_ = 0;
-    Addr tcPaBase_ = 0;
-    bool tcWritable_ = false;
-    /** @} */
 };
 
 } // namespace rio::sim

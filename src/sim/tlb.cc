@@ -5,15 +5,6 @@ namespace rio::sim
 
 Tlb::Tlb() : entries_(kEntries) {}
 
-const Pte *
-Tlb::lookup(u64 vpn) const
-{
-    const Entry &entry = entries_[indexOf(vpn)];
-    if (entry.valid && entry.vpn == vpn)
-        return &entry.pte;
-    return nullptr;
-}
-
 void
 Tlb::fill(u64 vpn, const Pte &pte)
 {
@@ -21,17 +12,14 @@ Tlb::fill(u64 vpn, const Pte &pte)
     entry.valid = true;
     entry.vpn = vpn;
     entry.pte = pte;
-    ++generation_;
 }
 
 void
 Tlb::invalidatePage(u64 vpn)
 {
     Entry &entry = entries_[indexOf(vpn)];
-    if (entry.valid && entry.vpn == vpn) {
+    if (entry.vpn == vpn)
         entry.valid = false;
-        ++generation_;
-    }
 }
 
 void
@@ -39,7 +27,6 @@ Tlb::flushAll()
 {
     for (auto &entry : entries_)
         entry.valid = false;
-    ++generation_;
 }
 
 } // namespace rio::sim

@@ -30,7 +30,14 @@ class Tlb
      * Look up virtual page @p vpn.
      * @return Pointer to a cached PTE, or nullptr on miss.
      */
-    const Pte *lookup(u64 vpn) const;
+    const Pte *
+    lookup(u64 vpn) const
+    {
+        const Entry &entry = entries_[indexOf(vpn)];
+        if (entry.valid && entry.vpn == vpn)
+            return &entry.pte;
+        return nullptr;
+    }
 
     /** Install a translation after a page-table walk. */
     void fill(u64 vpn, const Pte &pte);
@@ -48,17 +55,6 @@ class Tlb
     void noteHit() { ++hits_; }
     void noteMiss() { ++misses_; }
 
-    /**
-     * Monotonic counter bumped whenever the set of cached
-     * translations changes (fill, invalidation, flush). MemBus keys
-     * its last-translation cache on this: if the generation is
-     * unchanged since the cache was populated, the TLB still holds
-     * the same entry for that VPN (evictions only happen via fill,
-     * which bumps it), so the cached translation is still what a TLB
-     * hit would return.
-     */
-    u64 generation() const { return generation_; }
-
   private:
     struct Entry
     {
@@ -72,7 +68,6 @@ class Tlb
     std::vector<Entry> entries_;
     u64 hits_ = 0;
     u64 misses_ = 0;
-    u64 generation_ = 0;
 };
 
 } // namespace rio::sim

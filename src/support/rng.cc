@@ -1,6 +1,8 @@
 #include "support/rng.hh"
 
+#include <bit>
 #include <cassert>
+#include <cstring>
 
 namespace rio::support
 {
@@ -17,12 +19,6 @@ splitMix64(u64 &state)
     return z ^ (z >> 31);
 }
 
-constexpr u64
-rotl(u64 x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 Rng::Rng(u64 seed)
@@ -30,20 +26,6 @@ Rng::Rng(u64 seed)
     u64 sm = seed;
     for (auto &word : state_)
         word = splitMix64(sm);
-}
-
-u64
-Rng::next()
-{
-    const u64 result = rotl(state_[1] * 5, 7) * 9;
-    const u64 t = state_[1] << 17;
-    state_[2] ^= state_[0];
-    state_[3] ^= state_[1];
-    state_[1] ^= state_[2];
-    state_[0] ^= state_[3];
-    state_[2] ^= t;
-    state_[3] = rotl(state_[3], 45);
-    return result;
 }
 
 u64
@@ -88,11 +70,13 @@ Rng::real()
 void
 Rng::fill(std::span<u8> out)
 {
+    // A word's memcpy lays down its bytes low to high only on a
+    // little-endian host, which is what keeps every fill identical.
+    static_assert(std::endian::native == std::endian::little);
     std::size_t i = 0;
-    while (i + 8 <= out.size()) {
+    for (; i + 8 <= out.size(); i += 8) {
         const u64 word = next();
-        for (int b = 0; b < 8; ++b)
-            out[i++] = static_cast<u8>(word >> (8 * b));
+        std::memcpy(out.data() + i, &word, sizeof(word));
     }
     if (i < out.size()) {
         u64 word = next();

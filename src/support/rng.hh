@@ -33,7 +33,19 @@ class Rng
     explicit Rng(u64 seed = 0x9e3779b97f4a7c15ull);
 
     /** Next raw 64-bit value. */
-    u64 next();
+    u64
+    next()
+    {
+        const u64 result = rotl(state_[1] * 5, 7) * 9;
+        const u64 t = state_[1] << 17;
+        state_[2] ^= state_[0];
+        state_[3] ^= state_[1];
+        state_[1] ^= state_[2];
+        state_[0] ^= state_[3];
+        state_[2] ^= t;
+        state_[3] = rotl(state_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound). @pre bound > 0. */
     u64 below(u64 bound);
@@ -47,7 +59,10 @@ class Rng
     /** Uniform double in [0, 1). */
     double real();
 
-    /** Fill @p out with pseudo-random bytes. */
+    /**
+     * Fill @p out with pseudo-random bytes: the little-endian bytes
+     * of successive next() words, the last word truncated.
+     */
     void fill(std::span<u8> out);
 
     /**
@@ -61,6 +76,12 @@ class Rng
     Rng fork();
 
   private:
+    static constexpr u64
+    rotl(u64 x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<u64, 4> state_;
 };
 

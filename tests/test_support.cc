@@ -123,6 +123,29 @@ TEST(Rng, FillOddSizes)
     }
 }
 
+/** fill() lays down the little-endian bytes of successive next()
+ * words, the last one truncated, and consumes exactly those words. */
+TEST(Rng, FillIsLittleEndianWordsOfNext)
+{
+    for (std::size_t n :
+         {0u, 1u, 7u, 8u, 9u, 15u, 8191u, 8192u, 8193u}) {
+        Rng filler(43), words(43);
+        std::vector<u8> filled(n);
+        filler.fill(filled);
+        std::vector<u8> expected(n);
+        for (std::size_t i = 0; i < n; i += 8) {
+            const u64 word = words.next();
+            for (std::size_t b = 0; b < 8 && i + b < n; ++b)
+                expected[i + b] = static_cast<u8>(word >> (8 * b));
+        }
+        EXPECT_EQ(filled, expected) << n << " bytes";
+        EXPECT_EQ(filler.next(), words.next()) << n << " bytes";
+    }
+    std::vector<u8> page(8192);
+    Rng(43).fill(page);
+    EXPECT_EQ(support::checksum32(page), 0xbd23a4d1u);
+}
+
 TEST(Rng, WeightedRespectsZeroWeights)
 {
     Rng rng(37);

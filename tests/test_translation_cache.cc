@@ -1,8 +1,9 @@
 /**
  * @file
- * Tests for the MemBus last-translation cache (the checked-store
- * fast path), the VA-space bounds fix in MemBus::translate, and the
- * per-access accounting of bulk bus operations.
+ * Tests for MemBus address translation (TLB hits served inline, the
+ * checked-store fast path), the VA-space bounds fix in
+ * MemBus::translate, and the per-access accounting of bulk bus
+ * operations.
  */
 
 #include <gtest/gtest.h>
@@ -44,30 +45,28 @@ heapBase(Machine &machine)
     return machine.mem().region(RegionKind::KernelHeap).base;
 }
 
-/** What the cache could perturb: the clock and the bus and TLB
+/** What translation could perturb: the clock and the bus and TLB
  * counts, plus the audit that proves the file system is intact. */
 struct BusSummary
 {
     SimNs clock;
     u64 loads, stores, hits, misses, damaged, readMismatches;
-    bool operator==(const BusSummary &) const = default;
 };
 
 /**
  * The file-server op stream on a protected Rio kernel at seed 1: 64
  * mailboxes and 256 documents, every file written once first, then
  * 2,000 zipfian (theta 0.99) requests, half mail deliveries, 30%
- * document saves and 20% reads, with the cache @p cacheOn.
+ * document saves and 20% reads.
  */
 BusSummary
-serveFiles(bool cacheOn)
+serveFiles()
 {
     constexpr u64 kSeed = 1;
     constexpr u32 kMailboxes = 64;
     constexpr u32 kDocs = 256;
     constexpr u64 kOps = 2000;
     Machine machine(harness::perfMachineConfig(kSeed));
-    machine.bus().setTranslationCache(cacheOn);
     const os::KernelConfig kernelConfig =
         os::systemPreset(os::SystemPreset::RioProtected);
     core::RioOptions rioOptions;
@@ -119,7 +118,7 @@ TEST(TranslationCache, RemapInvalidatesCachedTranslation)
 
     const Addr va = heapBase(machine);
     const u64 vpn = va >> kPageShift;
-    bus.store64(va, 0x1111); // Populates TLB + translation cache.
+    bus.store64(va, 0x1111); // Populates the TLB.
     bus.store64(va + 8, 0x2222);
 
     // Remap the page to invalid and invalidate the TLB — the very
@@ -170,77 +169,73 @@ TEST(TranslationCache, FlushInvalidates)
     EXPECT_THROW(bus.load64(va), CrashException);
 }
 
-/** The cache must be invisible: the same clock, stats, and memory
- * with the cache on and off, both for a synthetic mixed bus stream
- * and for a whole kernel serving the file-server op stream. */
-TEST(TranslationCache, OnOffEquivalence)
+/**
+ * How a translation is served must be invisible to the simulation:
+ * the clock, bus and TLB counts, faults and loaded values of a
+ * synthetic mixed bus stream and of a whole kernel serving the
+ * file-server op stream are pinned. The constants are also what every
+ * translation taken through the out-of-line walk gives.
+ */
+TEST(TranslationCache, SummariesArePinned)
 {
-    auto run = [](bool cacheOn) {
-        Machine machine(tinyConfig());
-        machine.pageTable().initIdentity();
-        machine.bus().setTranslationCache(cacheOn);
-        MemBus &bus = machine.bus();
-        const Addr heap = heapBase(machine);
-        const u64 span = 64 * kPageSize;
-        support::Rng rng(99);
-        u64 checksum = 0;
-        u64 faults = 0;
-        for (int i = 0; i < 20000; ++i) {
-            const Addr va = heap + (rng.below(span) & ~7ull);
-            switch (rng.below(6)) {
-              case 0: bus.store64(va, rng.next()); break;
-              case 1: checksum ^= bus.load64(va); break;
-              case 2: {
-                  std::vector<u8> buf(rng.between(1, 3 * kPageSize));
-                  rng.fill(buf);
-                  bus.writeBytes(va, buf);
-                  break;
+    Machine machine(tinyConfig());
+    machine.pageTable().initIdentity();
+    MemBus &bus = machine.bus();
+    const Addr heap = heapBase(machine);
+    const u64 span = 64 * kPageSize;
+    support::Rng rng(99);
+    u64 checksum = 0;
+    u64 faults = 0;
+    for (int i = 0; i < 20000; ++i) {
+        const Addr va = heap + (rng.below(span) & ~7ull);
+        switch (rng.below(6)) {
+          case 0: bus.store64(va, rng.next()); break;
+          case 1: checksum ^= bus.load64(va); break;
+          case 2: {
+              std::vector<u8> buf(rng.between(1, 3 * kPageSize));
+              rng.fill(buf);
+              bus.writeBytes(va, buf);
+              break;
+          }
+          case 3: {
+              std::vector<u8> buf(rng.between(1, 3 * kPageSize));
+              bus.readBytes(va, buf);
+              checksum ^= buf[0];
+              break;
+          }
+          case 4: {
+              const u64 vpn = va >> kPageShift;
+              const bool writable = rng.chance(0.7);
+              machine.pageTable().setWritable(vpn, writable);
+              machine.tlb().invalidatePage(vpn);
+              try {
+                  bus.store64(va, 7);
+              } catch (const CrashException &) {
+                  ++faults;
               }
-              case 3: {
-                  std::vector<u8> buf(rng.between(1, 3 * kPageSize));
-                  bus.readBytes(va, buf);
-                  checksum ^= buf[0];
-                  break;
-              }
-              case 4: {
-                  const u64 vpn = va >> kPageShift;
-                  const bool writable = rng.chance(0.7);
-                  machine.pageTable().setWritable(vpn, writable);
-                  machine.tlb().invalidatePage(vpn);
-                  try {
-                      bus.store64(va, 7);
-                  } catch (const CrashException &) {
-                      ++faults;
-                  }
-                  machine.pageTable().setWritable(vpn, true);
-                  machine.tlb().invalidatePage(vpn);
-                  break;
-              }
-              case 5: machine.tlb().flushAll(); break;
-            }
+              machine.pageTable().setWritable(vpn, true);
+              machine.tlb().invalidatePage(vpn);
+              break;
+          }
+          case 5: machine.tlb().flushAll(); break;
         }
-        struct Summary
-        {
-            SimNs clock;
-            u64 loads, stores, hits, misses, faults, checksum;
-            bool operator==(const Summary &) const = default;
-        };
-        return Summary{machine.clock().now(),
-                       bus.stats().loads,
-                       bus.stats().stores,
-                       machine.tlb().hits(),
-                       machine.tlb().misses(),
-                       faults,
-                       checksum};
-    };
-    EXPECT_TRUE(run(false) == run(true));
+    }
+    EXPECT_EQ(machine.clock().now(), 248892604u);
+    EXPECT_EQ(bus.stats().loads, 11749u);
+    EXPECT_EQ(bus.stats().stores, 14843u);
+    EXPECT_EQ(machine.tlb().hits(), 2178u);
+    EXPECT_EQ(machine.tlb().misses(), 24414u);
+    EXPECT_EQ(faults, 968u);
+    EXPECT_EQ(checksum, 0xbae6739e75202f88ull);
 
-    const BusSummary off = serveFiles(false);
-    const BusSummary on = serveFiles(true);
-    EXPECT_TRUE(off == on);
-    EXPECT_GT(on.hits, 0u);
-    EXPECT_EQ(on.damaged, 0u);
-    EXPECT_EQ(on.readMismatches, 0u);
+    const BusSummary served = serveFiles();
+    EXPECT_EQ(served.clock, 1063029272u);
+    EXPECT_EQ(served.loads, 2456679u);
+    EXPECT_EQ(served.stores, 691694u);
+    EXPECT_EQ(served.hits, 3069832u);
+    EXPECT_EQ(served.misses, 78541u);
+    EXPECT_EQ(served.damaged, 0u);
+    EXPECT_EQ(served.readMismatches, 0u);
 }
 
 /** Regression: a VA above physical memory but inside the page

@@ -8,6 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "os/kernel.hh"
 #include "sim/machine.hh"
 
@@ -312,8 +316,48 @@ TEST_F(UfsTest, DirectoryGrowsPastOneBlock)
     }
     auto listing = ufs().dirList(ufs().namei("/many").value());
     ASSERT_TRUE(listing.ok());
-    EXPECT_EQ(listing.value().size(), 300u);
+    std::vector<std::string> listed, created;
+    for (const os::DirEntry &entry : listing.value())
+        listed.push_back(entry.name);
+    for (int i = 0; i < 300; ++i)
+        created.push_back("f" + std::to_string(i));
+    std::ranges::sort(listed);
+    std::ranges::sort(created);
+    EXPECT_EQ(listed, created);
     EXPECT_TRUE(ufs().namei("/many/f299").ok());
+}
+
+/** Names compare whole: a prefix of an entry's name is another name. */
+TEST_F(UfsTest, PrefixOfAnEntryIsNotAMatch)
+{
+    ASSERT_TRUE(ufs().mkdir("/p").ok());
+    auto f10 = ufs().create("/p/f10", os::FileType::Regular);
+    ASSERT_TRUE(f10.ok());
+    EXPECT_EQ(ufs().namei("/p/f1").status(), support::OsStatus::NoEnt);
+    auto f1 = ufs().create("/p/f1", os::FileType::Regular);
+    ASSERT_TRUE(f1.ok());
+    EXPECT_NE(f1.value(), f10.value());
+    EXPECT_EQ(ufs().namei("/p/f1").value(), f1.value());
+    EXPECT_EQ(ufs().namei("/p/f10").value(), f10.value());
+}
+
+TEST_F(UfsTest, LongestNameRoundTrips)
+{
+    const std::string name(os::Ufs::kNameMax, 'n');
+    ASSERT_EQ(name.size(), 56u);
+    auto ino = ufs().create("/" + name, os::FileType::Regular);
+    ASSERT_TRUE(ino.ok());
+    EXPECT_EQ(ufs().namei("/" + name).value(), ino.value());
+    auto listing = ufs().dirList(os::Ufs::kRootIno);
+    ASSERT_TRUE(listing.ok());
+    EXPECT_EQ(std::ranges::count_if(listing.value(),
+                                    [&](const os::DirEntry &entry) {
+                                        return entry.name == name;
+                                    }),
+              1);
+    ASSERT_TRUE(ufs().remove("/" + name).ok());
+    EXPECT_EQ(ufs().namei("/" + name).status(),
+              support::OsStatus::NoEnt);
 }
 
 TEST_F(UfsTest, DirentHolesAreReused)
