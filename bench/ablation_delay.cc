@@ -16,11 +16,10 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
+#include "core/system.hh"
 #include "harness/hconfig.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "support/rng.hh"
 #include "workload/script.hh"
@@ -54,8 +53,9 @@ runSweep(SimNs updatePeriod, bool rioMode, u64 seed)
     if (!rioMode)
         config.updateIntervalNs = updatePeriod;
 
-    os::Kernel kernel(machine, config);
-    kernel.boot(nullptr, true);
+    core::System system(machine, config);
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
     kernel.fsDisk().resetStats();
 
     auto &vfs = kernel.vfs();

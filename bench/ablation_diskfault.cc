@@ -130,7 +130,7 @@ main()
     const u64 seed = envU64("RIO_SEED", 1);
     const double intensity = envF64("RIO_DISKFAULT_INTENSITY", 1.0);
     const double doubleCrashRate =
-        envF64("RIO_DISKFAULT_DOUBLECRASH", 0.5);
+        envF64("RIO_DISKFAULT_DOUBLECRASH", 0.5, 0.0, 1.0);
     const u32 trials = envU32("RIO_DF_TRIALS", 26, 1);
     const u32 jobs = envU32("RIO_T1_JOBS", 0, 1);
 

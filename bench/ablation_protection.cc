@@ -15,11 +15,10 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/rio.hh"
+#include "core/system.hh"
 #include "harness/hconfig.hh"
 #include "harness/pool.hh"
 #include "harness/report.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/cprm.hh"
 #include "workload/script.hh"
@@ -32,8 +31,7 @@ namespace
 struct Rig
 {
     std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<core::RioSystem> rio;
-    std::unique_ptr<os::Kernel> kernel;
+    std::unique_ptr<core::System> system;
 };
 
 Rig
@@ -49,13 +47,9 @@ makeRig(os::ProtectionMode mode)
     os::KernelConfig kernelConfig =
         os::systemPreset(os::SystemPreset::RioProtected);
     kernelConfig.protection = mode;
-
-    core::RioOptions options;
-    options.protection = mode;
-    rig.rio = std::make_unique<core::RioSystem>(*rig.machine, options);
-    rig.kernel =
-        std::make_unique<os::Kernel>(*rig.machine, kernelConfig);
-    rig.kernel->boot(rig.rio.get(), true);
+    rig.system =
+        std::make_unique<core::System>(*rig.machine, kernelConfig);
+    rig.system->boot(true);
     return rig;
 }
 
@@ -64,13 +58,13 @@ protectedWriteCycle(benchmark::State &state, os::ProtectionMode mode)
 {
     Rig rig = makeRig(mode);
     os::Process proc(1);
-    auto fd = rig.kernel->vfs().open(proc, "/bench",
+    auto fd = rig.system->vfs().open(proc, "/bench",
                                      os::OpenFlags::writeOnly());
     std::vector<u8> block(8192, 0xab);
     u64 simNsTotal = 0;
     for (auto _ : state) {
         const SimNs before = rig.machine->clock().now();
-        rio::wl::tolerate(rig.kernel->vfs().pwrite(proc, fd.value(), 0, block));
+        rio::wl::tolerate(rig.system->vfs().pwrite(proc, fd.value(), 0, block));
         simNsTotal += rig.machine->clock().now() - before;
     }
     state.counters["sim_ns_per_write"] = benchmark::Counter(
@@ -106,7 +100,7 @@ macroRun(os::ProtectionMode mode)
     Rig rig = makeRig(mode);
     wl::CpRmConfig config;
     config.totalBytes = harness::envScaled("RIO_ABL_MB", 8, 1ull << 20);
-    wl::CpRm workload(*rig.kernel, config);
+    wl::CpRm workload(rig.system->kernel(), config);
     workload.buildSourceTree();
     return workload.run().total();
 }

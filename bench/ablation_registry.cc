@@ -12,11 +12,9 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "core/rio.hh"
+#include "core/system.hh"
 #include "harness/hconfig.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/memtest.hh"
 
@@ -43,27 +41,20 @@ runWorkload(bool rioMode, u64 seed, u64 ops, core::RioStats *stats)
         config.updateIntervalNs = ~0ull;
     }
 
-    std::unique_ptr<core::RioSystem> rio;
-    if (rioMode) {
-        core::RioOptions options;
-        options.protection = os::ProtectionMode::Off;
-        options.maintainChecksums = false;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-    }
-    os::Kernel kernel(machine, config);
-    kernel.boot(rio.get(), true);
+    core::System system(machine, config);
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed;
-    wl::MemTest memtest(kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
 
     const double start = machine.clock().seconds();
     for (u64 i = 0; i < ops; ++i)
         memtest.step();
     const double elapsed = machine.clock().seconds() - start;
-    if (rio && stats)
-        *stats = rio->stats();
+    if (system.rio() && stats)
+        *stats = system.rio()->stats();
     return elapsed;
 }
 

@@ -9,12 +9,10 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "core/rio.hh"
+#include "core/system.hh"
 #include "harness/hconfig.hh"
 #include "harness/pool.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/sdet.hh"
 
@@ -34,20 +32,14 @@ run(os::SystemPreset preset, u32 scripts, u64 seed)
     sim::Machine machine(machineConfig);
 
     const os::KernelConfig config = os::systemPreset(preset);
-    std::unique_ptr<core::RioSystem> rio;
-    if (config.rio) {
-        core::RioOptions options;
-        options.protection = config.protection;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-    }
-    os::Kernel kernel(machine, config);
-    kernel.boot(rio.get(), true);
+    core::System system(machine, config);
+    system.boot(true);
 
     wl::SdetConfig sdet;
     sdet.seed = seed;
     sdet.scripts = scripts;
     sdet.iterations = 3;
-    return wl::runSdet(kernel, sdet);
+    return wl::runSdet(system.kernel(), sdet);
 }
 
 } // namespace

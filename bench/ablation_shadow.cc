@@ -13,12 +13,9 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "harness/hconfig.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -48,18 +45,14 @@ runTrials(bool shadow, u64 trials, u64 seedBase)
         machineConfig.seed = seedBase + trial;
         sim::Machine machine(machineConfig);
 
-        const os::KernelConfig config =
-            os::systemPreset(os::SystemPreset::RioNoProtection);
-        core::RioOptions options;
-        options.protection = config.protection;
-        options.shadowMetadata = shadow;
-        auto rio = std::make_unique<core::RioSystem>(machine, options);
-        auto kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), true);
+        core::System system(
+            machine, os::systemPreset(os::SystemPreset::RioNoProtection),
+            {.shadowMetadata = shadow});
+        system.boot(true);
 
         // A directory with known contents, pushed through the cache.
         os::Process proc(1);
-        auto &vfs = kernel->vfs();
+        auto &vfs = system.vfs();
         rio::wl::tolerate(vfs.mkdir("/d"));
         for (int i = 0; i < 5; ++i) {
             auto fd = vfs.open(proc, "/d/keep" + std::to_string(i),
@@ -73,12 +66,12 @@ runTrials(bool shadow, u64 trials, u64 seedBase)
 
         // Crash in the middle of the next directory update: open the
         // window, write half the new entry, crash.
-        auto &ufs = kernel->ufs();
+        auto &ufs = system.kernel().ufs();
         auto dirIno = ufs.namei("/d");
         auto dirInode = ufs.iget(dirIno.value());
         auto block = ufs.bmap(dirIno.value(), dirInode.value(), 0,
                               false);
-        auto &buf = kernel->bufferCache();
+        auto &buf = system.kernel().bufferCache();
         const auto ref = buf.bread(ufs.dev(), block.value());
         try {
             os::BufferCache::WriteWindow window(buf, ref);
@@ -89,20 +82,11 @@ runTrials(bool shadow, u64 trials, u64 seedBase)
         } catch (const sim::CrashException &) {
         }
 
-        rio->deactivate();
-        rio.reset();
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
-
-        core::WarmReboot warm(machine);
-        auto report = warm.dumpAndRestoreMetadata();
-        core::RioSystem rio2(machine, options);
-        os::Kernel rebooted(machine, config);
-        rebooted.boot(&rio2, false);
-        warm.restoreData(rebooted.vfs(), report);
+        system.teardown();
+        system.recover();
 
         // What does the recovered directory hold?
-        auto listing = rebooted.vfs().readdir("/d");
+        auto listing = system.vfs().readdir("/d");
         bool sawTorn = false;
         u64 names = 0;
         if (listing.ok()) {
@@ -112,7 +96,7 @@ runTrials(bool shadow, u64 trials, u64 seedBase)
                     sawTorn = true;
             }
         }
-        const auto &fsck = rebooted.lastFsck();
+        const auto &fsck = system.kernel().lastFsck();
         const bool repaired =
             fsck.has_value() && fsck->errorsFixed() > 0;
         if (sawTorn)

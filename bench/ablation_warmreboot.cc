@@ -10,12 +10,9 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "harness/hconfig.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/memtest.hh"
 
@@ -46,17 +43,13 @@ crashAndRecover(bool memorySurvives, u64 seed)
     machineConfig.seed = seed;
     sim::Machine machine(machineConfig);
 
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed;
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
     for (int i = 0; i < 3000; ++i)
         memtest.step();
@@ -64,33 +57,24 @@ crashAndRecover(bool memorySurvives, u64 seed)
     Recovery recovery;
     recovery.filesExpected = memtest.model().files().size();
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "ablation crash");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.crash("ablation crash");
 
-    core::WarmReboot warm(machine);
+    // The warm reboot step by step, timing each phase.
     double mark = machine.clock().seconds();
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = system.restoreMetadata();
     recovery.dumpSeconds = machine.clock().seconds() - mark;
     recovery.metadataRestored = report.metadataRestored;
 
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
     mark = machine.clock().seconds();
-    rebooted.boot(&rio2, false);
+    system.boot(false);
     recovery.metadataSeconds = machine.clock().seconds() - mark;
 
     mark = machine.clock().seconds();
-    warm.restoreData(rebooted.vfs(), report);
+    system.restoreData(report);
     recovery.dataSeconds = machine.clock().seconds() - mark;
     recovery.dataPagesRestored = report.dataPagesRestored;
 
-    const auto verify = memtest.verify(rebooted);
+    const auto verify = memtest.verify(system.kernel());
     recovery.filesIntact =
         verify.filesChecked - verify.missingFiles -
         verify.contentMismatches - verify.sizeMismatches -

@@ -9,11 +9,9 @@
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
 #include <vector>
 
-#include "core/rio.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "support/checksum.hh"
 #include "support/rng.hh"
@@ -131,18 +129,15 @@ static void
 BM_SyscallWrite8K(benchmark::State &state)
 {
     sim::Machine machine(machineConfig());
-    os::Kernel kernel(machine,
-                      os::systemPreset(os::SystemPreset::RioNoProtection));
-    core::RioOptions options;
-    options.protection = os::ProtectionMode::Off;
-    core::RioSystem rio(machine, options);
-    kernel.boot(&rio, true);
+    core::System system(
+        machine, os::systemPreset(os::SystemPreset::RioNoProtection));
+    system.boot(true);
     os::Process proc(1);
-    auto fd = kernel.vfs().open(proc, "/bench",
+    auto fd = system.vfs().open(proc, "/bench",
                                 os::OpenFlags::writeOnly());
     std::vector<u8> block(8192, 0x11);
     for (auto _ : state)
-        rio::wl::tolerate(kernel.vfs().pwrite(proc, fd.value(), 0, block));
+        rio::wl::tolerate(system.vfs().pwrite(proc, fd.value(), 0, block));
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations()) * 8192);
 }
@@ -152,18 +147,15 @@ static void
 BM_RegistryGuardedWrite(benchmark::State &state)
 {
     sim::Machine machine(machineConfig());
-    os::Kernel kernel(machine,
-                      os::systemPreset(os::SystemPreset::RioProtected));
-    core::RioOptions options;
-    options.protection = os::ProtectionMode::VmTlb;
-    core::RioSystem rio(machine, options);
-    kernel.boot(&rio, true);
+    core::System system(
+        machine, os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
     os::Process proc(1);
-    auto fd = kernel.vfs().open(proc, "/bench",
+    auto fd = system.vfs().open(proc, "/bench",
                                 os::OpenFlags::writeOnly());
     std::vector<u8> block(8192, 0x11);
     for (auto _ : state)
-        rio::wl::tolerate(kernel.vfs().pwrite(proc, fd.value(), 0, block));
+        rio::wl::tolerate(system.vfs().pwrite(proc, fd.value(), 0, block));
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations()) * 8192);
 }

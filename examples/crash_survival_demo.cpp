@@ -13,12 +13,9 @@
  */
 
 #include <cstdio>
-#include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "fault/injector.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/memtest.hh"
 
@@ -44,19 +41,16 @@ demo(os::ProtectionMode protection, u64 seed)
         protection == os::ProtectionMode::Off
             ? os::SystemPreset::RioNoProtection
             : os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = kernelConfig.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, kernelConfig);
-    kernel->boot(rio.get(), true);
+    core::System system(machine, kernelConfig,
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed;
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
 
-    fault::FaultInjector injector(*kernel, support::Rng(seed));
+    fault::FaultInjector injector(system.kernel(), support::Rng(seed));
     injector.inject(fault::FaultType::CopyOverrun);
 
     bool crashed = false;
@@ -72,7 +66,7 @@ demo(os::ProtectionMode protection, u64 seed)
                         memtest.opsCompleted()),
                     crash.what());
         // The forensic trail: what was the kernel doing?
-        const auto trace = kernel->procs().recentTrace();
+        const auto trace = system.kernel().procs().recentTrace();
         std::printf("last kernel procedures:");
         const std::size_t from =
             trace.size() > 8 ? trace.size() - 8 : 0;
@@ -86,27 +80,19 @@ demo(os::ProtectionMode protection, u64 seed)
         return;
     }
 
-    const auto sweep = rio->verifyChecksums();
+    const auto sweep = system.rio()->verifyChecksums();
     std::printf("protection saves: %llu, checksum sweep: %llu pages "
                 "checked, %llu corrupted\n",
                 static_cast<unsigned long long>(
-                    rio->stats().protectionSaves),
+                    system.rio()->stats().protectionSaves),
                 static_cast<unsigned long long>(sweep.checked),
                 static_cast<unsigned long long>(sweep.mismatches));
 
     // Recover and ask memTest what actually survived.
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-    core::WarmReboot warmReboot(machine);
-    auto report = warmReboot.dumpAndRestoreMetadata();
-    core::RioSystem rioAfter(machine, options);
-    os::Kernel rebooted(machine, kernelConfig);
+    system.teardown();
     try {
-        rebooted.boot(&rioAfter, false);
-        warmReboot.restoreData(rebooted.vfs(), report);
-        const auto verify = memtest.verify(rebooted);
+        system.recover();
+        const auto verify = memtest.verify(system.kernel());
         std::printf("memTest verification: %llu files checked, "
                     "corrupt=%s\n\n",
                     static_cast<unsigned long long>(

@@ -13,12 +13,9 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/modelfs.hh"
 #include "workload/script.hh"
@@ -35,25 +32,20 @@ main()
     machineConfig.swapBytes = 32ull << 20;
     sim::Machine machine(machineConfig);
 
-    const os::KernelConfig kernelConfig =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions rioOptions;
-    rioOptions.protection = kernelConfig.protection;
-
-    auto rio = std::make_unique<core::RioSystem>(machine, rioOptions);
-    auto kernel = std::make_unique<os::Kernel>(machine, kernelConfig);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
 
     wl::ModelFs model;
     wl::ServerClient clients(wl::ServerClient::Config{}, 42);
-    clients.createDirs(*kernel);
+    clients.createDirs(system.kernel());
 
     const int kCrashes = 6; // A year at one crash per two months.
     u64 requestsServed = 0;
     for (int epoch = 0; epoch <= kCrashes; ++epoch) {
         const int requests = 2000;
         for (int i = 0; i < requests; ++i) {
-            clients.request(*kernel, model);
+            clients.request(system.kernel(), model);
             ++requestsServed;
         }
         if (epoch == kCrashes)
@@ -67,17 +59,8 @@ main()
             std::printf("[month %2d] %s\n", (epoch + 1) * 2,
                         crash.what());
         }
-        rio->deactivate();
-        rio.reset();
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
-
-        core::WarmReboot warmReboot(machine);
-        auto report = warmReboot.dumpAndRestoreMetadata();
-        rio = std::make_unique<core::RioSystem>(machine, rioOptions);
-        kernel = std::make_unique<os::Kernel>(machine, kernelConfig);
-        kernel->boot(rio.get(), false);
-        warmReboot.restoreData(kernel->vfs(), report);
+        system.teardown();
+        const auto report = system.recover();
         std::printf("           warm reboot: %llu metadata blocks, "
                     "%llu data pages restored\n",
                     static_cast<unsigned long long>(
@@ -87,7 +70,7 @@ main()
     }
 
     // Year-end audit: every mailbox and document intact?
-    const auto audit = clients.audit(*kernel, model);
+    const auto audit = clients.audit(system.kernel(), model);
 
     std::printf("\nyear summary: %llu requests served, %d crashes "
                 "survived\n",

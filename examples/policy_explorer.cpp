@@ -15,12 +15,10 @@
 
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <string>
 
-#include "core/rio.hh"
+#include "core/system.hh"
 #include "harness/hconfig.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/andrew.hh"
 #include "workload/cprm.hh"
@@ -58,14 +56,9 @@ explore(os::SystemPreset preset, const std::string &workload)
     sim::Machine machine(machineConfig);
 
     const os::KernelConfig kernelConfig = os::systemPreset(preset);
-    std::unique_ptr<core::RioSystem> rio;
-    if (kernelConfig.rio) {
-        core::RioOptions options;
-        options.protection = kernelConfig.protection;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-    }
-    os::Kernel kernel(machine, kernelConfig);
-    kernel.boot(rio.get(), true);
+    core::System system(machine, kernelConfig);
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
     kernel.fsDisk().resetStats();
 
     double seconds = 0;
@@ -103,7 +96,7 @@ explore(os::SystemPreset preset, const std::string &workload)
                     static_cast<double>(buf.hits + buf.misses + 1),
                 100.0 * static_cast<double>(ubc.hits) /
                     static_cast<double>(ubc.hits + ubc.misses + 1));
-    if (rio) {
+    if (const core::RioSystem *rio = system.rio()) {
         std::printf(" | registry updates %llu",
                     static_cast<unsigned long long>(
                         rio->stats().registryUpdates));

@@ -10,13 +10,10 @@
  */
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -32,20 +29,15 @@ main()
     machineConfig.swapBytes = 32ull << 20;
     sim::Machine machine(machineConfig);
 
-    const os::KernelConfig kernelConfig =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions rioOptions;
-    rioOptions.protection = kernelConfig.protection;
-    core::RioSystem rioSystem(machine, rioOptions);
-
-    auto kernel = std::make_unique<os::Kernel>(machine, kernelConfig);
-    kernel->boot(&rioSystem, /*format=*/true);
-    kernel->fsDisk().resetStats();
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(/*format=*/true);
+    system.kernel().fsDisk().resetStats();
     std::puts("booted: UFS with the Rio file cache, protection on");
 
     // --- 2. Write a file. Rio makes it permanent instantly. --------
     os::Process shell(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     rio::wl::tolerate(vfs.mkdir("/home"));
 
     const std::string message =
@@ -63,7 +55,7 @@ main()
                 "(write-back performance)\n",
                 message.size(),
                 static_cast<unsigned long long>(
-                    kernel->fsDisk().stats().sectorsWritten));
+                    system.kernel().fsDisk().stats().sectorsWritten));
 
     // --- 3. Crash the operating system. ----------------------------
     try {
@@ -75,16 +67,8 @@ main()
 
     // --- 4. Warm reboot: dump memory, restore metadata, fsck,
     //        boot, user-level data restore. -------------------------
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-
-    core::WarmReboot warmReboot(machine);
-    auto report = warmReboot.dumpAndRestoreMetadata();
-
-    core::RioSystem rioAfter(machine, rioOptions);
-    os::Kernel rebooted(machine, kernelConfig);
-    rebooted.boot(&rioAfter, /*format=*/false);
-    warmReboot.restoreData(rebooted.vfs(), report);
+    system.teardown();
+    const auto report = system.recover();
 
     std::printf("warm reboot: %llu metadata blocks and %llu data "
                 "pages restored from memory\n",
@@ -94,14 +78,14 @@ main()
                     report.dataPagesRestored));
 
     // --- 5. The file survived. --------------------------------------
-    auto rfd = rebooted.vfs().open(shell, "/home/important.txt",
-                                   os::OpenFlags::readOnly());
+    auto rfd = system.vfs().open(shell, "/home/important.txt",
+                                 os::OpenFlags::readOnly());
     if (!rfd.ok()) {
         std::puts("FAILED: file did not survive the crash");
         return 1;
     }
     std::vector<u8> back(message.size());
-    rio::wl::tolerate(rebooted.vfs().read(shell, rfd.value(), back));
+    rio::wl::tolerate(system.vfs().read(shell, rfd.value(), back));
     const std::string recovered(back.begin(), back.end());
     std::printf("recovered: \"%s\"\n", recovered.c_str());
     std::puts(recovered == message

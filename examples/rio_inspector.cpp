@@ -12,11 +12,8 @@
 
 #include <cstdio>
 #include <map>
-#include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -109,17 +106,13 @@ main()
                     static_cast<unsigned long long>(region.size >> 10));
     }
 
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     rio::wl::tolerate(vfs.mkdir("/projects"));
     std::vector<u8> data(20000, 0x41);
     for (int i = 0; i < 4; ++i) {
@@ -133,15 +126,13 @@ main()
     printRegistry(
         core::parseRegistry(machine.mem().image(), machine.mem()));
 
+    const core::RioStats &stats = system.rio()->stats();
     std::printf("\nrio stats: %llu installs, %llu updates, %llu page "
                 "opens, %llu shadow copies, ABOX mapKseg=%d\n",
-                static_cast<unsigned long long>(
-                    rio->stats().registryInstalls),
-                static_cast<unsigned long long>(
-                    rio->stats().registryUpdates),
-                static_cast<unsigned long long>(rio->stats().pageOpens),
-                static_cast<unsigned long long>(
-                    rio->stats().shadowCopies),
+                static_cast<unsigned long long>(stats.registryInstalls),
+                static_cast<unsigned long long>(stats.registryUpdates),
+                static_cast<unsigned long long>(stats.pageOpens),
+                static_cast<unsigned long long>(stats.shadowCopies),
                 machine.cpu().mapKsegThroughTlb() ? 1 : 0);
 
     // Crash and show the dump the warm reboot will analyze.
@@ -151,16 +142,12 @@ main()
     } catch (const sim::CrashException &crash) {
         std::printf("\n=== CRASH: %s ===\n", crash.what());
     }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.teardown();
 
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = system.restoreMetadata();
     std::puts("\n=== registry as seen in the post-crash dump ===");
-    printRegistry(
-        core::parseRegistry(warm.dumpImage(), machine.mem()));
+    printRegistry(core::parseRegistry(system.warmReboot()->dumpImage(),
+                                      machine.mem()));
 
     std::printf("\nwarm reboot step 1: dumped %llu MB, restored %llu "
                 "dirty metadata blocks (%llu from shadows)\n",
@@ -170,10 +157,8 @@ main()
                 static_cast<unsigned long long>(
                     report.metadataFromShadow));
 
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
+    system.boot(false);
+    system.restoreData(report);
     std::printf("warm reboot step 2: restored %llu data pages "
                 "(%llu KB) via normal writes\n",
                 static_cast<unsigned long long>(
@@ -181,7 +166,7 @@ main()
                 static_cast<unsigned long long>(
                     report.dataBytesRestored >> 10));
 
-    auto st = rebooted.vfs().stat("/projects/doc3");
+    auto st = system.vfs().stat("/projects/doc3");
     std::printf("\n/projects/doc3 after recovery: %s, %llu bytes\n",
                 st.ok() ? "present" : "MISSING",
                 st.ok() ? static_cast<unsigned long long>(

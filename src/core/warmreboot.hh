@@ -34,13 +34,17 @@
  * goes through the bounded-retry discipline (os/ioretry.hh) and its
  * cost is accounted in the RecoveryReport.
  *
- * The caller sequence is:
- *     machine.reset(Warm);
- *     WarmReboot wr(machine);      // RestorePolicy::hardened()
- *     auto report = wr.dumpAndRestoreMetadata();
- *     rio.activate();               // fresh registry + protection
- *     kernel.boot(&rio, false);     // journal/fsck/mount
- *     wr.restoreData(kernel.vfs(), report);
+ * core::System (core/system.hh) owns the caller sequence; its
+ * recover() runs, after the dead OS is dropped and the machine
+ * warm-reset:
+ *  1. a WarmReboot with the policy (hardened() by default) and the
+ *     kernel config's ioRetry as its I/O policy, then
+ *     dumpAndRestoreMetadata();
+ *  2. a fresh RioSystem and then a fresh Kernel, the rio-nv mirror
+ *     lock registered in the new kernel's lock table, and
+ *     Kernel::boot(rio, false), which activates Rio (fresh registry,
+ *     protection) before journal replay, fsck and mount;
+ *  3. restoreData() through the new kernel's VFS.
  */
 
 #ifndef RIO_CORE_WARMREBOOT_HH

@@ -6,8 +6,7 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "fault/diskfault.hh"
 #include "fault/nvfault.hh"
 #include "fault/postcrash.hh"
@@ -76,23 +75,6 @@ CrashCampaign::CrashCampaign(const CampaignConfig &config)
     : config_(config)
 {}
 
-namespace
-{
-
-/** Machine for one trial: the NV system gets an NV region sized at
- *  1/16th of physical memory (the RioSystem constructor checks the
- *  registry mirror actually fits). */
-sim::MachineConfig
-trialMachineConfig(SystemKind kind, u64 seed)
-{
-    sim::MachineConfig config = crashMachineConfig(seed);
-    if (kind == SystemKind::RioNvProtected)
-        config.nvBytes = config.physMemBytes / 16;
-    return config;
-}
-
-} // namespace
-
 CrashRunResult
 CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
 {
@@ -103,7 +85,9 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     CrashRunResult result;
     result.powerCycleMode = powerCycle;
 
-    sim::MachineConfig machineConfig = trialMachineConfig(kind, seed);
+    sim::MachineConfig machineConfig = crashMachineConfig(seed);
+    if (kind == SystemKind::RioNvProtected)
+        fitNvRegion(machineConfig);
     sim::Machine machine(machineConfig);
     result.nvBacked = machine.nv() != nullptr;
 
@@ -115,13 +99,8 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     kernelConfig.ioRetry.enabled = config_.ioRetryEnabled;
     kernelConfig.lockdep = config_.lockdep;
 
-    core::RioOptions rioOptions;
-    rioOptions.protection = kernelConfig.protection;
-    rioOptions.maintainChecksums = true;
-    rioOptions.nvBacked = kernelConfig.rioNvMirror;
-    std::unique_ptr<core::RioSystem> rio;
-    if (isRio(kind))
-        rio = std::make_unique<core::RioSystem>(machine, rioOptions);
+    core::System system(machine, kernelConfig,
+                        {.maintainChecksums = true});
 
     // NV fault model: decays bits / tears in-flight lines when the
     // machine crashes. Seeded purely from the run seed, same as every
@@ -134,11 +113,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     if (nvFaults.enabled() && machine.nv() != nullptr)
         nvFaults.install(*machine.nv());
 
-    auto kernel =
-        std::make_unique<os::Kernel>(machine, kernelConfig);
-    if (rio)
-        rio->bindNvLock(kernel->locks());
-    kernel->boot(rio.get(), true); // Boot applies Rio's protection.
+    system.boot(true); // Boot applies Rio's protection.
 
     // Faulty-disk model: installed *after* the initial format so both
     // ablation arms start from an identical healthy file system. One
@@ -164,7 +139,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed * 17 + 3;
     memtestConfig.fsyncEveryWrite = !isRio(kind);
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
 
     std::vector<std::unique_ptr<wl::Andrew>> andrews;
@@ -180,7 +155,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
             andrewConfig.files = 12;
             andrewConfig.compileNsPerFile = 10'000'000;
             andrews.push_back(std::make_unique<wl::Andrew>(
-                *kernel, andrewConfig));
+                system.kernel(), andrewConfig));
             scheduler.add(*andrews.back());
         }
     }
@@ -190,7 +165,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
     // window. A power-cycle segment loses power every powerCycleOps
     // scheduler steps; once the outage budget is spent it ends
     // cleanly instead, and the survivors are verified.
-    fault::FaultInjector injector(*kernel,
+    fault::FaultInjector injector(system.kernel(),
                                   support::Rng(seed * 101 + 7));
     const SimNs startNs = machine.clock().now();
     u32 injected = 0;
@@ -256,16 +231,13 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
 
         // --- Detection pass 1: registry checksums (direct
         // corruption), then teardown.
-        if (rio) {
+        if (const core::RioSystem *rio = system.rio()) {
             const auto sweep = rio->verifyChecksums();
             result.checksumDetected |= sweep.mismatches > 0;
             result.protectionSaves += rio->stats().protectionSaves;
             result.nvMirrorWrites += rio->stats().nvMirrorWrites;
-            rio->deactivate();
-            rio.reset();
         }
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
+        system.teardown();
 
         // Post-crash corruption stage: damage the surviving image
         // before the warm reboot looks at it. Seeded purely from the
@@ -298,10 +270,9 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         // cannot be recovered in kMaxRecoveryPasses attempts is
         // scored as lost.
         const SimNs recoveryStart = machine.clock().now();
-        for (u32 pass = 0; !kernel && pass < kMaxRecoveryPasses; ++pass) {
+        for (u32 pass = 0; !system.up() && pass < kMaxRecoveryPasses;
+             ++pass) {
             ++result.recoveryPasses;
-            core::WarmReboot warmReboot(machine, policy);
-            warmReboot.setIoPolicy(kernelConfig.ioRetry);
             const auto doubleCrash = machine.subscribe(
                 [&](const sim::Event &event) {
                     const u32 phase =
@@ -323,23 +294,14 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
                 },
                 doubleCrashArmed ? sim::kRecoveryEvents : 0);
             try {
-                if (isRio(kind)) {
-                    result.warm = warmReboot.dumpAndRestoreMetadata();
-                    rio = std::make_unique<core::RioSystem>(machine,
-                                                            rioOptions);
-                }
-                kernel = std::make_unique<os::Kernel>(machine,
-                                                      kernelConfig);
-                if (rio)
-                    rio->bindNvLock(kernel->locks());
-                kernel->boot(rio.get(), false);
-                if (rio)
-                    warmReboot.restoreData(kernel->vfs(), result.warm);
+                // Step by step: a pass that dies keeps the report of
+                // what it got through.
+                result.warm = system.restoreMetadata(policy);
+                system.boot(false);
+                system.restoreData(result.warm);
             } catch (const sim::CrashException &crash) {
                 machine.noteCrash(crash.when());
-                rio.reset();
-                kernel.reset();
-                machine.reset(sim::ResetKind::Warm);
+                system.teardown();
             }
             // Account what the pass managed, a dead one included.
             result.retriedSectors +=
@@ -352,7 +314,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
                 result.warm.recovery.checkpointWrites;
         }
         result.recoveryNs += machine.clock().now() - recoveryStart;
-        if (!kernel)
+        if (!system.up())
             break; // Recovery never converged: the volume is lost.
         result.nvMirrorPresent = result.warm.nvMirrorPresent;
         result.nvMirrorCorrupt |= result.warm.nvMirrorCorrupt;
@@ -361,14 +323,14 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
         if (!powerCycle)
             break;
         // Power is back: the workload picks up where it left off.
-        memtest.rebind(*kernel);
+        memtest.rebind(system.kernel());
     }
 
     wl::MemTest::VerifyResult verify;
-    if (kernel != nullptr) {
+    if (system.up()) {
         try {
             // --- Detection pass 2: memTest replay comparison. ------
-            verify = memtest.verify(*kernel);
+            verify = memtest.verify(system.kernel());
         } catch (const sim::CrashException &) {
             // The recovered state was so damaged that even the
             // verifier tripped kernel checks: the volume is
@@ -379,13 +341,13 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
             verify.readErrors += 1;
             verify.missingFiles += memtest.model().files().size();
         }
-        result.readOnlyDegraded = kernel->ufs().readOnly();
+        result.readOnlyDegraded = system.kernel().ufs().readOnly();
     } else {
         // Recovery never completed: the volume is lost.
         verify.readErrors += 1;
         verify.missingFiles += memtest.model().files().size();
     }
-    if (rio) {
+    if (const core::RioSystem *rio = system.rio()) {
         // Only intermittent power scores the surviving kernel's saves;
         // a fault-injection trial counts those of the faulty run.
         if (powerCycle)

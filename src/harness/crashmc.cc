@@ -2,17 +2,14 @@
 
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <optional>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "fault/postcrash.hh"
 #include "harness/crashcampaign.hh"
 #include "harness/oracle.hh"
 #include "harness/pool.hh"
 #include "os/journal.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/memtest.hh"
 #include "workload/script.hh"
@@ -312,11 +309,13 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
 
     sim::MachineConfig machineConfig = mcMachineConfig(seed);
     if (isRio && config.nvBacked)
-        machineConfig.nvBytes = machineConfig.physMemBytes / 16;
+        fitNvRegion(machineConfig);
     sim::Machine machine(machineConfig);
     os::KernelConfig kernelConfig =
         os::systemPreset(mcKernelPreset(kind));
-    if (!isRio) {
+    if (isRio) {
+        kernelConfig.rioNvMirror = config.nvBacked;
+    } else {
         kernelConfig.journal.checksumCommit = config.journalChecksum;
         // Force checkpoints inside the bounded op window so their
         // boundaries are enumerable (the default is log-pressure
@@ -324,19 +323,10 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
         kernelConfig.journal.checkpointEveryCommits = 2;
     }
 
-    core::RioOptions options;
-    std::unique_ptr<core::RioSystem> rio;
-    if (isRio) {
-        options.protection = kernelConfig.protection;
-        options.maintainChecksums = true;
-        options.shadowMetadata = config.shadowMetadata;
-        options.nvBacked = isRio && config.nvBacked;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-    }
-    auto kernel = std::make_unique<os::Kernel>(machine, kernelConfig);
-    if (rio)
-        rio->bindNvLock(kernel->locks());
-    kernel->boot(rio.get(), true);
+    core::System system(machine, kernelConfig,
+                        {.maintainChecksums = true,
+                         .shadowMetadata = config.shadowMetadata});
+    system.boot(true);
 
     wl::MemTestConfig mtConfig;
     mtConfig.seed = seed * 17 + 3;
@@ -347,13 +337,13 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
     mtConfig.numDirs = 3;
     mtConfig.duplicatePairs = 2;
     mtConfig.duplicateBytes = 8 * 1024;
-    wl::MemTest memtest(*kernel, mtConfig);
+    wl::MemTest memtest(system.kernel(), mtConfig);
     memtest.setup();
 
     // Durable baseline: flush setup wholesale so every enumerated
     // event belongs to the bounded op window, and so the Journal
     // oracle starts from a disk that already holds the skeleton.
-    kernel->vfs().sync();
+    system.vfs().sync();
     machine.disk().drain(machine.clock());
 
     wl::Scheduler scheduler;
@@ -389,12 +379,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
     }
 
     // --- Recovery. -------------------------------------------------
-    if (isRio) {
-        rio->deactivate();
-        rio.reset();
-    }
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.teardown();
 
     if (!isRio && config.tornCommit) {
         // Model the torn-commit window the strict-FIFO sim disk
@@ -425,14 +410,12 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
         config.hardened ? core::RestorePolicy::hardened()
                         : core::RestorePolicy::trusting();
 
-    std::unique_ptr<core::WarmReboot> warm;
     core::WarmRebootReport warmReport;
-    std::unique_ptr<core::RioSystem> rio2;
     if (isRio) {
+        // The oracle judges the platter between metadata restore and
+        // the boot that runs fsck over it.
         const auto capture = captureRecoveryOracle(machine, policy);
-        warm = std::make_unique<core::WarmReboot>(machine, policy);
-        warm->setIoPolicy(kernelConfig.ioRetry);
-        warmReport = warm->dumpAndRestoreMetadata();
+        warmReport = system.restoreMetadata(policy);
         const auto verdict =
             checkRecoveryOracle(machine, capture, warmReport);
         rec.oracleOk = verdict.ok();
@@ -443,29 +426,23 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
         rec.metadataQuarantined =
             warmReport.recovery.metadataQuarantined;
         rec.metadataUnrestorable = warmReport.metadataUnrestorable;
-        rio2 = std::make_unique<core::RioSystem>(machine, options);
     }
 
-    auto rebooted =
-        std::make_unique<os::Kernel>(machine, kernelConfig);
-    if (rio2)
-        rio2->bindNvLock(rebooted->locks());
     try {
-        rebooted->boot(rio2 ? rio2.get() : nullptr, false);
+        system.boot(false);
     } catch (const sim::CrashException &crash) {
         rec.failure =
             std::string("recovered volume failed to boot: ") +
             crash.what();
         return rec;
     }
-    if (isRio)
-        warm->restoreData(rebooted->vfs(), warmReport);
+    system.restoreData(warmReport);
 
     // --- Judgement. ------------------------------------------------
     wl::MemTest::VerifyResult verify;
     bool verifierCrashed = false;
     try {
-        verify = memtest.verify(*rebooted);
+        verify = memtest.verify(system.kernel());
     } catch (const sim::CrashException &crash) {
         verifierCrashed = true;
         rec.failure =
@@ -477,7 +454,7 @@ runReplay(const CrashMcConfig &config, McWorkloadKind kind,
                        verify.duplicateMismatches;
 
     const bool structural =
-        !verifierCrashed && structuralCheck(*rebooted);
+        !verifierCrashed && structuralCheck(system.kernel());
 
     if (isRio) {
         // Rio's promise covers memory contents: every completed

@@ -123,7 +123,7 @@ campaignConfigFromEnv()
     c.diskFaultIntensity =
         envF64("RIO_DISKFAULT_INTENSITY", c.diskFaultIntensity);
     c.doubleCrashRate =
-        envF64("RIO_DISKFAULT_DOUBLECRASH", c.doubleCrashRate);
+        envF64("RIO_DISKFAULT_DOUBLECRASH", c.doubleCrashRate, 0.0, 1.0);
     c.ioRetryEnabled = envBool("RIO_DISKFAULT_RETRY", c.ioRetryEnabled);
     c.reentrantRecovery =
         envBool("RIO_DISKFAULT_REENTRANT", c.reentrantRecovery);

@@ -28,6 +28,7 @@
 
 #include <cerrno>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <span>
@@ -141,9 +142,14 @@ envBool(const char *name, bool fallback)
     return text == "1";
 }
 
-/** A finite decimal number with nothing after it. */
+/**
+ * A finite decimal number in [@p minValue, @p maxValue] with nothing
+ * after it. Intensities and rates are never negative; a rate passes
+ * 1 as its maximum.
+ */
 inline double
-envF64(const char *name, double fallback)
+envF64(const char *name, double fallback, double minValue = 0.0,
+       double maxValue = std::numeric_limits<double>::infinity())
 {
     const char *value = std::getenv(name);
     if (value == nullptr || *value == '\0')
@@ -152,6 +158,12 @@ envF64(const char *name, double fallback)
     const double parsed = std::strtod(value, &end);
     if (end == value || *end != '\0' || !std::isfinite(parsed))
         rejectEnv(name, value, "a finite number");
+    if (parsed < minValue || parsed > maxValue) {
+        char range[64];
+        std::snprintf(range, sizeof range, "a number in [%g, %g]",
+                      minValue, maxValue);
+        rejectEnv(name, value, range);
+    }
     return parsed;
 }
 /** @} */
@@ -178,6 +190,15 @@ crashMachineConfig(u64 seed)
     config.swapBytes = 33ull << 20;
     config.seed = seed;
     return config;
+}
+
+/** rio-nv: fit @p config with an NV region of 1/16th of physical
+ *  memory, room for the registry mirror (the RioSystem constructor
+ *  checks that it fits). */
+inline void
+fitNvRegion(sim::MachineConfig &config)
+{
+    config.nvBytes = config.physMemBytes / 16;
 }
 
 /** Machine used for the performance experiments. */

@@ -2,10 +2,9 @@
 
 #include <memory>
 
-#include "core/rio.hh"
+#include "core/system.hh"
 #include "harness/pool.hh"
 #include "harness/report.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "support/log.hh"
 #include "workload/andrew.hh"
@@ -22,8 +21,7 @@ namespace
 struct Bench
 {
     std::unique_ptr<sim::Machine> machine;
-    std::unique_ptr<core::RioSystem> rio;
-    std::unique_ptr<os::Kernel> kernel;
+    std::unique_ptr<core::System> system;
 };
 
 Bench
@@ -41,21 +39,12 @@ bootPreset(os::SystemPreset preset, u64 seed, u64 cprmBytes)
     machineConfig.swapBytes = machineConfig.physMemBytes;
     const os::KernelConfig config = os::systemPreset(preset);
     if (config.rioNvMirror)
-        machineConfig.nvBytes = machineConfig.physMemBytes / 16;
+        fitNvRegion(machineConfig);
     bench.machine = std::make_unique<sim::Machine>(machineConfig);
-    if (config.rio) {
-        core::RioOptions options;
-        options.protection = config.protection;
-        options.maintainChecksums = false; // As in the paper's runs.
-        options.nvBacked = config.rioNvMirror;
-        bench.rio = std::make_unique<core::RioSystem>(*bench.machine,
-                                                      options);
-    }
-    bench.kernel =
-        std::make_unique<os::Kernel>(*bench.machine, config);
-    if (bench.rio)
-        bench.rio->bindNvLock(bench.kernel->locks());
-    bench.kernel->boot(bench.rio.get(), true);
+    // Rio's checksums stay off, as in the paper's runs.
+    bench.system =
+        std::make_unique<core::System>(*bench.machine, config);
+    bench.system->boot(true);
     return bench;
 }
 
@@ -75,7 +64,7 @@ PerfRun::runPreset(os::SystemPreset preset)
         wl::CpRmConfig cprm;
         cprm.totalBytes = config_.cprmBytes;
         cprm.seed = config_.seed;
-        wl::CpRm workload(*bench.kernel, cprm);
+        wl::CpRm workload(bench.system->kernel(), cprm);
         workload.buildSourceTree();
         const wl::CpRmResult result = workload.run();
         row.cprmCopySeconds = result.copySeconds;
@@ -88,7 +77,7 @@ PerfRun::runPreset(os::SystemPreset preset)
         wl::SdetConfig sdet;
         sdet.seed = config_.seed;
         sdet.scripts = config_.sdetScripts;
-        row.sdetSeconds = wl::runSdet(*bench.kernel, sdet);
+        row.sdetSeconds = wl::runSdet(bench.system->kernel(), sdet);
     }
 
     // --- Andrew -------------------------------------------------------
@@ -97,7 +86,7 @@ PerfRun::runPreset(os::SystemPreset preset)
         wl::AndrewConfig andrew;
         andrew.seed = config_.seed;
         andrew.files = config_.andrewFiles;
-        wl::Andrew workload(*bench.kernel, andrew);
+        wl::Andrew workload(bench.system->kernel(), andrew);
         const double start = bench.machine->clock().seconds();
         while (workload.step()) {
         }

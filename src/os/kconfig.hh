@@ -174,7 +174,7 @@ struct KernelConfig
     /**
      * rio-nv: mirror the Rio registry and shadow pages into the
      * machine's NV region (battery-backed DRAM, paper section 7).
-     * The harness maps this onto RioOptions::nvBacked; requires
+     * core::System maps this onto RioOptions::nvBacked; requires
      * MachineConfig::nvBytes to be fitted.
      */
     bool rioNvMirror = false;

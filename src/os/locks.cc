@@ -1,5 +1,7 @@
 #include "os/locks.hh"
 
+#include <algorithm>
+
 namespace rio::os
 {
 
@@ -14,6 +16,13 @@ LockTable::add(std::string name, LockRank rank, Addr guardBase,
     locks_.push_back(
         {std::move(name), rank.value, false, guardBase, guardSize});
     return static_cast<LockId>(locks_.size() - 1);
+}
+
+bool
+LockTable::has(const std::string &name) const
+{
+    return std::ranges::any_of(
+        locks_, [&](const Lock &lock) { return lock.name == name; });
 }
 
 void

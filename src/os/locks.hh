@@ -64,6 +64,9 @@ class LockTable
     LockId add(std::string name, LockRank rank = {},
                Addr guardBase = 0, u64 guardSize = 0);
 
+    /** True when a lock named @p name is registered. */
+    bool has(const std::string &name) const;
+
     /** Late-bind the guarded range (arenas allocated after boot). */
     void setGuard(LockId lock, Addr guardBase, u64 guardSize);
 

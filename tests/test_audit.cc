@@ -11,12 +11,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/rio.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/audit.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
@@ -31,24 +29,19 @@ namespace
 struct Rig
 {
     explicit Rig(os::ProtectionMode protection)
-        : machine(test::smallMachine())
+        : machine(test::smallMachine()),
+          system(machine, test::rioPreset(protection))
     {
         // Arm the audit before Rio activates so the registry-zeroing
         // allow scope and the first page windows are all tracked.
         audit = &machine.enableStoreAudit();
-        config = os::systemPreset(os::SystemPreset::RioProtected);
-        config.protection = protection;
-        core::RioOptions options;
-        options.protection = protection;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-        kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), true);
+        system.boot(true);
     }
 
     void
     writeWorkload()
     {
-        auto &vfs = kernel->vfs();
+        auto &vfs = system.vfs();
         std::vector<u8> data(16 * 1024, 0x3e);
         for (int i = 0; i < 8; ++i) {
             auto fd = vfs.open(proc, "/f" + std::to_string(i),
@@ -60,9 +53,7 @@ struct Rig
 
     sim::Machine machine;
     sim::StoreAudit *audit = nullptr;
-    os::KernelConfig config;
-    std::unique_ptr<core::RioSystem> rio;
-    std::unique_ptr<os::Kernel> kernel;
+    core::System system;
     os::Process proc{1};
 };
 
@@ -72,7 +63,7 @@ TEST(StoreAudit, LegitimateOperationsProduceNoViolations)
 {
     Rig rig(os::ProtectionMode::VmTlb);
     rig.writeWorkload();
-    rig.kernel->ufs().syncAll(true);
+    rig.system.kernel().ufs().syncAll(true);
 
     EXPECT_GT(rig.audit->storesAudited(), 0u);
     // The workload really did store into the protected pools — all
@@ -96,7 +87,7 @@ TEST(StoreAudit, WildStoreIntoRegistryIsCaughtAndAttributed)
 
     // A syscall leaves the per-procedure trace pointing at the last
     // kernel procedure entered (stat releases its buffers last)...
-    rio::wl::tolerate(rig.kernel->vfs().stat("/f0"));
+    rio::wl::tolerate(rig.system.kernel().vfs().stat("/f0"));
     const std::string actor = rig.audit->actor();
     EXPECT_FALSE(actor.empty());
     // ...and then that "procedure" scribbles on a registry entry.
@@ -146,12 +137,7 @@ TEST(StoreAudit, ResetRestartsTheWindowProtocol)
 {
     Rig rig(os::ProtectionMode::Off);
     rig.writeWorkload();
-    try {
-        rig.machine.crash(sim::CrashCause::KernelPanic, "test");
-    } catch (const sim::CrashException &) {
-    }
-    rig.rio->deactivate();
-    rig.machine.reset(sim::ResetKind::Warm);
+    rig.system.crash("test");
     rig.audit->clearViolations();
 
     // After reset, no window is open: a bare store into the pool is

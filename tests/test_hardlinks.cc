@@ -7,11 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -24,15 +20,15 @@ namespace
 
 struct Rig
 {
-    Rig() : machine(test::smallMachine())
+    Rig()
+        : machine(test::smallMachine()),
+          system(machine, os::systemPreset(os::SystemPreset::UfsDelayAll))
     {
-        kernel = std::make_unique<os::Kernel>(
-            machine, os::systemPreset(os::SystemPreset::UfsDelayAll));
-        kernel->boot(nullptr, true);
+        system.boot(true);
     }
 
     sim::Machine machine;
-    std::unique_ptr<os::Kernel> kernel;
+    core::System system;
     os::Process proc{1};
 };
 
@@ -41,7 +37,7 @@ struct Rig
 TEST(HardLinks, LinkSharesContentsBothWays)
 {
     Rig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.system.kernel().vfs();
     std::vector<u8> data(5000, 0x5b);
     auto fd = vfs.open(rig.proc, "/orig", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
@@ -66,17 +62,17 @@ TEST(HardLinks, LinkSharesContentsBothWays)
 TEST(HardLinks, RemoveOnlyFreesLastLink)
 {
     Rig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.system.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/a", os::OpenFlags::writeOnly());
     std::vector<u8> data(20000, 0x42);
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
     ASSERT_TRUE(vfs.link("/a", "/b").ok());
 
-    const u32 freeBefore = rig.kernel->ufs().freeBlocks();
+    const u32 freeBefore = rig.system.kernel().ufs().freeBlocks();
     ASSERT_TRUE(vfs.unlink("/a").ok());
     // Blocks still held by /b.
-    EXPECT_EQ(rig.kernel->ufs().freeBlocks(), freeBefore);
+    EXPECT_EQ(rig.system.kernel().ufs().freeBlocks(), freeBefore);
     EXPECT_EQ(vfs.stat("/b").value().nlink, 1);
     std::vector<u8> out(20000);
     auto bfd = vfs.open(rig.proc, "/b", os::OpenFlags::readOnly());
@@ -85,13 +81,13 @@ TEST(HardLinks, RemoveOnlyFreesLastLink)
     rio::wl::tolerate(vfs.close(rig.proc, bfd.value()));
 
     ASSERT_TRUE(vfs.unlink("/b").ok());
-    EXPECT_GT(rig.kernel->ufs().freeBlocks(), freeBefore);
+    EXPECT_GT(rig.system.kernel().ufs().freeBlocks(), freeBefore);
 }
 
 TEST(HardLinks, NoLinksToDirectories)
 {
     Rig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.system.kernel().vfs();
     rio::wl::tolerate(vfs.mkdir("/d"));
     EXPECT_EQ(vfs.link("/d", "/dlink").status(),
               support::OsStatus::IsDir);
@@ -100,7 +96,7 @@ TEST(HardLinks, NoLinksToDirectories)
 TEST(HardLinks, LinkOverExistingNameFails)
 {
     Rig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.system.kernel().vfs();
     rio::wl::tolerate(vfs.open(rig.proc, "/x", os::OpenFlags::writeOnly()));
     rio::wl::tolerate(vfs.open(rig.proc, "/y", os::OpenFlags::writeOnly()));
     EXPECT_EQ(vfs.link("/x", "/y").status(),
@@ -111,19 +107,19 @@ TEST(HardLinks, LinkOverExistingNameFails)
 TEST(HardLinks, LinkToMissingFileFails)
 {
     Rig rig;
-    EXPECT_EQ(rig.kernel->vfs().link("/none", "/l").status(),
+    EXPECT_EQ(rig.system.kernel().vfs().link("/none", "/l").status(),
               support::OsStatus::NoEnt);
 }
 
 TEST(HardLinks, FsckAcceptsCorrectLinkCounts)
 {
     Rig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.system.kernel().vfs();
     rio::wl::tolerate(vfs.open(rig.proc, "/f", os::OpenFlags::writeOnly()));
     rio::wl::tolerate(vfs.link("/f", "/g"));
     rio::wl::tolerate(vfs.link("/f", "/h"));
     EXPECT_EQ(vfs.stat("/f").value().nlink, 3);
-    rig.kernel->shutdown();
+    rig.system.kernel().shutdown();
 
     sim::SimClock clock;
     auto report = os::runFsck(rig.machine.disk(), clock, true);
@@ -134,36 +130,21 @@ TEST(HardLinks, FsckAcceptsCorrectLinkCounts)
 TEST(HardLinks, SurviveRioCrash)
 {
     sim::Machine machine(test::smallMachine());
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
 
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     std::vector<u8> data(9000, 0x77);
     auto fd = vfs.open(proc, "/linked", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(proc, fd.value()));
     ASSERT_TRUE(vfs.link("/linked", "/twin").ok());
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "link crash");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
+    system.crash("link crash");
+    system.recover();
+    os::Kernel &rebooted = system.kernel();
 
     // Both names survive, still aliased, contents intact, and fsck
     // found nothing to fix.

@@ -299,6 +299,34 @@ TEST(EnvStrict, F64RejectsTrailingGarbageAndNonFinite)
     }
 }
 
+TEST(EnvStrict, F64RejectsValuesOutsideItsRange)
+{
+    // A negative intensity used to switch its stage off silently, and
+    // a double-crash rate of 3 used to mean "always".
+    for (const char *knob : {"RIO_T1_POSTCRASH", "RIO_DISKFAULT_INTENSITY",
+                             "RIO_DISKFAULT_DOUBLECRASH", "RIO_NV_FAULT"}) {
+        EnvGuard guard(knob, "-1");
+        EXPECT_THROW(harness::campaignConfigFromEnv(), std::invalid_argument)
+            << knob << "=-1 accepted";
+    }
+    {
+        EnvGuard guard("RIO_DISKFAULT_DOUBLECRASH", "3");
+        EXPECT_THROW(harness::campaignConfigFromEnv(), std::invalid_argument);
+    }
+    {
+        EnvGuard guard("RIO_DISKFAULT_DOUBLECRASH", "1");
+        EXPECT_EQ(harness::campaignConfigFromEnv().doubleCrashRate, 1.0);
+    }
+    {
+        // RIO_REC_INTENSITY's reader: the default range starts at 0.
+        EnvGuard guard("RIO_TEST_KNOB", "-0.5");
+        EXPECT_THROW(harness::envF64("RIO_TEST_KNOB", 1.0),
+                     std::invalid_argument);
+    }
+    EnvGuard guard("RIO_TEST_KNOB", "0");
+    EXPECT_EQ(harness::envF64("RIO_TEST_KNOB", 1.0), 0.0);
+}
+
 TEST(EnvStrict, CampaignConfigRejectsZeroJobs)
 {
     // RIO_T1_JOBS=0 must fail loudly at config construction instead

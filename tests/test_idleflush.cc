@@ -8,11 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -25,22 +21,27 @@ namespace
 
 struct Rig
 {
-    explicit Rig(bool idleFlush) : machine(test::smallMachine())
+    explicit Rig(bool idleFlush)
+        : machine(test::smallMachine()), system(machine, config(idleFlush))
     {
-        config = os::systemPreset(os::SystemPreset::RioProtected);
-        config.rioIdleFlush = idleFlush;
-        core::RioOptions options;
-        options.protection = config.protection;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-        kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), true);
-        kernel->fsDisk().resetStats();
+        system.boot(true);
+        kernel().fsDisk().resetStats();
     }
+
+    static os::KernelConfig
+    config(bool idleFlush)
+    {
+        os::KernelConfig c = os::systemPreset(os::SystemPreset::RioProtected);
+        c.rioIdleFlush = idleFlush;
+        return c;
+    }
+
+    os::Kernel &kernel() { return system.kernel(); }
 
     void
     writeWorkload()
     {
-        auto &vfs = kernel->vfs();
+        auto &vfs = kernel().vfs();
         std::vector<u8> data(16 * 1024, 0x3e);
         for (int i = 0; i < 20; ++i) {
             auto fd = vfs.open(proc, "/f" + std::to_string(i),
@@ -54,14 +55,12 @@ struct Rig
     idlePeriod()
     {
         machine.clock().advance(31ull * sim::kNsPerSec);
-        rio::wl::tolerate(kernel->vfs().stat("/f0")); // Any syscall ticks the daemon.
-        kernel->fsDisk().drain(machine.clock());
+        rio::wl::tolerate(kernel().vfs().stat("/f0")); // Any syscall ticks the daemon.
+        kernel().fsDisk().drain(machine.clock());
     }
 
     sim::Machine machine;
-    os::KernelConfig config;
-    std::unique_ptr<core::RioSystem> rio;
-    std::unique_ptr<os::Kernel> kernel;
+    core::System system;
     os::Process proc{1};
 };
 
@@ -72,7 +71,7 @@ TEST(RioIdleFlush, OffMeansZeroDiskWrites)
     Rig rig(false);
     rig.writeWorkload();
     rig.idlePeriod();
-    EXPECT_EQ(rig.kernel->fsDisk().stats().sectorsWritten, 0u);
+    EXPECT_EQ(rig.kernel().fsDisk().stats().sectorsWritten, 0u);
 }
 
 TEST(RioIdleFlush, OnTricklesDirtyDataDuringIdle)
@@ -80,17 +79,17 @@ TEST(RioIdleFlush, OnTricklesDirtyDataDuringIdle)
     Rig rig(true);
     rig.writeWorkload();
     rig.idlePeriod();
-    EXPECT_GT(rig.kernel->fsDisk().stats().sectorsWritten, 0u);
+    EXPECT_GT(rig.kernel().fsDisk().stats().sectorsWritten, 0u);
 }
 
 TEST(RioIdleFlush, SyncStillReturnsInstantly)
 {
     Rig rig(true);
     rig.writeWorkload();
-    auto fd = rig.kernel->vfs().open(rig.proc, "/f0",
-                                     os::OpenFlags::readOnly());
+    auto fd = rig.kernel().vfs().open(rig.proc, "/f0",
+                                      os::OpenFlags::readOnly());
     const SimNs before = rig.machine.clock().now();
-    rio::wl::tolerate(rig.kernel->vfs().fsync(rig.proc, fd.value()));
+    rio::wl::tolerate(rig.kernel().vfs().fsync(rig.proc, fd.value()));
     EXPECT_LT(rig.machine.clock().now() - before, 100'000u);
 }
 
@@ -100,22 +99,9 @@ TEST(RioIdleFlush, ShrinksWarmRebootRestoreWork)
         Rig rig(idleFlush);
         rig.writeWorkload();
         rig.idlePeriod();
-        try {
-            rig.machine.crash(sim::CrashCause::KernelPanic, "x");
-        } catch (const sim::CrashException &) {
-        }
-        rig.rio->deactivate();
-        rig.rio.reset();
-        rig.kernel.reset();
-        rig.machine.reset(sim::ResetKind::Warm);
-        core::WarmReboot warm(rig.machine);
-        auto report = warm.dumpAndRestoreMetadata();
-        core::RioOptions options;
-        options.protection = rig.config.protection;
-        core::RioSystem rio2(rig.machine, options);
-        os::Kernel rebooted(rig.machine, rig.config);
-        rebooted.boot(&rio2, false);
-        warm.restoreData(rebooted.vfs(), report);
+        rig.system.crash("x");
+        const auto report = rig.system.recover();
+        os::Kernel &rebooted = rig.kernel();
 
         // Regardless of flushing, all files must be intact.
         std::vector<u8> out(16 * 1024);

@@ -8,12 +8,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "fault/injector.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/andrew.hh"
 #include "workload/memtest.hh"
@@ -78,25 +74,21 @@ TEST(Integration, CrashInsideAnOperationIsTolerated)
     // a memTest operation; the verifier must tolerate the in-flight
     // op (paper: blocks marked "changing" cannot be judged).
     sim::Machine machine(test::smallMachine(3));
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioNoProtection);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioNoProtection),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = 41;
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
     for (int op = 0; op < 300; ++op)
         memtest.step();
 
     os::Manifestation m;
     m.kind = os::Manifestation::Kind::PanicNow;
-    kernel->procs().arm(os::ProcId::UfsWriteFile, m);
+    system.kernel().procs().arm(os::ProcId::UfsWriteFile, m);
 
     bool crashed = false;
     try {
@@ -107,18 +99,9 @@ TEST(Integration, CrashInsideAnOperationIsTolerated)
     }
     ASSERT_TRUE(crashed);
 
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
-
-    const auto result = memtest.verify(rebooted);
+    system.teardown();
+    system.recover();
+    const auto result = memtest.verify(system.kernel());
     EXPECT_FALSE(result.corrupt())
         << (result.details.empty() ? std::string()
                                    : result.details.front());
@@ -177,38 +160,20 @@ class RecoveryAcrossProtectionModes
 TEST_P(RecoveryAcrossProtectionModes, CrashRecoverVerify)
 {
     sim::Machine machine(test::smallMachine(7));
-    os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    config.protection = GetParam();
-    core::RioOptions options;
-    options.protection = GetParam();
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine, test::rioPreset(GetParam()),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = 43;
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
     for (int op = 0; op < 600; ++op)
         memtest.step();
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "param crash");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
-    const auto result = memtest.verify(rebooted);
+    system.crash("param crash");
+    system.recover();
+    const auto result = memtest.verify(system.kernel());
     EXPECT_FALSE(result.corrupt());
 }
 
@@ -220,35 +185,20 @@ INSTANTIATE_TEST_SUITE_P(AllModes, RecoveryAcrossProtectionModes,
 TEST(Integration, AndrewSurvivesRioCrashMidCompile)
 {
     sim::Machine machine(test::smallMachine(11));
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
 
     wl::AndrewConfig andrewConfig;
     andrewConfig.files = 12;
     andrewConfig.dirs = 3;
-    wl::Andrew andrew(*kernel, andrewConfig);
+    wl::Andrew andrew(system.kernel(), andrewConfig);
     for (int step = 0; step < 60; ++step)
         andrew.step();
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "mid-andrew");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
+    system.crash("mid-andrew");
+    system.recover();
+    os::Kernel &rebooted = system.kernel();
 
     // The already-copied sources must be intact byte for byte.
     os::Process proc(1);
@@ -268,44 +218,26 @@ TEST(Integration, AndrewSurvivesRioCrashMidCompile)
 TEST(Integration, BackToBackCrashesAccumulateNoDamage)
 {
     sim::Machine machine(test::smallMachine(13));
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = 47;
     memtestConfig.maxFileSetBytes = 512 * 1024;
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
 
     for (int round = 0; round < 5; ++round) {
         for (int op = 0; op < 200; ++op)
             memtest.step();
-        try {
-            machine.crash(sim::CrashCause::KernelPanic,
-                          "round " + std::to_string(round));
-        } catch (const sim::CrashException &) {
-        }
-        rio->deactivate();
-        rio.reset();
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
-        core::WarmReboot warm(machine);
-        auto report = warm.dumpAndRestoreMetadata();
-        rio = std::make_unique<core::RioSystem>(machine, options);
-        kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), false);
-        warm.restoreData(kernel->vfs(), report);
+        system.crash("round " + std::to_string(round));
+        system.recover();
 
         // memTest carries on against the rebooted kernel — its model
         // must keep matching across every crash/reboot cycle.
-        memtest.rebind(*kernel);
-        const auto result = memtest.verify(*kernel);
+        memtest.rebind(system.kernel());
+        const auto result = memtest.verify(system.kernel());
         ASSERT_FALSE(result.corrupt())
             << "round " << round << ": "
             << (result.details.empty() ? std::string()

@@ -10,7 +10,7 @@
 
 #include <cstring>
 
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -80,11 +80,12 @@ TEST(JournalTest, AbsorptionCoalescesSameBlock)
 TEST(JournalTest, ReplayRestoresLoggedMetadataAfterCrash)
 {
     sim::Machine machine(test::smallMachine());
-    auto kernel = std::make_unique<os::Kernel>(
-        machine, os::systemPreset(os::SystemPreset::AdvFsJournal));
-    kernel->boot(nullptr, true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::AdvFsJournal));
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = kernel.vfs();
     rio::wl::tolerate(vfs.mkdir("/dir"));
     for (int i = 0; i < 20; ++i) {
         auto fd = vfs.open(proc, "/dir/f" + std::to_string(i),
@@ -95,21 +96,14 @@ TEST(JournalTest, ReplayRestoresLoggedMetadataAfterCrash)
     }
     // Commit the journal and let the queued log writes land — but
     // the home copies wait for a checkpoint (that's the point).
-    kernel->journal().commitTransaction();
-    kernel->fsDisk().drain(machine.clock());
+    kernel.journal().commitTransaction();
+    kernel.fsDisk().drain(machine.clock());
     // Data pages must be on disk for full recovery of contents.
-    kernel->ubc().flushAll(true);
+    kernel.ubc().flushAll(true);
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "journal test");
-    } catch (const sim::CrashException &) {
-    }
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-
-    os::Kernel rebooted(machine,
-                        os::systemPreset(os::SystemPreset::AdvFsJournal));
-    rebooted.boot(nullptr, false);
+    system.crash("journal test");
+    system.recover();
+    os::Kernel &rebooted = system.kernel();
     EXPECT_GT(rebooted.journalReplayed(), 0u);
 
     // The files exist with their metadata, courtesy of the log.

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "fault/postcrash.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "support/bytes.hh"
 #include "support/checksum.hh"
@@ -103,10 +103,10 @@ std::unique_ptr<sim::Machine>
 makeCrashedImage(os::KernelConfig config, int files = 8)
 {
     auto machine = std::make_unique<sim::Machine>(test::smallMachine());
-    auto kernel = std::make_unique<os::Kernel>(*machine, config);
-    kernel->boot(nullptr, true);
+    core::System system(*machine, config);
+    system.boot(true);
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     wl::tolerate(vfs.mkdir("/d"));
     for (int i = 0; i < files; ++i) {
         auto fd = vfs.open(proc, "/d/f" + std::to_string(i),
@@ -116,13 +116,8 @@ makeCrashedImage(os::KernelConfig config, int files = 8)
         wl::tolerate(vfs.close(proc, fd.value()));
     }
     vfs.sync(); // Commits the compound transaction (no checkpoint).
-    kernel->fsDisk().drain(machine->clock());
-    try {
-        machine->crash(sim::CrashCause::KernelPanic, "ext3 test");
-    } catch (const sim::CrashException &) {
-    }
-    kernel.reset();
-    machine->reset(sim::ResetKind::Warm);
+    system.kernel().fsDisk().drain(machine->clock());
+    system.crash("ext3 test");
     return machine;
 }
 
@@ -405,10 +400,10 @@ TEST(JournalExt3, CrashDuringCheckpointRecoversAtEveryStep)
 
     const auto run = [&](u64 crashAt, u64 *stepsSeen) -> bool {
         sim::Machine machine(test::smallMachine());
-        auto kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(nullptr, true);
+        core::System system(machine, config);
+        system.boot(true);
         os::Process proc(1);
-        auto &vfs = kernel->vfs();
+        auto &vfs = system.vfs();
         int fsynced = 0;
         bool crashed = false;
         u64 steps = 0;
@@ -443,16 +438,14 @@ TEST(JournalExt3, CrashDuringCheckpointRecoversAtEveryStep)
             *stepsSeen = steps;
         if (!crashed)
             return false;
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
+        system.teardown();
 
         // Double crash: interrupt the first recovery attempt.
         sim::SimClock clock;
         replayAbortingAt(machine, clock, 1);
 
-        os::Kernel rebooted(machine, config);
-        rebooted.boot(nullptr, false);
-        EXPECT_EQ(countFiles(rebooted, fsynced), fsynced)
+        system.recover();
+        EXPECT_EQ(countFiles(system.kernel(), fsynced), fsynced)
             << "crashAt=" << crashAt;
         return true;
     };

@@ -7,9 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -105,27 +103,18 @@ TEST(Mfs, RamDiskOpsAreFree)
 TEST(Mfs, CrashLosesEverything)
 {
     sim::Machine machine(machineConfig());
-    auto kernel = std::make_unique<os::Kernel>(
-        machine, os::systemPreset(os::SystemPreset::MemoryFs));
-    kernel->boot(nullptr, true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::MemoryFs));
+    system.boot(true);
     os::Process proc(1);
     std::vector<u8> data(1000, 0x61);
-    auto fd = kernel->vfs().open(proc, "/gone",
-                                 os::OpenFlags::writeOnly());
-    rio::wl::tolerate(kernel->vfs().write(proc, fd.value(), data));
-    rio::wl::tolerate(kernel->vfs().close(proc, fd.value()));
+    auto fd = system.vfs().open(proc, "/gone", os::OpenFlags::writeOnly());
+    rio::wl::tolerate(system.vfs().write(proc, fd.value(), data));
+    rio::wl::tolerate(system.vfs().close(proc, fd.value()));
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "mfs crash");
-    } catch (const sim::CrashException &) {
-    }
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-
+    system.crash("mfs crash");
     // A new MFS kernel formats a fresh RAM disk: nothing survives.
-    os::Kernel rebooted(machine,
-                        os::systemPreset(os::SystemPreset::MemoryFs));
-    rebooted.boot(nullptr, false);
-    EXPECT_EQ(rebooted.vfs().stat("/gone").status(),
+    system.recover();
+    EXPECT_EQ(system.vfs().stat("/gone").status(),
               support::OsStatus::NoEnt);
 }

@@ -11,19 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/nvmirror.hh"
 #include "core/registry.hh"
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "fault/nvfault.hh"
 #include "harness/crashcampaign.hh"
 #include "harness/crashmc.hh"
 #include "harness/sink.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -213,57 +210,35 @@ namespace
 struct NvCrashRig
 {
     sim::Machine machine;
-    os::KernelConfig config;
-    core::RioOptions options;
+    core::System system;
     std::vector<u8> payload;
 
     NvCrashRig()
         : machine(nvMachineConfig()),
-          config(os::systemPreset(os::SystemPreset::RioNvProtected)),
+          system(machine,
+                 os::systemPreset(os::SystemPreset::RioNvProtected),
+                 {.maintainChecksums = true}),
           payload(8192, 0x6b)
     {
-        options.protection = config.protection;
-        options.maintainChecksums = true;
-        options.nvBacked = config.rioNvMirror;
-        auto rio =
-            std::make_unique<core::RioSystem>(machine, options);
-        auto kernel =
-            std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), true);
-
+        system.boot(true);
         os::Process proc(1);
-        auto &vfs = kernel->vfs();
+        auto &vfs = system.vfs();
         auto fd =
             vfs.open(proc, "/keep", os::OpenFlags::writeOnly());
         wl::tolerate(vfs.write(proc, fd.value(), payload));
         wl::tolerate(vfs.close(proc, fd.value()));
-
-        try {
-            machine.crash(sim::CrashCause::KernelPanic, "nv rig");
-        } catch (const sim::CrashException &) {
-        }
-        rio->deactivate();
-        rio.reset();
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
+        system.crash("nv rig");
     }
 
     core::WarmRebootReport reboot()
     {
-        core::WarmReboot warm(machine);
-        auto report = warm.dumpAndRestoreMetadata();
-        core::RioSystem rio2(machine, options);
-        os::Kernel rebooted(machine, config);
-        rebooted.boot(&rio2, false);
-        warm.restoreData(rebooted.vfs(), report);
-
+        auto report = system.recover();
         os::Process proc(1);
         std::vector<u8> out(payload.size());
-        auto fd = rebooted.vfs().open(proc, "/keep",
-                                      os::OpenFlags::readOnly());
+        auto fd = system.vfs().open(proc, "/keep",
+                                    os::OpenFlags::readOnly());
         if (fd.ok()) {
-            wl::tolerate(
-                rebooted.vfs().read(proc, fd.value(), out));
+            wl::tolerate(system.vfs().read(proc, fd.value(), out));
             fileIntact = out == payload;
         }
         return report;

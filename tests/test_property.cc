@@ -16,11 +16,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/memtest.hh"
 #include "workload/script.hh"
@@ -44,40 +40,23 @@ TEST_P(CrashAnywhereProperty, EveryCompletedWriteSurvives)
     const int crashAfterOps = std::get<1>(GetParam());
 
     sim::Machine machine(test::smallMachine(seed));
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed * 13 + 1;
     memtestConfig.maxFileSetBytes = 1 << 20;
-    wl::MemTest memtest(*kernel, memtestConfig);
+    wl::MemTest memtest(system.kernel(), memtestConfig);
     memtest.setup();
     for (int op = 0; op < crashAfterOps; ++op)
         memtest.step();
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "property crash");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.crash("property crash");
+    const auto report = system.recover();
 
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
-
-    const auto result = memtest.verify(rebooted);
+    const auto result = memtest.verify(system.kernel());
     EXPECT_FALSE(result.corrupt())
         << "seed=" << seed << " ops=" << crashAfterOps << ": "
         << (result.details.empty() ? std::string()
@@ -105,15 +84,9 @@ TEST_P(DifferentialFsProperty, KernelMatchesModelOracle)
     const os::SystemPreset preset = std::get<1>(GetParam());
 
     sim::Machine machine(test::smallMachine(seed));
-    std::unique_ptr<core::RioSystem> rio;
-    const os::KernelConfig config = os::systemPreset(preset);
-    if (config.rio) {
-        core::RioOptions options;
-        options.protection = config.protection;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-    }
-    os::Kernel kernel(machine, config);
-    kernel.boot(rio.get(), true);
+    core::System system(machine, os::systemPreset(preset));
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
 
     wl::MemTestConfig memtestConfig;
     memtestConfig.seed = seed * 7 + 5;
@@ -152,15 +125,12 @@ class PolicyOrderingProperty : public ::testing::TestWithParam<u64>
     diskWritesFor(os::SystemPreset preset)
     {
         sim::Machine machine(test::smallMachine(GetParam()));
-        std::unique_ptr<core::RioSystem> rio;
-        const os::KernelConfig config = os::systemPreset(preset);
-        if (config.rio) {
-            core::RioOptions options;
-            options.protection = os::ProtectionMode::Off;
-            rio = std::make_unique<core::RioSystem>(machine, options);
-        }
-        os::Kernel kernel(machine, config);
-        kernel.boot(rio.get(), true);
+        os::KernelConfig config = os::systemPreset(preset);
+        if (config.rio)
+            config.protection = os::ProtectionMode::Off;
+        core::System system(machine, config);
+        system.boot(true);
+        os::Kernel &kernel = system.kernel();
         kernel.fsDisk().resetStats();
 
         os::Process proc(1);

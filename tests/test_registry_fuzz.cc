@@ -18,15 +18,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "core/registry.hh"
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
+#include "core/system.hh"
 #include "fault/postcrash.hh"
 #include "harness/oracle.hh"
-#include "os/kernel.hh"
 #include "registry_fuzz_corpus.hh"
 #include "sim/machine.hh"
 #include "support/rng.hh"
@@ -60,20 +57,16 @@ TEST_P(RegistryFuzz, HardenedRecoverySurvivesACorruptedImage)
 {
     const u64 seed = GetParam();
     sim::Machine machine(machineConfig(seed));
-    os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioNoProtection);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioNoProtection),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     // A deterministic burst of activity, left unflushed: dirty
     // dirents, inodes, bitmaps and data pages for the crash to
     // strand in memory.
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     support::Rng wrng(seed * 48271 + 11);
     for (int i = 0; i < 10; ++i) {
         const std::string dir = "/d" + std::to_string(i % 4);
@@ -90,14 +83,7 @@ TEST_P(RegistryFuzz, HardenedRecoverySurvivesACorruptedImage)
             rio::wl::tolerate(vfs.unlink("/d2/f6"));
     }
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "fuzz");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.crash("fuzz");
 
     // Damage the surviving image the way an adversarial outage would.
     fault::PostCrashConfig postConfig;
@@ -112,8 +98,7 @@ TEST_P(RegistryFuzz, HardenedRecoverySurvivesACorruptedImage)
     const auto capture = harness::captureRecoveryOracle(
         machine, core::RestorePolicy::hardened());
 
-    core::WarmReboot warm(machine); // RestorePolicy::hardened()
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = system.restoreMetadata(); // RestorePolicy::hardened()
 
     const auto verdict =
         harness::checkRecoveryOracle(machine, capture, report);
@@ -161,17 +146,15 @@ TEST_P(RegistryFuzz, HardenedRecoverySurvivesACorruptedImage)
 
     // (c) The recovered volume boots, fsck repairs what the
     // quarantine left stale, and normal operation works.
-    auto rio2 = std::make_unique<core::RioSystem>(machine, options);
-    os::Kernel rebooted(machine, config);
     try {
-        rebooted.boot(rio2.get(), false);
+        system.boot(false);
     } catch (const sim::CrashException &crash) {
         FAIL() << "recovered volume failed to boot at seed " << seed
                << ": " << crash.what();
     }
-    warm.restoreData(rebooted.vfs(), report);
+    system.restoreData(report);
 
-    auto &vfs2 = rebooted.vfs();
+    auto &vfs2 = system.vfs();
     os::Process proc2(2);
     auto fd = vfs2.open(proc2, "/fresh", os::OpenFlags::writeOnly());
     ASSERT_TRUE(fd.ok());

@@ -10,9 +10,7 @@
 
 #include <cstring>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -26,22 +24,18 @@ namespace
 struct RioRig
 {
     explicit RioRig(os::ProtectionMode mode, bool checksums = true)
-        : machine(test::smallMachine())
+        : machine(test::smallMachine()),
+          system(machine, test::rioPreset(mode),
+                 {.maintainChecksums = checksums})
     {
-        config = os::systemPreset(os::SystemPreset::RioProtected);
-        config.protection = mode;
-        core::RioOptions options;
-        options.protection = mode;
-        options.maintainChecksums = checksums;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-        kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), true);
+        system.boot(true);
     }
 
+    os::Kernel &kernel() { return system.kernel(); }
+    core::RioSystem *rio() { return system.rio(); }
+
     sim::Machine machine;
-    os::KernelConfig config;
-    std::unique_ptr<core::RioSystem> rio;
-    std::unique_ptr<os::Kernel> kernel;
+    core::System system;
     os::Process proc{1};
 };
 
@@ -50,7 +44,7 @@ struct RioRig
 TEST(RioRegistry, TracksDataPagesWithIdentity)
 {
     RioRig rig(os::ProtectionMode::Off);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/file", os::OpenFlags::writeOnly());
     std::vector<u8> data(10000, 0x21);
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
@@ -58,9 +52,9 @@ TEST(RioRegistry, TracksDataPagesWithIdentity)
     const InodeNo ino = vfs.stat("/file").value().ino;
 
     // Find the page caching offset 8192..16383 and check its entry.
-    auto ref = rig.kernel->ubc().getPage(1, ino, 1, false);
-    const Addr page = rig.kernel->ubc().pagePhys(ref);
-    auto entry = rig.rio->entryFor(page);
+    auto ref = rig.kernel().ubc().getPage(1, ino, 1, false);
+    const Addr page = rig.kernel().ubc().pagePhys(ref);
+    auto entry = rig.rio()->entryFor(page);
     ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->kind, core::RegistryLayout::kKindData);
     EXPECT_EQ(entry->ino, ino);
@@ -73,13 +67,13 @@ TEST(RioRegistry, TracksDataPagesWithIdentity)
 TEST(RioRegistry, ChecksumMatchesPageContents)
 {
     RioRig rig(os::ProtectionMode::Off);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/c", os::OpenFlags::writeOnly());
     std::vector<u8> data(4096, 0x37);
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
 
-    auto sweep = rig.rio->verifyChecksums();
+    auto sweep = rig.rio()->verifyChecksums();
     EXPECT_GT(sweep.checked, 0u);
     EXPECT_EQ(sweep.mismatches, 0u);
 }
@@ -87,7 +81,7 @@ TEST(RioRegistry, ChecksumMatchesPageContents)
 TEST(RioRegistry, ChecksumCatchesDirectCorruption)
 {
     RioRig rig(os::ProtectionMode::Off);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/victim",
                        os::OpenFlags::writeOnly());
     std::vector<u8> data(4096, 0x44);
@@ -95,12 +89,12 @@ TEST(RioRegistry, ChecksumCatchesDirectCorruption)
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
 
     const InodeNo ino = vfs.stat("/victim").value().ino;
-    auto ref = rig.kernel->ubc().getPage(1, ino, 0, false);
-    const Addr page = rig.kernel->ubc().pagePhys(ref);
+    auto ref = rig.kernel().ubc().getPage(1, ino, 0, false);
+    const Addr page = rig.kernel().ubc().pagePhys(ref);
     // A wild store that bypasses every legitimate write path.
     rig.machine.mem().raw()[page + 123] ^= 0xff;
 
-    auto sweep = rig.rio->verifyChecksums();
+    auto sweep = rig.rio()->verifyChecksums();
     EXPECT_EQ(sweep.mismatches, 1u);
     ASSERT_EQ(sweep.badPages.size(), 1u);
     EXPECT_EQ(sweep.badPages[0], page);
@@ -109,18 +103,18 @@ TEST(RioRegistry, ChecksumCatchesDirectCorruption)
 TEST(RioRegistry, InvalidateFreesEntry)
 {
     RioRig rig(os::ProtectionMode::Off);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/gone", os::OpenFlags::writeOnly());
     std::vector<u8> data(100, 0x55);
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
     const InodeNo ino = vfs.stat("/gone").value().ino;
-    auto ref = rig.kernel->ubc().getPage(1, ino, 0, false);
-    const Addr page = rig.kernel->ubc().pagePhys(ref);
-    ASSERT_TRUE(rig.rio->entryFor(page).has_value());
+    auto ref = rig.kernel().ubc().getPage(1, ino, 0, false);
+    const Addr page = rig.kernel().ubc().pagePhys(ref);
+    ASSERT_TRUE(rig.rio()->entryFor(page).has_value());
 
     rio::wl::tolerate(vfs.unlink("/gone"));
-    EXPECT_FALSE(rig.rio->entryFor(page).has_value());
+    EXPECT_FALSE(rig.rio()->entryFor(page).has_value());
 }
 
 TEST(RioProtection, VmTlbStopsWildStoreToFileCache)
@@ -130,7 +124,7 @@ TEST(RioProtection, VmTlbStopsWildStoreToFileCache)
         rig.machine.mem().region(sim::RegionKind::UbcPool).base;
     EXPECT_THROW(rig.machine.bus().store64(page, 0xbad),
                  sim::CrashException);
-    EXPECT_EQ(rig.rio->stats().protectionSaves, 1u);
+    EXPECT_EQ(rig.rio()->stats().protectionSaves, 1u);
 }
 
 TEST(RioProtection, VmTlbStopsKsegBypass)
@@ -157,7 +151,7 @@ TEST(RioProtection, RegistryItselfIsProtected)
 TEST(RioProtection, LegitimateWritesStillWork)
 {
     RioRig rig(os::ProtectionMode::VmTlb);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> data(20000, 0x61);
     auto fd = vfs.open(rig.proc, "/ok", os::OpenFlags::writeOnly());
     ASSERT_TRUE(vfs.write(rig.proc, fd.value(), data).ok());
@@ -166,7 +160,7 @@ TEST(RioProtection, LegitimateWritesStillWork)
     auto rfd = vfs.open(rig.proc, "/ok", os::OpenFlags::readOnly());
     ASSERT_TRUE(vfs.read(rig.proc, rfd.value(), out).ok());
     EXPECT_EQ(out, data);
-    EXPECT_EQ(rig.rio->stats().protectionSaves, 0u);
+    EXPECT_EQ(rig.rio()->stats().protectionSaves, 0u);
 }
 
 TEST(RioProtection, CodePatchingStopsFileCacheStores)
@@ -182,18 +176,18 @@ TEST(RioProtection, CodePatchingStopsFileCacheStores)
     EXPECT_THROW(
         rig.machine.bus().store64(sim::physToKseg(page) + 8, 0xbad),
         sim::CrashException);
-    EXPECT_EQ(rig.rio->stats().protectionSaves, 2u);
+    EXPECT_EQ(rig.rio()->stats().protectionSaves, 2u);
 }
 
 TEST(RioProtection, CodePatchingAllowsNormalOperation)
 {
     RioRig rig(os::ProtectionMode::CodePatch);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> data(10000, 0x71);
     auto fd = vfs.open(rig.proc, "/cp", os::OpenFlags::writeOnly());
     ASSERT_TRUE(vfs.write(rig.proc, fd.value(), data).ok());
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
-    EXPECT_EQ(rig.rio->stats().protectionSaves, 0u);
+    EXPECT_EQ(rig.rio()->stats().protectionSaves, 0u);
 }
 
 TEST(RioProtection, OffModeAllowsCorruption)
@@ -202,13 +196,13 @@ TEST(RioProtection, OffModeAllowsCorruption)
     const Addr page =
         rig.machine.mem().region(sim::RegionKind::UbcPool).base;
     EXPECT_NO_THROW(rig.machine.bus().store64(page, 0xbad));
-    EXPECT_EQ(rig.rio->stats().protectionSaves, 0u);
+    EXPECT_EQ(rig.rio()->stats().protectionSaves, 0u);
 }
 
 TEST(RioProtection, DeactivateRestoresWritability)
 {
     RioRig rig(os::ProtectionMode::VmTlb);
-    rig.rio->deactivate();
+    rig.rio()->deactivate();
     const Addr page =
         rig.machine.mem().region(sim::RegionKind::UbcPool).base;
     EXPECT_NO_THROW(rig.machine.bus().store64(page, 0x11));
@@ -218,16 +212,16 @@ TEST(RioProtection, DeactivateRestoresWritability)
 TEST(RioShadow, MetadataUpdateUsesShadow)
 {
     RioRig rig(os::ProtectionMode::VmTlb);
-    const u64 shadowsBefore = rig.rio->stats().shadowCopies;
-    rio::wl::tolerate(rig.kernel->vfs().mkdir("/newdir"));
-    EXPECT_GT(rig.rio->stats().shadowCopies, shadowsBefore);
+    const u64 shadowsBefore = rig.rio()->stats().shadowCopies;
+    rio::wl::tolerate(rig.kernel().vfs().mkdir("/newdir"));
+    EXPECT_GT(rig.rio()->stats().shadowCopies, shadowsBefore);
 }
 
 TEST(RioShadow, EntryIsChangingDuringWindowActiveAfter)
 {
     RioRig rig(os::ProtectionMode::Off);
-    auto &buf = rig.kernel->bufferCache();
-    auto ref = buf.bread(1, rig.kernel->ufs().geometry().itStart);
+    auto &buf = rig.kernel().bufferCache();
+    auto ref = buf.bread(1, rig.kernel().ufs().geometry().itStart);
     const Addr page = buf.pageAddr(ref);
     {
         // First window dirties the block; shadowing only covers
@@ -237,13 +231,13 @@ TEST(RioShadow, EntryIsChangingDuringWindowActiveAfter)
     }
     {
         os::BufferCache::WriteWindow window(buf, ref);
-        auto entry = rig.rio->entryFor(page);
+        auto entry = rig.rio()->entryFor(page);
         ASSERT_TRUE(entry.has_value());
         EXPECT_EQ(entry->state, core::RegistryLayout::kStateChanging);
         EXPECT_NE(entry->shadowAddr, 0u);
         window.store8(8000, 1);
     }
-    auto entry = rig.rio->entryFor(page);
+    auto entry = rig.rio()->entryFor(page);
     EXPECT_EQ(entry->state, core::RegistryLayout::kStateActive);
     EXPECT_EQ(entry->shadowAddr, 0u);
     buf.brelse(ref);
@@ -262,8 +256,8 @@ namespace
 Addr
 crashInCommitWindow(RioRig &rig)
 {
-    auto &buf = rig.kernel->bufferCache();
-    auto ref = buf.bread(1, rig.kernel->ufs().geometry().itStart);
+    auto &buf = rig.kernel().bufferCache();
+    auto ref = buf.bread(1, rig.kernel().ufs().geometry().itStart);
     const Addr page = buf.pageAddr(ref);
     {
         // Dirty the block first: only dirty metadata is shadowed.
@@ -307,18 +301,14 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
 
     // The surviving image shows exactly the commit window: entry
     // still Changing, shadow already cleared, checksum current.
-    auto entry = rig.rio->entryFor(page);
+    auto entry = rig.rio()->entryFor(page);
     ASSERT_TRUE(entry.has_value());
     EXPECT_EQ(entry->state, core::RegistryLayout::kStateChanging);
     EXPECT_EQ(entry->shadowAddr, 0u);
 
-    rig.rio->deactivate();
-    rig.rio.reset();
-    rig.kernel.reset();
-    rig.machine.reset(sim::ResetKind::Warm);
+    rig.system.teardown();
 
-    core::WarmReboot warm(rig.machine); // hardened
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata(); // hardened
     EXPECT_EQ(report.metadataFromPhysFallback, 1u)
         << "the completed update must be restored from the page";
     EXPECT_EQ(report.metadataUnrestorable, 0u);
@@ -328,14 +318,10 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
     {
         RioRig rig2(os::ProtectionMode::Off);
         ASSERT_NE(crashInCommitWindow(rig2), 0u);
-        rig2.rio->deactivate();
-        rig2.rio.reset();
-        rig2.kernel.reset();
-        rig2.machine.reset(sim::ResetKind::Warm);
+        rig2.system.teardown();
 
-        core::WarmReboot trusting(rig2.machine,
-                                  core::RestorePolicy::trusting());
-        auto trustingReport = trusting.dumpAndRestoreMetadata();
+        auto trustingReport =
+            rig2.system.restoreMetadata(core::RestorePolicy::trusting());
         EXPECT_EQ(trustingReport.metadataUnrestorable, 1u)
             << "trusting is shadow-or-bust in the commit window";
     }
@@ -344,7 +330,7 @@ TEST(RioShadow, CrashInCommitWindowIsRecoverableFromThePageItself)
 TEST(RioRegistry, ParserSkipsCorruptEntries)
 {
     RioRig rig(os::ProtectionMode::Off);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/p", os::OpenFlags::writeOnly());
     std::vector<u8> data(100, 1);
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
@@ -383,7 +369,7 @@ TEST(RioRegistry, ProtectionOverheadIsSmall)
     // Section 4's claim: protection adds essentially no overhead.
     auto run = [&](os::ProtectionMode mode) {
         RioRig rig(mode, /*checksums=*/false);
-        auto &vfs = rig.kernel->vfs();
+        auto &vfs = rig.kernel().vfs();
         const SimNs start = rig.machine.clock().now();
         std::vector<u8> data(32 * 1024, 0x5a);
         for (int i = 0; i < 50; ++i) {

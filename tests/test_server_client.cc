@@ -15,8 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/rio.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/modelfs.hh"
 #include "workload/script.hh"
@@ -30,17 +29,17 @@ namespace
 struct Server
 {
     sim::Machine machine;
-    core::RioSystem rio;
-    os::Kernel kernel;
+    core::System system;
 
     explicit Server(u64 diskBytes = 16ull << 20)
         : machine(machineConfig(diskBytes)),
-          rio(machine, rioOptions()),
-          kernel(machine, os::systemPreset(
-                              os::SystemPreset::RioProtected))
+          system(machine,
+                 os::systemPreset(os::SystemPreset::RioProtected))
     {
-        kernel.boot(&rio, true);
+        system.boot(true);
     }
+
+    os::Kernel &kernel() { return system.kernel(); }
 
     static sim::MachineConfig
     machineConfig(u64 diskBytes)
@@ -50,16 +49,6 @@ struct Server
         config.diskBytes = diskBytes;
         config.swapBytes = 17ull << 20;
         return config;
-    }
-
-    static core::RioOptions
-    rioOptions()
-    {
-        core::RioOptions options;
-        options.protection =
-            os::systemPreset(os::SystemPreset::RioProtected)
-                .protection;
-        return options;
     }
 };
 
@@ -93,19 +82,19 @@ TEST(ServerClient, OverwriteShorterKeepsModelInSync)
     config.docMin = 20'000;
     config.docMax = 30'000;
     wl::ServerClient client(config, 5);
-    client.createDirs(server.kernel);
+    client.createDirs(server.kernel());
     wl::ModelFs model;
 
-    ASSERT_TRUE(client.overwriteDoc(server.kernel, model, 1));
+    ASSERT_TRUE(client.overwriteDoc(server.kernel(), model, 1));
     // Overwrite with much smaller docs: truncation must be mirrored.
     wl::ServerClient::Config small = config;
     small.docMin = 100;
     small.docMax = 200;
     wl::ServerClient shrinker(small, 6);
-    ASSERT_TRUE(shrinker.overwriteDoc(server.kernel, model, 1));
-    expectModelMatchesVfs(server.kernel, model);
+    ASSERT_TRUE(shrinker.overwriteDoc(server.kernel(), model, 1));
+    expectModelMatchesVfs(server.kernel(), model);
 
-    const auto audit = client.audit(server.kernel, model);
+    const auto audit = client.audit(server.kernel(), model);
     EXPECT_EQ(audit.damaged, 0u);
     EXPECT_EQ(audit.intact, model.files().size());
 }
@@ -124,12 +113,12 @@ TEST(ServerClient, FailedWriteAfterTruncatingOpenIsMirrored)
     config.docMin = 30'000;
     config.docMax = 32'768;
     wl::ServerClient client(config, 7);
-    client.createDirs(server.kernel);
+    client.createDirs(server.kernel());
     wl::ModelFs model;
 
     u64 failures = 0;
     for (u64 doc = 0; doc < config.docs; ++doc) {
-        if (!client.overwriteDoc(server.kernel, model, doc))
+        if (!client.overwriteDoc(server.kernel(), model, doc))
             ++failures;
     }
     ASSERT_GT(failures, 0u)
@@ -138,11 +127,11 @@ TEST(ServerClient, FailedWriteAfterTruncatingOpenIsMirrored)
     // Overwrite existing docs some more now that the disk is full:
     // every one of these opens truncates, then fails to write.
     for (u64 doc = 0; doc < 32; ++doc)
-        client.overwriteDoc(server.kernel, model, doc);
+        client.overwriteDoc(server.kernel(), model, doc);
 
     // The oracle and the file system agree byte-for-byte anyway.
-    expectModelMatchesVfs(server.kernel, model);
-    const auto audit = client.audit(server.kernel, model);
+    expectModelMatchesVfs(server.kernel(), model);
+    const auto audit = client.audit(server.kernel(), model);
     EXPECT_EQ(audit.damaged, 0u);
 }
 
@@ -153,24 +142,24 @@ TEST(ServerClient, AuditCatchesLongerRealFile)
     Server server;
     wl::ServerClient::Config config;
     wl::ServerClient client(config, 8);
-    client.createDirs(server.kernel);
+    client.createDirs(server.kernel());
     wl::ModelFs model;
-    ASSERT_TRUE(client.overwriteDoc(server.kernel, model, 0));
-    ASSERT_TRUE(client.overwriteDoc(server.kernel, model, 1));
+    ASSERT_TRUE(client.overwriteDoc(server.kernel(), model, 0));
+    ASSERT_TRUE(client.overwriteDoc(server.kernel(), model, 1));
 
     // Corrupt: append bytes to doc 0 behind the model's back.
     os::Process vandal(3);
     const std::string path = client.docPath(0);
     auto flags = os::OpenFlags::readWrite();
     flags.append = true;
-    auto fd = server.kernel.vfs().open(vandal, path, flags);
+    auto fd = server.kernel().vfs().open(vandal, path, flags);
     ASSERT_TRUE(fd.ok());
     const std::vector<u8> extra(64, 0xee);
     ASSERT_TRUE(
-        server.kernel.vfs().write(vandal, fd.value(), extra).ok());
-    wl::tolerate(server.kernel.vfs().close(vandal, fd.value()));
+        server.kernel().vfs().write(vandal, fd.value(), extra).ok());
+    wl::tolerate(server.kernel().vfs().close(vandal, fd.value()));
 
-    const auto audit = client.audit(server.kernel, model);
+    const auto audit = client.audit(server.kernel(), model);
     EXPECT_EQ(audit.damaged, 1u);
     EXPECT_EQ(audit.intact, model.files().size() - 1);
 }
@@ -181,21 +170,21 @@ TEST(ServerClient, AuditCatchesStrayFile)
     Server server;
     wl::ServerClient::Config config;
     wl::ServerClient client(config, 9);
-    client.createDirs(server.kernel);
+    client.createDirs(server.kernel());
     wl::ModelFs model;
-    ASSERT_TRUE(client.deliverMail(server.kernel, model, 0));
+    ASSERT_TRUE(client.deliverMail(server.kernel(), model, 0));
 
     os::Process vandal(4);
-    auto fd = server.kernel.vfs().open(
+    auto fd = server.kernel().vfs().open(
         vandal, config.root + "/docs/stray.tex",
         os::OpenFlags::writeOnly());
     ASSERT_TRUE(fd.ok());
     const std::vector<u8> junk(128, 0x11);
     ASSERT_TRUE(
-        server.kernel.vfs().write(vandal, fd.value(), junk).ok());
-    wl::tolerate(server.kernel.vfs().close(vandal, fd.value()));
+        server.kernel().vfs().write(vandal, fd.value(), junk).ok());
+    wl::tolerate(server.kernel().vfs().close(vandal, fd.value()));
 
-    const auto audit = client.audit(server.kernel, model);
+    const auto audit = client.audit(server.kernel(), model);
     EXPECT_EQ(audit.damaged, 1u);
 }
 
@@ -209,14 +198,14 @@ TEST(ServerClient, MailboxRotationMirrored)
     config.mailMax = 4000;
     config.mailboxRotateBytes = 16'000;
     wl::ServerClient client(config, 10);
-    client.createDirs(server.kernel);
+    client.createDirs(server.kernel());
     wl::ModelFs model;
 
     for (int i = 0; i < 40; ++i)
-        EXPECT_TRUE(client.deliverMail(server.kernel, model, 0));
+        EXPECT_TRUE(client.deliverMail(server.kernel(), model, 0));
     const auto *contents = model.contents(client.mailboxPath(0));
     ASSERT_NE(contents, nullptr);
     EXPECT_LE(contents->size(), config.mailboxRotateBytes);
-    expectModelMatchesVfs(server.kernel, model);
-    EXPECT_EQ(client.audit(server.kernel, model).damaged, 0u);
+    expectModelMatchesVfs(server.kernel(), model);
+    EXPECT_EQ(client.audit(server.kernel(), model).damaged, 0u);
 }

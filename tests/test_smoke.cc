@@ -7,9 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 
 using namespace rio;
@@ -72,20 +70,15 @@ TEST(Smoke, WriteReadRoundTrip)
 TEST(Smoke, RioSurvivesCrash)
 {
     sim::Machine machine(smallMachine());
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    core::RioSystem rio(machine, options);
-
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(&rio, true);
-    kernel->fsDisk().resetStats(); // Ignore mkfs/mount-marker writes.
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected),
+                        {.maintainChecksums = true});
+    system.boot(true);
+    // Ignore mkfs/mount-marker writes.
+    system.kernel().fsDisk().resetStats();
 
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     std::vector<u8> data(50000);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<u8>(i * 7 + 1);
@@ -97,7 +90,7 @@ TEST(Smoke, RioSurvivesCrash)
     ASSERT_TRUE(vfs.close(proc, fd.value()).ok());
 
     // Nothing was written to the disk by Rio.
-    EXPECT_EQ(kernel->fsDisk().stats().sectorsWritten, 0u);
+    EXPECT_EQ(system.kernel().fsDisk().stats().sectorsWritten, 0u);
 
     // Crash without any sync.
     try {
@@ -105,19 +98,13 @@ TEST(Smoke, RioSurvivesCrash)
         FAIL() << "crash must throw";
     } catch (const sim::CrashException &) {
     }
+    system.teardown();
 
-    rio.deactivate();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = system.restoreMetadata();
     EXPECT_GT(report.metadataRestored, 0u);
-
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
+    system.boot(false);
+    system.restoreData(report);
+    os::Kernel &rebooted = system.kernel();
     EXPECT_GT(report.dataPagesRestored, 0u);
     EXPECT_EQ(report.staleInodes, 0u);
 
@@ -134,28 +121,21 @@ TEST(Smoke, RioSurvivesCrash)
 TEST(Smoke, DiskSystemLosesUnsyncedDataAfterCrash)
 {
     sim::Machine machine(smallMachine());
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::UfsDelayAll);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(nullptr, true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::UfsDelayAll));
+    system.boot(true);
 
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.vfs();
     std::vector<u8> data(8192, 0x5a);
     auto fd = vfs.open(proc, "/lost", os::OpenFlags::writeOnly());
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(vfs.write(proc, fd.value(), data).ok());
     ASSERT_TRUE(vfs.close(proc, fd.value()).ok());
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "test crash");
-    } catch (const sim::CrashException &) {
-    }
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
-
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(nullptr, false);
+    system.crash("test crash");
+    system.recover();
+    os::Kernel &rebooted = system.kernel();
     // fsck ran (the fs was dirty) and the delayed data never made it.
     ASSERT_TRUE(rebooted.lastFsck().has_value());
     auto st = rebooted.vfs().stat("/lost");

@@ -11,10 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "core/rio.hh"
+#include "core/system.hh"
 #include "harness/bench.hh"
 #include "harness/hconfig.hh"
-#include "os/kernel.hh"
 #include "sim/machine.hh"
 #include "support/rng.hh"
 #include "workload/modelfs.hh"
@@ -67,13 +66,10 @@ serveFiles()
     constexpr u32 kDocs = 256;
     constexpr u64 kOps = 2000;
     Machine machine(harness::perfMachineConfig(kSeed));
-    const os::KernelConfig kernelConfig =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions rioOptions;
-    rioOptions.protection = kernelConfig.protection;
-    core::RioSystem rio(machine, rioOptions);
-    os::Kernel kernel(machine, kernelConfig);
-    kernel.boot(&rio, true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
 
     wl::ServerClient::Config clientConfig;
     clientConfig.mailboxes = kMailboxes;

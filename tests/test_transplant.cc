@@ -10,11 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -29,20 +26,17 @@ TEST(Transplant, MemoryBoardMovesToAnotherChassis)
 
     const os::KernelConfig kernelConfig =
         os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = kernelConfig.protection;
-    auto rio = std::make_unique<core::RioSystem>(failed, options);
-    auto kernel = std::make_unique<os::Kernel>(failed, kernelConfig);
-    kernel->boot(rio.get(), true);
+    core::System dead(failed, kernelConfig);
+    dead.boot(true);
 
     os::Process proc(1);
     std::vector<u8> data(40000);
     for (std::size_t i = 0; i < data.size(); ++i)
         data[i] = static_cast<u8>(i * 7 + 3);
-    auto fd = kernel->vfs().open(proc, "/payload",
-                                 os::OpenFlags::writeOnly());
-    rio::wl::tolerate(kernel->vfs().write(proc, fd.value(), data));
-    rio::wl::tolerate(kernel->vfs().close(proc, fd.value()));
+    auto fd = dead.vfs().open(proc, "/payload",
+                              os::OpenFlags::writeOnly());
+    rio::wl::tolerate(dead.vfs().write(proc, fd.value(), data));
+    rio::wl::tolerate(dead.vfs().close(proc, fd.value()));
 
     // The system board fails mid-flight (not even a clean panic).
     try {
@@ -50,9 +44,6 @@ TEST(Transplant, MemoryBoardMovesToAnotherChassis)
                      "system board failure");
     } catch (const sim::CrashException &) {
     }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
 
     // Reseat the memory board and the disks in a new chassis: same
     // geometry (the config describes the board), fresh CPU state.
@@ -68,13 +59,12 @@ TEST(Transplant, MemoryBoardMovesToAnotherChassis)
     // Power-on in the new chassis preserves the reseated memory
     // (DEC-style hardware); run the ordinary warm reboot there.
     replacement.reset(sim::ResetKind::Warm);
-    core::WarmReboot warm(replacement);
-    auto report = warm.dumpAndRestoreMetadata();
+    core::System system(replacement, kernelConfig);
+    auto report = system.restoreMetadata();
     EXPECT_GT(report.entriesSeen, 0u);
-    core::RioSystem rio2(replacement, options);
-    os::Kernel rebooted(replacement, kernelConfig);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
+    system.boot(false);
+    system.restoreData(report);
+    os::Kernel &rebooted = system.kernel();
 
     std::vector<u8> out(40000);
     auto rfd = rebooted.vfs().open(proc, "/payload",

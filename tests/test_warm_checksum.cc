@@ -8,11 +8,7 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "workload/script.hh"
 
@@ -23,17 +19,13 @@ using namespace rio;
 TEST(WarmChecksum, CorruptedDataPageIsCountedAndStillRestored)
 {
     sim::Machine machine(test::smallMachine());
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioNoProtection);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioNoProtection),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     os::Process proc(1);
-    auto &vfs = kernel->vfs();
+    auto &vfs = system.kernel().vfs();
     std::vector<u8> data(8192, 0x2d);
     auto fd = vfs.open(proc, "/victim", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(proc, fd.value(), data));
@@ -41,25 +33,14 @@ TEST(WarmChecksum, CorruptedDataPageIsCountedAndStillRestored)
     const InodeNo ino = vfs.stat("/victim").value().ino;
 
     // Direct corruption: a wild one-byte store into the cached page.
-    auto ref = kernel->ubc().getPage(1, ino, 0, false);
-    const Addr page = kernel->ubc().pagePhys(ref);
+    auto ref = system.kernel().ubc().getPage(1, ino, 0, false);
+    const Addr page = system.kernel().ubc().pagePhys(ref);
     machine.mem().raw()[page + 4000] ^= 0xff;
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "checksum test");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.crash("checksum test");
 
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    core::RioSystem rio2(machine, options);
-    os::Kernel rebooted(machine, config);
-    rebooted.boot(&rio2, false);
-    warm.restoreData(rebooted.vfs(), report);
+    auto report = system.recover();
+    os::Kernel &rebooted = system.kernel();
 
     // The detection apparatus flagged the page; the restore still
     // proceeded (the paper restores and lets memTest judge).
@@ -77,57 +58,42 @@ TEST(WarmChecksum, CorruptedDataPageIsCountedAndStillRestored)
 TEST(WarmChecksum, CorruptedMetadataBlockIsCounted)
 {
     sim::Machine machine(test::smallMachine());
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioNoProtection);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = true;
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    auto kernel = std::make_unique<os::Kernel>(machine, config);
-    kernel->boot(rio.get(), true);
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioNoProtection),
+                        {.maintainChecksums = true});
+    system.boot(true);
 
     os::Process proc(1);
-    rio::wl::tolerate(kernel->vfs().mkdir("/dir"));
+    rio::wl::tolerate(system.kernel().vfs().mkdir("/dir"));
     for (int i = 0; i < 3; ++i) {
-        rio::wl::tolerate(kernel->vfs().open(proc, "/dir/f" + std::to_string(i),
+        rio::wl::tolerate(system.kernel().vfs().open(proc, "/dir/f" + std::to_string(i),
                            os::OpenFlags::writeOnly()));
     }
 
     // Corrupt the directory's cached metadata block directly.
-    auto &ufs = kernel->ufs();
+    auto &ufs = system.kernel().ufs();
     auto dirIno = ufs.namei("/dir");
     auto dirInode = ufs.iget(dirIno.value());
     auto block = ufs.bmap(dirIno.value(), dirInode.value(), 0, false);
-    auto bref = kernel->bufferCache().bread(1, block.value());
-    const Addr page = kernel->bufferCache().pageAddr(bref);
-    kernel->bufferCache().brelse(bref);
+    auto bref = system.kernel().bufferCache().bread(1, block.value());
+    const Addr page = system.kernel().bufferCache().pageAddr(bref);
+    system.kernel().bufferCache().brelse(bref);
     machine.mem().raw()[page + 100] ^= 0x55;
 
-    try {
-        machine.crash(sim::CrashCause::KernelPanic, "meta checksum");
-    } catch (const sim::CrashException &) {
-    }
-    rio->deactivate();
-    rio.reset();
-    kernel.reset();
-    machine.reset(sim::ResetKind::Warm);
+    system.crash("meta checksum");
 
-    core::WarmReboot warm(machine);
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = system.restoreMetadata();
     EXPECT_GE(report.metadataChecksumBad, 1u);
 }
 
 TEST(WarmChecksum, PerfModeSkipsChecksums)
 {
     sim::Machine machine(test::smallMachine());
-    const os::KernelConfig config =
-        os::systemPreset(os::SystemPreset::RioProtected);
-    core::RioOptions options;
-    options.protection = config.protection;
-    options.maintainChecksums = false; // Table 2 mode.
-    auto rio = std::make_unique<core::RioSystem>(machine, options);
-    os::Kernel kernel(machine, config);
-    kernel.boot(rio.get(), true);
+    // Checksums off: Table 2 mode.
+    core::System system(machine,
+                        os::systemPreset(os::SystemPreset::RioProtected));
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
 
     os::Process proc(1);
     std::vector<u8> data(4096, 7);
@@ -136,6 +102,6 @@ TEST(WarmChecksum, PerfModeSkipsChecksums)
     rio::wl::tolerate(kernel.vfs().write(proc, fd.value(), data));
     rio::wl::tolerate(kernel.vfs().close(proc, fd.value()));
 
-    const auto sweep = rio->verifyChecksums();
+    const auto sweep = system.rio()->verifyChecksums();
     EXPECT_EQ(sweep.checked, 0u); // No checksums were maintained.
 }

@@ -10,11 +10,8 @@
 
 #include <array>
 #include <cstring>
-#include <memory>
 
-#include "core/rio.hh"
-#include "core/warmreboot.hh"
-#include "os/kernel.hh"
+#include "core/system.hh"
 #include "sim/machine.hh"
 #include "support/bytes.hh"
 #include "workload/script.hh"
@@ -40,50 +37,19 @@ struct CrashRig
         : CrashRig(machineConfig(survives))
     {}
 
-    explicit CrashRig(const sim::MachineConfig &mc) : machine(mc)
+    explicit CrashRig(const sim::MachineConfig &mc)
+        : machine(mc),
+          system(machine,
+                 os::systemPreset(os::SystemPreset::RioNoProtection),
+                 {.maintainChecksums = true})
     {
-        config = os::systemPreset(os::SystemPreset::RioNoProtection);
-        core::RioOptions options;
-        options.protection = config.protection;
-        options.maintainChecksums = true;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-        kernel = std::make_unique<os::Kernel>(machine, config);
-        kernel->boot(rio.get(), true);
+        system.boot(true);
     }
 
-    void
-    crashAndReset()
-    {
-        try {
-            machine.crash(sim::CrashCause::KernelPanic, "test");
-        } catch (const sim::CrashException &) {
-        }
-        rio->deactivate();
-        rio.reset();
-        kernel.reset();
-        machine.reset(sim::ResetKind::Warm);
-    }
-
-    /** Complete the standard recovery; returns the rebooted kernel. */
-    std::unique_ptr<os::Kernel>
-    recover(core::WarmRebootReport &report)
-    {
-        core::WarmReboot warm(machine);
-        report = warm.dumpAndRestoreMetadata();
-        core::RioOptions options;
-        options.protection = config.protection;
-        options.maintainChecksums = true;
-        rio = std::make_unique<core::RioSystem>(machine, options);
-        auto rebooted = std::make_unique<os::Kernel>(machine, config);
-        rebooted->boot(rio.get(), false);
-        warm.restoreData(rebooted->vfs(), report);
-        return rebooted;
-    }
+    os::Kernel &kernel() { return system.kernel(); }
 
     sim::Machine machine;
-    os::KernelConfig config;
-    std::unique_ptr<core::RioSystem> rio;
-    std::unique_ptr<os::Kernel> kernel;
+    core::System system;
     os::Process proc{1};
 };
 
@@ -182,11 +148,11 @@ diskBlockBytes(sim::Machine &machine, u64 block)
 void
 midUpdateCrash(CrashRig &rig)
 {
-    auto &ufs = rig.kernel->ufs();
+    auto &ufs = rig.kernel().ufs();
     auto rootInode = ufs.iget(os::Ufs::kRootIno);
     auto block = ufs.bmap(os::Ufs::kRootIno, rootInode.value(), 0,
                           false);
-    auto &buf = rig.kernel->bufferCache();
+    auto &buf = rig.kernel().bufferCache();
     auto ref = buf.bread(1, block.value());
     try {
         os::BufferCache::WriteWindow window(buf, ref);
@@ -197,10 +163,7 @@ midUpdateCrash(CrashRig &rig)
     } catch (const sim::CrashException &) {
         rig.machine.noteCrash(rig.machine.clock().now());
     }
-    rig.rio->deactivate();
-    rig.rio.reset();
-    rig.kernel.reset();
-    rig.machine.reset(sim::ResetKind::Warm);
+    rig.system.teardown();
 }
 
 } // namespace
@@ -208,7 +171,7 @@ midUpdateCrash(CrashRig &rig)
 TEST(WarmReboot, RecoversFilesAndDirectories)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     rio::wl::tolerate(vfs.mkdir("/a"));
     rio::wl::tolerate(vfs.mkdir("/a/b"));
     std::vector<u8> data(30000);
@@ -218,9 +181,8 @@ TEST(WarmReboot, RecoversFilesAndDirectories)
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
 
-    rig.crashAndReset();
-    core::WarmRebootReport report;
-    auto rebooted = rig.recover(report);
+    rig.system.crash("test");
+    const auto report = rig.system.recover();
 
     EXPECT_GT(report.metadataRestored, 0u);
     EXPECT_GT(report.dataPagesRestored, 0u);
@@ -228,28 +190,27 @@ TEST(WarmReboot, RecoversFilesAndDirectories)
     EXPECT_EQ(report.corruptEntries, 0u);
 
     std::vector<u8> out(30000);
-    auto rfd = rebooted->vfs().open(rig.proc, "/a/b/f",
-                                    os::OpenFlags::readOnly());
+    auto rfd = rig.system.vfs().open(rig.proc, "/a/b/f",
+                                     os::OpenFlags::readOnly());
     ASSERT_TRUE(rfd.ok());
-    ASSERT_TRUE(rebooted->vfs().read(rig.proc, rfd.value(), out).ok());
+    ASSERT_TRUE(rig.system.vfs().read(rig.proc, rfd.value(), out).ok());
     EXPECT_EQ(out, data);
 }
 
 TEST(WarmReboot, DeletionsSurviveTheCrashToo)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     auto fd = vfs.open(rig.proc, "/doomed", os::OpenFlags::writeOnly());
     std::vector<u8> data(5000, 0x13);
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
     rio::wl::tolerate(vfs.unlink("/doomed"));
 
-    rig.crashAndReset();
-    core::WarmRebootReport report;
-    auto rebooted = rig.recover(report);
+    rig.system.crash("test");
+    const auto report = rig.system.recover();
     // The file was deleted before the crash; it must stay deleted.
-    EXPECT_EQ(rebooted->vfs().stat("/doomed").status(),
+    EXPECT_EQ(rig.system.vfs().stat("/doomed").status(),
               support::OsStatus::NoEnt);
     EXPECT_EQ(report.staleInodes, 0u);
 }
@@ -257,7 +218,7 @@ TEST(WarmReboot, DeletionsSurviveTheCrashToo)
 TEST(WarmReboot, OverwritesSurvive)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> v1(8192, 0x01), v2(8192, 0x02);
     auto fd = vfs.open(rig.proc, "/ver", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), v1));
@@ -266,48 +227,45 @@ TEST(WarmReboot, OverwritesSurvive)
     rio::wl::tolerate(vfs.pwrite(rig.proc, fd2.value(), 0, v2));
     rio::wl::tolerate(vfs.close(rig.proc, fd2.value()));
 
-    rig.crashAndReset();
-    core::WarmRebootReport report;
-    auto rebooted = rig.recover(report);
+    rig.system.crash("test");
+    rig.system.recover();
     std::vector<u8> out(8192);
-    auto rfd = rebooted->vfs().open(rig.proc, "/ver",
-                                    os::OpenFlags::readOnly());
-    rio::wl::tolerate(rebooted->vfs().read(rig.proc, rfd.value(), out));
+    auto rfd = rig.system.vfs().open(rig.proc, "/ver",
+                                     os::OpenFlags::readOnly());
+    rio::wl::tolerate(rig.system.vfs().read(rig.proc, rfd.value(), out));
     EXPECT_EQ(out, v2);
 }
 
 TEST(WarmReboot, CleanPagesAreNotRestored)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> data(40000, 0x27);
     auto fd = vfs.open(rig.proc, "/flushed",
                        os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
     // Force everything to disk outside the policy (admin action).
-    rig.kernel->ufs().syncAll(true);
+    rig.kernel().ufs().syncAll(true);
 
-    rig.crashAndReset();
-    core::WarmRebootReport report;
-    auto rebooted = rig.recover(report);
+    rig.system.crash("test");
+    const auto report = rig.system.recover();
     // Nothing was dirty: nothing to restore, yet the data is there.
     EXPECT_EQ(report.dataPagesRestored, 0u);
     std::vector<u8> out(40000);
-    auto rfd = rebooted->vfs().open(rig.proc, "/flushed",
-                                    os::OpenFlags::readOnly());
+    auto rfd = rig.system.vfs().open(rig.proc, "/flushed",
+                                     os::OpenFlags::readOnly());
     ASSERT_TRUE(rfd.ok());
-    rio::wl::tolerate(rebooted->vfs().read(rig.proc, rfd.value(), out));
+    rio::wl::tolerate(rig.system.vfs().read(rig.proc, rfd.value(), out));
     EXPECT_EQ(out, data);
 }
 
 TEST(WarmReboot, DumpLandsOnSwapPartition)
 {
     CrashRig rig;
-    rig.crashAndReset();
-    core::WarmReboot warm(rig.machine);
+    rig.system.crash("test");
     rig.machine.swap().resetStats();
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata();
     EXPECT_EQ(report.dumpBytes, rig.machine.mem().size());
     EXPECT_GE(rig.machine.swap().stats().sectorsWritten,
               rig.machine.mem().size() / sim::kSectorSize);
@@ -316,15 +274,14 @@ TEST(WarmReboot, DumpLandsOnSwapPartition)
 TEST(WarmReboot, PcStyleMemoryLossMeansNothingRecovered)
 {
     CrashRig rig(/*survives=*/false);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> data(10000, 0x09);
     auto fd = vfs.open(rig.proc, "/lost", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
 
-    rig.crashAndReset(); // Memory is cleared by the reset.
-    core::WarmReboot warm(rig.machine);
-    auto report = warm.dumpAndRestoreMetadata();
+    rig.system.crash("test"); // Memory is cleared by the reset.
+    auto report = rig.system.restoreMetadata();
     EXPECT_EQ(report.entriesSeen, 0u);
     EXPECT_EQ(report.metadataRestored, 0u);
 }
@@ -332,7 +289,7 @@ TEST(WarmReboot, PcStyleMemoryLossMeansNothingRecovered)
 TEST(WarmReboot, MidUpdateCrashRestoresShadowCopy)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     for (int i = 0; i < 3; ++i) {
         rio::wl::tolerate(vfs.open(rig.proc, "/pre" + std::to_string(i),
                  os::OpenFlags::writeOnly()));
@@ -341,18 +298,17 @@ TEST(WarmReboot, MidUpdateCrashRestoresShadowCopy)
     // inside it.
     midUpdateCrash(rig);
 
-    core::WarmRebootReport report;
-    auto rebooted = rig.recover(report);
+    const auto report = rig.system.recover();
     EXPECT_EQ(report.metadataFromShadow, 1u);
     // All three files are reachable: the torn dirent never became
     // visible.
     for (int i = 0; i < 3; ++i) {
-        EXPECT_TRUE(rebooted->vfs()
+        EXPECT_TRUE(rig.system.vfs()
                         .stat("/pre" + std::to_string(i))
                         .ok());
     }
-    ASSERT_TRUE(rebooted->lastFsck().has_value());
-    EXPECT_EQ(rebooted->lastFsck()->badDirents, 0u);
+    ASSERT_TRUE(rig.kernel().lastFsck().has_value());
+    EXPECT_EQ(rig.kernel().lastFsck()->badDirents, 0u);
 }
 
 // --- Adversarial-image hardening (RestorePolicy). ------------------
@@ -360,7 +316,7 @@ TEST(WarmReboot, MidUpdateCrashRestoresShadowCopy)
 TEST(WarmReboot, BadChecksumMetadataNeverReachesDisk)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     for (int i = 0; i < 4; ++i) {
         const std::string dir = "/q" + std::to_string(i);
         rio::wl::tolerate(vfs.mkdir(dir));
@@ -370,7 +326,7 @@ TEST(WarmReboot, BadChecksumMetadataNeverReachesDisk)
         rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
         rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
     }
-    rig.crashAndReset();
+    rig.system.crash("test");
 
     auto slots = dirtyMetadataSlots(rig.machine);
     ASSERT_FALSE(slots.empty());
@@ -382,8 +338,7 @@ TEST(WarmReboot, BadChecksumMetadataNeverReachesDisk)
     std::memset(rig.machine.mem().raw() + page, 0xAB, sim::kPageSize);
 
     const std::vector<u8> before = diskBlockBytes(rig.machine, block);
-    core::WarmReboot hardened(rig.machine);
-    auto report = hardened.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata();
     EXPECT_GE(report.metadataChecksumBad, 1u);
     EXPECT_GE(report.recovery.metadataQuarantined, 1u);
     // The invariant: a known-bad page must never reach the disk. The
@@ -391,9 +346,8 @@ TEST(WarmReboot, BadChecksumMetadataNeverReachesDisk)
     EXPECT_EQ(diskBlockBytes(rig.machine, block), before);
 
     // Contrast: the trusting policy pushes the garbage to disk.
-    core::WarmReboot trusting(rig.machine,
-                              core::RestorePolicy::trusting());
-    auto report2 = trusting.dumpAndRestoreMetadata();
+    auto report2 =
+        rig.system.restoreMetadata(core::RestorePolicy::trusting());
     EXPECT_GE(report2.metadataChecksumBad, 1u);
     EXPECT_EQ(report2.recovery.metadataQuarantined, 0u);
     const std::vector<u8> after = diskBlockBytes(rig.machine, block);
@@ -404,10 +358,10 @@ TEST(WarmReboot, BadChecksumMetadataNeverReachesDisk)
 TEST(WarmReboot, ContestedDiskBlockIsLeftToFsck)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     for (int i = 0; i < 4; ++i)
         rio::wl::tolerate(vfs.mkdir("/dup" + std::to_string(i)));
-    rig.crashAndReset();
+    rig.system.crash("test");
 
     auto slots = dirtyMetadataSlots(rig.machine);
     ASSERT_GE(slots.size(), 2u);
@@ -426,17 +380,15 @@ TEST(WarmReboot, ContestedDiskBlockIsLeftToFsck)
     putField<u32>(thief, Layout::kOffDiskBlock, block);
 
     const std::vector<u8> before = diskBlockBytes(rig.machine, block);
-    core::WarmReboot hardened(rig.machine);
-    auto report = hardened.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata();
     // Both claimants are rejected; the contested block stays at the
     // on-disk copy for fsck to sort out.
     EXPECT_EQ(report.recovery.duplicateClaims, 2u);
     EXPECT_EQ(diskBlockBytes(rig.machine, block), before);
 
     // Trusting restores both claimants (last writer wins).
-    core::WarmReboot trusting(rig.machine,
-                              core::RestorePolicy::trusting());
-    auto report2 = trusting.dumpAndRestoreMetadata();
+    auto report2 =
+        rig.system.restoreMetadata(core::RestorePolicy::trusting());
     EXPECT_EQ(report2.recovery.duplicateClaims, 0u);
     EXPECT_EQ(report2.metadataRestored, report.metadataRestored + 2);
 }
@@ -448,16 +400,15 @@ TEST(WarmReboot, TruncatedDumpFailsSafe)
     small.swapBytes = 8ull << 20;
     small.requireSwapHoldsDump = false;
     CrashRig rig(small);
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> data(20000, 0x44);
     auto fd = vfs.open(rig.proc, "/f", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
-    rig.crashAndReset();
+    rig.system.crash("test");
 
-    core::WarmReboot warm(rig.machine);
     rig.machine.swap().resetStats();
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata();
     // The failure is recorded and no partial dump is written...
     EXPECT_FALSE(report.recovery.dumpOk);
     EXPECT_EQ(report.recovery.dumpShortfallBytes, 8ull << 20);
@@ -466,14 +417,8 @@ TEST(WarmReboot, TruncatedDumpFailsSafe)
     EXPECT_GT(report.metadataRestored, 0u);
 
     // Step 2 has no dump to replay: skipped, not fabricated.
-    core::RioOptions options;
-    options.protection = rig.config.protection;
-    options.maintainChecksums = true;
-    rig.rio = std::make_unique<core::RioSystem>(rig.machine, options);
-    auto rebooted =
-        std::make_unique<os::Kernel>(rig.machine, rig.config);
-    rebooted->boot(rig.rio.get(), false);
-    warm.restoreData(rebooted->vfs(), report);
+    rig.system.boot(false);
+    rig.system.restoreData(report);
     EXPECT_TRUE(report.recovery.dataRestoreSkipped);
     EXPECT_EQ(report.dataPagesRestored, 0u);
 }
@@ -483,7 +428,7 @@ TEST(WarmReboot, MidUpdateEntryWithoutShadowIsUnrestorable)
     CrashRig rig;
     // Dirty the root directory so beginWrite makes a shadow copy.
     for (int i = 0; i < 3; ++i) {
-        rio::wl::tolerate(rig.kernel->vfs().open(rig.proc, "/pre" + std::to_string(i),
+        rio::wl::tolerate(rig.kernel().vfs().open(rig.proc, "/pre" + std::to_string(i),
                                os::OpenFlags::writeOnly()));
     }
     midUpdateCrash(rig);
@@ -498,17 +443,15 @@ TEST(WarmReboot, MidUpdateEntryWithoutShadowIsUnrestorable)
     // Hardened probes the page as a fallback candidate, finds it
     // fails the checksum, and quarantines rather than restoring a
     // torn block.
-    core::WarmReboot warm(rig.machine);
-    auto report = warm.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata();
     EXPECT_EQ(report.metadataFromShadow, 0u);
     EXPECT_EQ(report.metadataFromPhysFallback, 0u);
     EXPECT_GE(report.recovery.metadataQuarantined, 1u);
     EXPECT_EQ(report.metadataUnrestorable, 0u);
 
     // Trusting never looks past the missing shadow: unrestorable.
-    core::WarmReboot trusting(rig.machine,
-                              core::RestorePolicy::trusting());
-    auto report2 = trusting.dumpAndRestoreMetadata();
+    auto report2 =
+        rig.system.restoreMetadata(core::RestorePolicy::trusting());
     EXPECT_EQ(report2.metadataFromShadow, 0u);
     EXPECT_EQ(report2.metadataUnrestorable, 1u);
 }
@@ -518,7 +461,7 @@ TEST(WarmReboot, CorruptedShadowCopyIsQuarantined)
     CrashRig rig;
     // Dirty the root directory so beginWrite makes a shadow copy.
     for (int i = 0; i < 3; ++i) {
-        rio::wl::tolerate(rig.kernel->vfs().open(rig.proc, "/pre" + std::to_string(i),
+        rio::wl::tolerate(rig.kernel().vfs().open(rig.proc, "/pre" + std::to_string(i),
                                os::OpenFlags::writeOnly()));
     }
     midUpdateCrash(rig);
@@ -536,17 +479,15 @@ TEST(WarmReboot, CorruptedShadowCopyIsQuarantined)
                 sim::kPageSize);
 
     const std::vector<u8> before = diskBlockBytes(rig.machine, block);
-    core::WarmReboot hardened(rig.machine);
-    auto report = hardened.dumpAndRestoreMetadata();
+    auto report = rig.system.restoreMetadata();
     EXPECT_EQ(report.recovery.shadowChecksumBad, 1u);
     EXPECT_GE(report.recovery.metadataQuarantined, 1u);
     EXPECT_EQ(report.metadataFromShadow, 0u);
     EXPECT_EQ(diskBlockBytes(rig.machine, block), before);
 
     // Trusting uses the smashed shadow anyway.
-    core::WarmReboot trusting(rig.machine,
-                              core::RestorePolicy::trusting());
-    auto report2 = trusting.dumpAndRestoreMetadata();
+    auto report2 =
+        rig.system.restoreMetadata(core::RestorePolicy::trusting());
     EXPECT_EQ(report2.metadataFromShadow, 1u);
     EXPECT_EQ(diskBlockBytes(rig.machine, block)[0], 0xCD);
 }
@@ -554,40 +495,22 @@ TEST(WarmReboot, CorruptedShadowCopyIsQuarantined)
 TEST(WarmReboot, StaleInodeCounted)
 {
     CrashRig rig;
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     std::vector<u8> data(5000, 0x31);
     auto fd = vfs.open(rig.proc, "/ghost", os::OpenFlags::writeOnly());
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
-    const InodeNo ino = vfs.stat("/ghost").value().ino;
 
-    rig.crashAndReset();
+    rig.system.crash("test");
 
-    // Sabotage: free the inode on disk between the crash and the
-    // data restore (as if its metadata never survived).
-    core::WarmReboot warm(rig.machine);
-    auto report = warm.dumpAndRestoreMetadata();
-    {
-        // Zero the inode directly on disk, then fix the tree.
-        sim::SimClock clock;
-        std::vector<u8> itb(os::Ufs::kBlockSize);
-        // Recompute geometry from a fresh boot later; here we just
-        // clear every inode-table block copy of that inode type.
-        os::Kernel probe(rig.machine, rig.config);
-        // (boot runs fsck; afterwards remove the file's dirent so
-        // the inode becomes orphaned and is freed on the NEXT fsck)
-        core::RioOptions options;
-        options.protection = rig.config.protection;
-        core::RioSystem rio2(rig.machine, options);
-        probe.boot(&rio2, false);
-        rio::wl::tolerate(probe.ufs().remove("/ghost"));
-        (void)itb;
-        (void)clock;
-        (void)ino;
-        // Now run the data restore against the fs without the file.
-        warm.restoreData(probe.vfs(), report);
-        EXPECT_GT(report.staleInodes, 0u);
-    }
+    // Sabotage: remove the file between the boot and the data
+    // restore (as if its metadata never survived), so the restore
+    // finds its data pages' inode gone.
+    auto report = rig.system.restoreMetadata();
+    rig.system.boot(false);
+    rio::wl::tolerate(rig.kernel().ufs().remove("/ghost"));
+    rig.system.restoreData(report);
+    EXPECT_GT(report.staleInodes, 0u);
 }
 
 // --- Double-crash sweep: a second crash at every recovery phase ----
@@ -647,7 +570,7 @@ armCrashProbe(sim::Machine &machine, const SweepPoint &point,
 std::vector<std::vector<u8>>
 writeSweepFiles(CrashRig &rig)
 {
-    auto &vfs = rig.kernel->vfs();
+    auto &vfs = rig.kernel().vfs();
     rio::wl::tolerate(vfs.mkdir("/sweep"));
     std::vector<std::vector<u8>> contents;
     for (int f = 0; f < 3; ++f) {
@@ -670,29 +593,14 @@ expectSweepFilesIntact(CrashRig &rig,
 {
     for (std::size_t f = 0; f < contents.size(); ++f) {
         std::vector<u8> out(contents[f].size());
-        auto fd = rig.kernel->vfs().open(
+        auto fd = rig.kernel().vfs().open(
             rig.proc, "/sweep/f" + std::to_string(f),
             os::OpenFlags::readOnly());
         ASSERT_TRUE(fd.ok()) << "file " << f << " lost";
         ASSERT_TRUE(
-            rig.kernel->vfs().read(rig.proc, fd.value(), out).ok());
+            rig.kernel().vfs().read(rig.proc, fd.value(), out).ok());
         EXPECT_EQ(out, contents[f]) << "file " << f << " damaged";
     }
-}
-
-/** Run one full recovery pass (dump + boot + data restore). */
-core::WarmRebootReport
-recoverOnce(CrashRig &rig, core::WarmReboot &warm)
-{
-    core::WarmRebootReport report = warm.dumpAndRestoreMetadata();
-    core::RioOptions options;
-    options.protection = rig.config.protection;
-    options.maintainChecksums = true;
-    rig.rio = std::make_unique<core::RioSystem>(rig.machine, options);
-    rig.kernel = std::make_unique<os::Kernel>(rig.machine, rig.config);
-    rig.kernel->boot(rig.rio.get(), false);
-    warm.restoreData(rig.kernel->vfs(), report);
-    return report;
 }
 
 u32
@@ -716,24 +624,21 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
     const SweepPoint point = GetParam();
     CrashRig rig{sweepMachineConfig()};
     const auto contents = writeSweepFiles(rig);
-    rig.crashAndReset();
+    rig.system.crash("test");
 
     // Pass 1: crash at the requested point of recovery.
     std::array<u64, 4> pass1Steps{};
     bool fired = false;
     bool crashed = false;
     {
-        core::WarmReboot warm(rig.machine);
         const auto probe =
             armCrashProbe(rig.machine, point, fired, pass1Steps);
         try {
-            recoverOnce(rig, warm);
+            rig.system.recover();
         } catch (const sim::CrashException &crash) {
             crashed = true;
             rig.machine.noteCrash(crash.when());
-            rig.rio.reset();
-            rig.kernel.reset();
-            rig.machine.reset(sim::ResetKind::Warm);
+            rig.system.teardown();
         }
     }
     ASSERT_TRUE(fired) << "probe never reached "
@@ -757,8 +662,7 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
     }
 
     // Pass 2: plain recovery, no interference. Must converge.
-    core::WarmReboot warm2(rig.machine);
-    const core::WarmRebootReport pass2 = recoverOnce(rig, warm2);
+    const core::WarmRebootReport pass2 = rig.system.recover();
     expectSweepFilesIntact(rig, contents);
     EXPECT_NE(checkpointFlags(rig.machine) &
                   core::WarmReboot::kFlagAllDone,
@@ -801,7 +705,7 @@ TEST_P(WarmRebootSweep, SecondCrashConvergesWithoutDoubleRestore)
         // ...and the platter proves it: the recovered files' data
         // blocks are byte-identical to the image the second crash
         // left behind (extension of the disk-byte snapshot oracle).
-        auto &ufs = rig.kernel->ufs();
+        auto &ufs = rig.kernel().ufs();
         for (std::size_t f = 0; f < contents.size(); ++f) {
             auto ino =
                 ufs.namei("/sweep/f" + std::to_string(f));
@@ -852,7 +756,7 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
 {
     CrashRig rig{sweepMachineConfig()};
     const auto contents = writeSweepFiles(rig);
-    rig.crashAndReset();
+    rig.system.crash("test");
 
     // Crash halfway through the data restore: past at least one
     // file boundary, short of the last.
@@ -860,7 +764,6 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
     bool fired = false;
     bool crashed = false;
     {
-        core::WarmReboot warm(rig.machine);
         const auto probe = rig.machine.subscribe(
             [&](const sim::Event &event) {
                 if (fired || event.a == event.b)
@@ -876,20 +779,17 @@ TEST(WarmReboot, MidDataCrashRedoesOnlyTheOpenFile)
             },
             sim::eventBit(sim::EventKind::RecoveryDataRestore));
         try {
-            recoverOnce(rig, warm);
+            rig.system.recover();
         } catch (const sim::CrashException &crash) {
             crashed = true;
             rig.machine.noteCrash(crash.when());
-            rig.rio.reset();
-            rig.kernel.reset();
-            rig.machine.reset(sim::ResetKind::Warm);
+            rig.system.teardown();
         }
     }
     ASSERT_TRUE(fired);
     ASSERT_TRUE(crashed);
 
-    core::WarmReboot warm2(rig.machine);
-    const core::WarmRebootReport pass2 = recoverOnce(rig, warm2);
+    const core::WarmRebootReport pass2 = rig.system.recover();
     expectSweepFilesIntact(rig, contents);
     EXPECT_TRUE(pass2.recovery.resumed);
     // Files fully rebuilt and fsync'd before the crash are skipped;

@@ -1,12 +1,13 @@
 /**
  * @file
- * The small machine most unit tests boot, and a platter fingerprint
- * for byte-identity checks.
+ * The small machine most unit tests boot, the Rio preset under any
+ * protection mode, and a platter fingerprint for byte-identity checks.
  */
 
 #ifndef RIO_TESTS_TESTBED_HH
 #define RIO_TESTS_TESTBED_HH
 
+#include "os/kconfig.hh"
 #include "sim/machine.hh"
 #include "support/checksum.hh"
 
@@ -27,6 +28,16 @@ smallMachine(u64 seed = 1)
     c.swapBytes = 16ull << 20;
     c.seed = seed;
     return c;
+}
+
+/** The Rio-with-protection preset under protection @p mode. */
+inline os::KernelConfig
+rioPreset(os::ProtectionMode mode)
+{
+    os::KernelConfig config =
+        os::systemPreset(os::SystemPreset::RioProtected);
+    config.protection = mode;
+    return config;
 }
 
 /** Checksum of the whole platter. */
