@@ -65,7 +65,7 @@ BM_BusBulkCopy8K(benchmark::State &state)
 }
 BENCHMARK(BM_BusBulkCopy8K);
 
-/** The page checksum Rio recomputes on every legitimate write. */
+/** One page checksum: what Rio owes after a legitimate write. */
 static void
 BM_Checksum32Page(benchmark::State &state)
 {
@@ -160,5 +160,66 @@ BM_RegistryGuardedWrite(benchmark::State &state)
         static_cast<i64>(state.iterations()) * 8192);
 }
 BENCHMARK(BM_RegistryGuardedWrite);
+
+/**
+ * One legitimate write through Rio with checksums on: install (the
+ * same identity, so the no-op path), beginWrite, one store32 and
+ * endWrite. Arg 0 picks the page — 0 a dirty metadata buffer (the
+ * window runs on a shadow copy), 1 a UBC data page (no shadow); arg 1
+ * the protection — 0 Off, 1 VmTlb.
+ */
+static void
+BM_RioWriteWindow(benchmark::State &state)
+{
+    sim::Machine machine(machineConfig());
+    os::KernelConfig config =
+        os::systemPreset(os::SystemPreset::RioProtected);
+    config.protection = state.range(1) ? os::ProtectionMode::VmTlb
+                                       : os::ProtectionMode::Off;
+    core::System system(machine, config, {.maintainChecksums = true});
+    system.boot(true);
+    os::Kernel &kernel = system.kernel();
+
+    Addr page = 0;
+    if (state.range(0) == 0) {
+        auto &buf = kernel.bufferCache();
+        auto ref = buf.bread(1, kernel.ufs().geometry().itStart);
+        {
+            os::BufferCache::WriteWindow window(buf, ref);
+            window.store8(0, 1); // Dirty: later windows shadow it.
+        }
+        page = buf.pageAddr(ref);
+    } else {
+        os::Process proc(1);
+        auto fd = system.vfs().open(proc, "/bench",
+                                    os::OpenFlags::writeOnly());
+        std::vector<u8> block(sim::kPageSize, 0x11);
+        rio::wl::tolerate(system.vfs().write(proc, fd.value(), block));
+        const InodeNo ino = system.vfs().stat("/bench").value().ino;
+        page = kernel.ubc().pagePhys(kernel.ubc().getPage(1, ino, 0, false));
+    }
+    core::RioSystem &rio = *system.rio();
+    const core::RegistryEntry entry = *rio.entryFor(page);
+    os::CacheTag tag;
+    tag.kind = entry.kind == core::RegistryLayout::kKindMetadata
+                   ? os::CacheKind::Metadata
+                   : os::CacheKind::Data;
+    tag.dev = entry.dev;
+    tag.ino = entry.ino;
+    tag.offset = entry.offset;
+    tag.diskBlock = entry.diskBlock;
+    tag.size = entry.size;
+
+    u32 i = 0;
+    for (auto _ : state) {
+        rio.install(page, tag);
+        rio.beginWrite(page);
+        machine.bus().store32(page + 64, ++i);
+        rio.endWrite(page, entry.size);
+    }
+}
+BENCHMARK(BM_RioWriteWindow)
+    ->ArgNames({"data", "vm"})
+    ->ArgsProduct({{0, 1}, {0, 1}});
 
 BENCHMARK_MAIN();

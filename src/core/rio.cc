@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 #include "core/nvmirror.hh"
@@ -13,6 +14,92 @@ namespace rio::core
 {
 
 using L = RegistryLayout;
+
+/**
+ * The checksums endWrite owes. endWrite stores a placeholder into the
+ * checksum field and records here what the sum would have covered;
+ * the sum is computed into the field host-side at the first moment
+ * the machine could observe the field, or change the summed bytes
+ * without a write window journaling the change. The MemBus watch
+ * reports bus accesses and DMA; Rio's own steps (beginWrite, install,
+ * verifyChecksums, entryFor, deactivate) call in directly.
+ */
+class RioSystem::LazySums : public sim::AccessWatch
+{
+  public:
+    explicit LazySums(RioSystem &rio);
+    ~LazySums() override;
+
+    /**
+     * Entry @p index owes the sum over the first @p validBytes of
+     * @p source, bound to @p block — replacing whatever sum it owed,
+     * since the caller is about to store the field.
+     */
+    void setPending(u64 index, Addr source, u32 validBytes,
+                    BlockNo block);
+
+    /** Does @p index owe a sum that reads page @p page? */
+    bool
+    reads(u64 index, Addr page) const
+    {
+        return pending_[index].sourcePage == page >> sim::kPageShift;
+    }
+
+    /** Read @p index's owed sum from @p source instead (a copy). */
+    void setSource(u64 index, Addr source);
+
+    /**
+     * A window opens on the page @p index's owed sum reads: from now
+     * on, log the bytes each change to the page overwrites instead of
+     * summing first. One window journals at a time.
+     */
+    void journal(u64 index);
+    bool journaled(u64 index) const { return journaled_ == index + 1; }
+
+    /** Forget @p index's owed sum: the field is overwritten whole. */
+    void dropPending(u64 index);
+
+    /** Compute @p index's owed sum, if any, into its field. */
+    void sumPending(u64 index);
+    void sumAll();
+
+    /** endWrite's placeholder store to @p field, let by once. */
+    void expectOwnStore(Addr field) { ownStore_ = field; }
+
+    void onWatchedAccess(Addr pa, u64 len, bool write) override;
+
+  private:
+    /** 12 bytes per cache page. */
+    struct PendingSum
+    {
+        u32 sourcePage = 0; ///< Frame number; 0 (reserved): none.
+        u32 validBytes = 0;
+        BlockNo diskBlock = 0;
+    };
+
+    void markStores(Addr page, bool watched);
+    void logUndo(u64 index, Addr pa, u64 len);
+    void endJournal();
+
+    RioSystem &rio_;
+    std::vector<PendingSum> pending_; ///< By entry index.
+    u64 pendingCount_ = 0;
+    /** Store marks, one per page from the first pool or registry
+     *  page to the last: a sum's source page, and a registry page
+     *  while it holds an owed field. */
+    Addr watchBase_ = 0;
+    std::vector<u8> storeMarks_;
+    /** Owed fields per registry page: the load marks. */
+    std::vector<u8> regPending_;
+    Addr ownStore_ = 0;
+    /** The journaling entry, plus 1 (0: none); the (offset, length)
+     *  of each change, oldest first, and the bytes it overwrote. */
+    u64 journaled_ = 0;
+    std::vector<std::pair<u32, u32>> undo_;
+    std::vector<u8> undoBytes_;
+    /** The summed bytes as the journaled window found them. */
+    std::vector<u8> original_;
+};
 
 RioSystem::RioSystem(sim::Machine &machine, const RioOptions &options)
     : machine_(machine), options_(options)
@@ -41,6 +128,10 @@ RioSystem::RioSystem(sim::Machine &machine, const RioOptions &options)
             throw std::runtime_error(
                 "rio: NV region too small for the registry mirror");
     }
+    // rio-nv sums inside endWrite: its mirror copies the field with
+    // the store, and the NV fault model tears bytes in flight.
+    if (options_.maintainChecksums && !nv_)
+        lazy_ = std::make_unique<LazySums>(*this);
 }
 
 RioSystem::~RioSystem()
@@ -279,6 +370,10 @@ RioSystem::deactivate()
 {
     if (!active_)
         return;
+    // The warm reboot, the oracle and every other reader of the image
+    // after this point see the sums an eager endWrite would have left.
+    if (lazy_)
+        lazy_->sumAll();
     auto &bus = machine_.bus();
     bus.setPolicy(nullptr);
     bus.setCodePatching(false);
@@ -356,6 +451,11 @@ RioSystem::install(Addr page, const os::CacheTag &tag)
     writeEntryField32(index, L::kOffDiskBlock, tag.diskBlock);
     writeEntryField32(index, L::kOffSize, tag.size);
     writeEntryField32(index, L::kOffDirty, 0);
+    // This store lands (the stores above went through the same open
+    // page) and overwrites the whole field: a sum still pending in it
+    // can never be observed.
+    if (lazy_)
+        lazy_->dropPending(index);
     writeEntryField32(index, L::kOffChecksum, 0);
     writeEntryField64(index, L::kOffShadow, 0);
     closePage(regPage);
@@ -385,28 +485,6 @@ RioSystem::invalidate(Addr page)
     openPage(regPage);
     writeEntryField32(index, L::kOffMagic, 0);
     writeEntryField32(index, L::kOffState, L::kStateFree);
-    closePage(regPage);
-}
-
-void
-RioSystem::setDiskBlock(Addr page, BlockNo block)
-{
-    ++stats_.registryUpdates;
-    const u64 index = entryIndexFor(page);
-    const Addr regPage = registryPageOf(index);
-    openPage(regPage);
-    // A location-bound checksum must move with the location. Rebind
-    // before the block flips: a crash between the two stores leaves
-    // the pair inconsistent in the quarantine direction (stale
-    // on-disk copy + fsck), never a wrong-location restore.
-    const u32 checksum = readEntryField32(index, L::kOffChecksum);
-    if (checksum != 0) {
-        const BlockNo old = readEntryField32(index, L::kOffDiskBlock);
-        const u32 content = checksum ^ checksumLocationMix(old);
-        writeEntryField32(index, L::kOffChecksum,
-                          bindChecksum(content, block));
-    }
-    writeEntryField32(index, L::kOffDiskBlock, block);
     closePage(regPage);
 }
 
@@ -444,6 +522,18 @@ RioSystem::beginWrite(Addr page)
     writeEntryField32(index, L::kOffState, L::kStateChanging);
     closePage(regPage);
 
+    // The window may change the page, DMA included. A sum still
+    // reading it reads the shadow instead when the shadow is a
+    // byte-exact copy (no corrupted PTE sent the copy elsewhere, no
+    // earlier unclosed window changed the page); otherwise the window
+    // journals what it overwrites.
+    if (lazy_ && lazy_->reads(index, page)) {
+        if (shadow != 0 && !lazy_->journaled(index) &&
+            mapsToItself(page) && mapsToItself(shadow))
+            lazy_->setSource(index, shadow);
+        else
+            lazy_->journal(index);
+    }
     openPage(page);
 }
 
@@ -455,21 +545,25 @@ RioSystem::endWrite(Addr page, u32 validBytes)
 
     closePage(page);
 
+    // The sum covers the page as the window leaves it; a lazy one
+    // stays owed, with a placeholder in the field, until it could be
+    // observed.
+    const BlockNo block = readEntryField32(index, L::kOffDiskBlock);
     u32 checksum = 0;
-    if (options_.maintainChecksums) {
-        const u64 n = std::min<u64>(validBytes, sim::kPageSize);
-        // Bind to the claimed location so a corrupted diskBlock field
-        // fails verification like corrupted content (registry.hh).
-        checksum = bindChecksum(
-            support::checksum32(
-                machine_.mem().image().subspan(page, n)),
-            readEntryField32(index, L::kOffDiskBlock));
-    }
+    if (options_.maintainChecksums && !lazy_)
+        checksum = sumPage(page, validBytes, block);
 
     const Addr shadow = readEntryField64(index, L::kOffShadow);
     const Addr regPage = registryPageOf(index);
     openPage(regPage);
     writeEntryField32(index, L::kOffSize, validBytes);
+    if (lazy_) {
+        // Owed before the placeholder lands, so a crash at the store's
+        // own event still finds it; the watch lets this one store by.
+        // It lands: the size store just went through the same page.
+        lazy_->setPending(index, page, validBytes, block);
+        lazy_->expectOwnStore(entryAddr(index) + L::kOffChecksum);
+    }
     writeEntryField32(index, L::kOffChecksum, checksum);
     writeEntryField64(index, L::kOffShadow, 0);
     // The atomic commit: the entry points back at the original. The
@@ -506,16 +600,20 @@ RioSystem::onProtectionStop(Addr pa)
 }
 
 std::optional<RegistryEntry>
-RioSystem::entryFor(Addr page) const
+RioSystem::entryFor(Addr page)
 {
     const u64 index = entryIndexFor(page);
+    if (lazy_)
+        lazy_->sumPending(index);
     return decodeRegistryEntry(machine_.mem().image().subspan(
         entryAddr(index), L::kEntrySize));
 }
 
 RioSystem::ChecksumSweep
-RioSystem::verifyChecksums() const
+RioSystem::verifyChecksums()
 {
+    if (lazy_)
+        lazy_->sumAll();
     ChecksumSweep sweep;
     const u64 entries = bufPages_ + ubcPages_;
     for (u64 index = 0; index < entries; ++index) {
@@ -539,6 +637,235 @@ RioSystem::verifyChecksums() const
         }
     }
     return sweep;
+}
+
+// --- Lazy checksums -------------------------------------------------
+
+u32
+RioSystem::sumPage(Addr source, u32 validBytes, BlockNo block)
+{
+    const u64 n = std::min<u64>(validBytes, sim::kPageSize);
+    return sumBytes(machine_.mem().image().subspan(source, n), block);
+}
+
+u32
+RioSystem::sumBytes(std::span<const u8> bytes, BlockNo block)
+{
+    ++stats_.pagesSummed;
+    // Bind to the claimed location so a corrupted diskBlock field
+    // fails verification like corrupted content (registry.hh).
+    return bindChecksum(support::checksum32(bytes), block);
+}
+
+/**
+ * Does a bus access to @p page (a physical address used as a virtual
+ * one) reach that same frame? Only a corrupted PTE says no.
+ */
+bool
+RioSystem::mapsToItself(Addr page) const
+{
+    const u64 vpn = page >> sim::kPageShift;
+    const sim::Tlb &tlb = machine_.tlb();
+    const sim::PageTable &pageTable = machine_.pageTable();
+    const sim::Pte *cached = tlb.lookup(vpn);
+    const sim::Pte pte = cached ? *cached : pageTable.read(vpn);
+    return pte.pfn == vpn;
+}
+
+RioSystem::LazySums::LazySums(RioSystem &rio)
+    : rio_(rio), pending_(rio.bufPages_ + rio.ubcPages_),
+      regPending_(rio.regPages_)
+{
+    const auto &mem = rio.machine_.mem();
+    const auto &reg = mem.region(sim::RegionKind::Registry);
+    const auto &buf = mem.region(sim::RegionKind::BufPool);
+    const auto &ubc = mem.region(sim::RegionKind::UbcPool);
+    watchBase_ = std::min({buf.base, reg.base, ubc.base});
+    storeMarks_.assign((std::max({buf.end(), reg.end(), ubc.end()}) -
+                        watchBase_) >>
+                           sim::kPageShift,
+                       0);
+}
+
+RioSystem::LazySums::~LazySums()
+{
+    if (pendingCount_ != 0)
+        rio_.machine_.bus().disarmWatch();
+}
+
+void
+RioSystem::LazySums::markStores(Addr page, bool watched)
+{
+    storeMarks_[(page - watchBase_) >> sim::kPageShift] = watched;
+}
+
+void
+RioSystem::LazySums::setPending(u64 index, Addr source, u32 validBytes,
+                                BlockNo block)
+{
+    if (journaled(index))
+        endJournal(); // The sum it journaled for dies with the field.
+    PendingSum &pending = pending_[index];
+    if (pending.sourcePage == 0) {
+        if (pendingCount_++ == 0) {
+            rio_.machine_.bus().armWatch(
+                *this, {rio_.regBase_ >> sim::kPageShift, regPending_},
+                {watchBase_ >> sim::kPageShift, storeMarks_});
+        }
+        const Addr regPage = rio_.registryPageOf(index);
+        if (regPending_[(regPage - rio_.regBase_) >> sim::kPageShift]++ ==
+            0)
+            markStores(regPage, true);
+    }
+    pending.validBytes = validBytes;
+    pending.diskBlock = block;
+    setSource(index, source);
+}
+
+void
+RioSystem::LazySums::setSource(u64 index, Addr source)
+{
+    PendingSum &pending = pending_[index];
+    if (pending.sourcePage != 0)
+        markStores(Addr{pending.sourcePage} << sim::kPageShift, false);
+    pending.sourcePage = static_cast<u32>(source >> sim::kPageShift);
+    markStores(source, true);
+}
+
+void
+RioSystem::LazySums::dropPending(u64 index)
+{
+    PendingSum &pending = pending_[index];
+    if (pending.sourcePage == 0)
+        return;
+    markStores(Addr{pending.sourcePage} << sim::kPageShift, false);
+    if (journaled(index))
+        endJournal();
+    pending = PendingSum{};
+    const Addr regPage = rio_.registryPageOf(index);
+    if (--regPending_[(regPage - rio_.regBase_) >> sim::kPageShift] == 0)
+        markStores(regPage, false);
+    if (--pendingCount_ == 0)
+        rio_.machine_.bus().disarmWatch();
+}
+
+void
+RioSystem::LazySums::sumPending(u64 index)
+{
+    const PendingSum pending = pending_[index];
+    if (pending.sourcePage == 0)
+        return;
+    const Addr source = Addr{pending.sourcePage} << sim::kPageShift;
+    u32 sum;
+    if (journaled(index) && !undo_.empty()) {
+        // Undo the window's changes, newest first, on a copy.
+        const u64 n = std::min<u64>(pending.validBytes, sim::kPageSize);
+        const auto image = rio_.machine_.mem().image();
+        original_.assign(image.begin() + source,
+                         image.begin() + source + n);
+        u64 end = undoBytes_.size();
+        for (auto it = undo_.rbegin(); it != undo_.rend(); ++it) {
+            end -= it->second;
+            std::copy_n(undoBytes_.begin() + end, it->second,
+                        original_.begin() + it->first);
+        }
+        sum = rio_.sumBytes(original_, pending.diskBlock);
+    } else {
+        sum = rio_.sumPage(source, pending.validBytes, pending.diskBlock);
+    }
+    dropPending(index);
+    // riolint:allow(R1) the owed sum lands host-side: the bytes the
+    // placeholder store would have written, where nothing has looked.
+    std::memcpy(rio_.machine_.mem().raw() + rio_.entryAddr(index) +
+                    L::kOffChecksum,
+                &sum, sizeof(sum));
+}
+
+void
+RioSystem::LazySums::journal(u64 index)
+{
+    if (journaled(index))
+        return; // An unclosed window's journal goes on.
+    if (journaled_ != 0)
+        sumPending(journaled_ - 1);
+    journaled_ = index + 1;
+}
+
+void
+RioSystem::LazySums::endJournal()
+{
+    journaled_ = 0;
+    undo_.clear();
+    undoBytes_.clear();
+}
+
+/** Log the summed bytes a change to [pa, pa + len) overwrites. */
+void
+RioSystem::LazySums::logUndo(u64 index, Addr pa, u64 len)
+{
+    const u64 n = std::min<u64>(pending_[index].validBytes, sim::kPageSize);
+    const u64 off = pa & (sim::kPageSize - 1);
+    if (off >= n)
+        return; // Past the bytes the sum covers.
+    const u64 take = std::min(len, n - off);
+    if (undoBytes_.size() + take > n) {
+        sumPending(index); // Rewritten wholesale: sum once, stop.
+        return;
+    }
+    const auto image = rio_.machine_.mem().image();
+    undo_.emplace_back(static_cast<u32>(off), static_cast<u32>(take));
+    undoBytes_.insert(undoBytes_.end(), image.begin() + pa,
+                      image.begin() + pa + take);
+}
+
+void
+RioSystem::LazySums::sumAll()
+{
+    for (u64 index = 0; pendingCount_ != 0 && index < pending_.size();
+         ++index) {
+        sumPending(index);
+    }
+}
+
+void
+RioSystem::LazySums::onWatchedAccess(Addr pa, u64 len, bool write)
+{
+    if (write && pa == ownStore_) {
+        ownStore_ = 0; // endWrite's placeholder: the sum stays owed.
+        return;
+    }
+    const Addr page = pa & ~(sim::kPageSize - 1);
+    if (page >= rio_.regBase_ && page < rio_.shadowBase_) {
+        // Registry entries: every owed field the access overlaps is
+        // read or overwritten now.
+        const Addr base = rio_.regBase_;
+        const u64 last = std::min<u64>((pa + len - 1 - base) /
+                                           L::kEntrySize,
+                                       pending_.size() - 1);
+        for (u64 index = (pa - base) / L::kEntrySize; index <= last;
+             ++index) {
+            const Addr field = rio_.entryAddr(index) + L::kOffChecksum;
+            if (pa < field + 4 && field < pa + len)
+                sumPending(index);
+        }
+        return;
+    }
+    // A store is about to change a source page: the sum that reads
+    // it is due first, unless the page's window journals the change.
+    if (!rio_.isFileCachePage(page)) {
+        // A shadow copy (rare: a wild store, or a shadow slot reused
+        // while a stale entry still names it).
+        for (u64 index = 0; index < pending_.size(); ++index) {
+            if (reads(index, page))
+                sumPending(index);
+        }
+        return;
+    }
+    const u64 index = rio_.entryIndexFor(page);
+    if (journaled(index))
+        logUndo(index, pa, len);
+    else
+        sumPending(index);
 }
 
 } // namespace rio::core

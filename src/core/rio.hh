@@ -11,11 +11,19 @@
  * CPUs that cannot force KSEG through the TLB, plus the counter of
  * "saves" (stores that would have corrupted the file cache had
  * protection been off, section 3.3).
+ *
+ * Page checksums are lazy: endWrite stores the checksum field as
+ * always but leaves the sum itself owed, and Rio computes it host-side
+ * at the first moment it could be observed or its bytes could change
+ * unrecorded (sim::AccessWatch). Every observer therefore sees the
+ * memory image an eager sum would have left; DESIGN.md, "Page
+ * checksums are lazy", lists the points.
  */
 
 #ifndef RIO_CORE_RIO_HH
 #define RIO_CORE_RIO_HH
 
+#include <memory>
 #include <unordered_set>
 #include <vector>
 
@@ -60,6 +68,7 @@ struct RioStats
     u64 shadowCopies = 0;
     u64 protectionSaves = 0;
     u64 nvMirrorWrites = 0; ///< Mirror stores into the NV region.
+    u64 pagesSummed = 0;    ///< Page checksums actually computed.
 };
 
 class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
@@ -77,7 +86,10 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
      */
     void activate();
 
-    /** Tear down protection (machine is crashing / being reused). */
+    /**
+     * Tear down protection (machine is crashing / being reused),
+     * first computing every pending checksum into the image.
+     */
     void deactivate();
 
     /** @{ os::CacheGuard. */
@@ -87,7 +99,6 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
     void invalidate(Addr page) override;
     void beginWrite(Addr page) override;
     void endWrite(Addr page, u32 validBytes) override;
-    void setDiskBlock(Addr page, BlockNo block) override;
     /** @} */
 
     /** @{ sim::ProtectionPolicy. */
@@ -108,10 +119,12 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
      */
     void bindNvLock(os::LockTable &locks);
 
-    /** Decode the live registry entry for @p page (tests). */
-    std::optional<RegistryEntry> entryFor(Addr page) const;
+    /** Decode the live registry entry for @p page (tests); computes
+     *  its pending checksum first. */
+    std::optional<RegistryEntry> entryFor(Addr page);
 
-    /** Verify every active page against its checksum (detection). */
+    /** Verify every active page against its checksum (detection),
+     *  computing every pending checksum first. */
     struct ChecksumSweep
     {
         u64 checked = 0;
@@ -119,7 +132,7 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
         u64 changingSkipped = 0;
         std::vector<Addr> badPages;
     };
-    ChecksumSweep verifyChecksums() const;
+    ChecksumSweep verifyChecksums();
 
   private:
     u64 entryIndexFor(Addr page) const;
@@ -136,6 +149,11 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
     void freeShadow(Addr shadow);
     void nvInitMirror(const sim::Region &reg);
     void nvMirror(Addr pa, u64 len);
+
+    /** The page checksum endWrite stores, bound to @p block. */
+    u32 sumPage(Addr source, u32 validBytes, BlockNo block);
+    u32 sumBytes(std::span<const u8> bytes, BlockNo block);
+    bool mapsToItself(Addr page) const;
 
     /** Run @p fn under the NV mirror lock when one is bound. */
     template <typename Fn>
@@ -168,9 +186,14 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
     os::LockId nvLock_ = 0;
     bool active_ = false;
 
-    /** Pages currently opened for a legitimate write (code patching
-     * consults this; VM mode tracks it for symmetry/debugging). */
+    /** Pages currently opened for a legitimate write. Only code
+     * patching tracks them (its store check consults the set). */
     std::unordered_set<Addr> openPages_;
+
+    /** Checksums endWrite owes (rio.cc); null unless they are lazy:
+     *  maintainChecksums without rio-nv. */
+    class LazySums;
+    std::unique_ptr<LazySums> lazy_;
 };
 
 } // namespace rio::core

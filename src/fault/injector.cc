@@ -1,6 +1,7 @@
 #include "fault/injector.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace rio::fault
@@ -16,6 +17,7 @@ FaultInjector::flipBitIn(sim::RegionKind regionKind)
     auto &mem = kernel_.machine().mem();
     const auto &region = mem.region(regionKind);
     const u64 byte = region.base + rng_.below(region.size);
+    assert(!kernel_.machine().bus().watches(byte, 1));
     // riolint:allow(R1) hardware fault model: bit flips corrupt the
     // physical array beneath the kernel, bypassing every check.
     mem.raw()[byte] ^= static_cast<u8>(1u << rng_.below(8));
@@ -64,6 +66,7 @@ FaultInjector::corruptPointer()
             } else {
                 garbage = rng_.next();
             }
+            assert(!kernel_.machine().bus().watches(header + field, 8));
             // riolint:allow(R1) injected pointer corruption must not
             // be stopped by the bus checks it exists to defeat.
             std::memcpy(mem.raw() + header + field, &garbage, 8);
@@ -110,6 +113,7 @@ FaultInjector::inject(FaultType type)
             std::max<u64>(64 << 10,
                           kernel_.heap().allocatedBytes() * 5 / 4));
         const u64 byte = region.base + rng_.below(occupied);
+        assert(!kernel_.machine().bus().watches(byte, 1));
         // riolint:allow(R1) hardware fault model, as above.
         mem.raw()[byte] ^= static_cast<u8>(1u << rng_.below(8));
         ++stats_.heapBitsFlipped;

@@ -231,7 +231,7 @@ CrashCampaign::runOne(SystemKind kind, fault::FaultType type, u64 seed)
 
         // --- Detection pass 1: registry checksums (direct
         // corruption), then teardown.
-        if (const core::RioSystem *rio = system.rio()) {
+        if (core::RioSystem *rio = system.rio()) {
             const auto sweep = rio->verifyChecksums();
             result.checksumDetected |= sweep.mismatches > 0;
             result.protectionSaves += rio->stats().protectionSaves;

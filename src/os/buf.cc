@@ -216,7 +216,7 @@ BufferCache::diskFill(Ref ref)
     const Addr page = pageAddr(ref);
     guard_->install(page, tagOf(ref));
     guard_->beginWrite(page);
-    dmaWrite(machine_.mem(), page, staging_);
+    dmaWrite(machine_.bus(), page, staging_);
     guard_->endWrite(page, sim::kPageSize);
     setFlags(ref, flags(ref) | kValid);
 }

@@ -12,7 +12,10 @@
  * The contract: the file cache calls install() when a page starts
  * caching new content, brackets *every* legitimate content change
  * with beginWrite()/endWrite(), reports dirty-state transitions, and
- * calls invalidate() when the page stops caching anything.
+ * calls invalidate() when the page stops caching anything. A page's
+ * content changes only by bus store or by DMA through os::dmaWrite:
+ * Rio may owe a page's checksum past endWrite (core/rio.hh) and must
+ * see, through the bus's watch, every change to the bytes it covers.
  */
 
 #ifndef RIO_OS_CACHEGUARD_HH
@@ -71,9 +74,6 @@ class CacheGuard
 
     /** The write finished; @p validBytes are now meaningful. */
     virtual void endWrite(Addr page, u32 validBytes) = 0;
-
-    /** The disk location backing a metadata page changed. */
-    virtual void setDiskBlock(Addr page, BlockNo block) = 0;
 };
 
 /** No-op guard for the non-Rio configurations. */
@@ -85,7 +85,6 @@ class NullCacheGuard : public CacheGuard
     void invalidate(Addr) override {}
     void beginWrite(Addr) override {}
     void endWrite(Addr, u32) override {}
-    void setDiskBlock(Addr, BlockNo) override {}
 };
 
 } // namespace rio::os

@@ -15,17 +15,24 @@
 #include <cstring>
 #include <span>
 
+#include "sim/membus.hh"
 #include "sim/physmem.hh"
 #include "support/types.hh"
 
 namespace rio::os
 {
 
-/** Device-to-memory transfer (e.g. disk read completion). */
+/**
+ * Device-to-memory transfer (e.g. disk read completion). The bus
+ * checks no protection here, but its watch still sees the write: a
+ * lazy checksum may read the bytes it replaces.
+ */
 inline void
-dmaWrite(sim::PhysMem &mem, Addr pa, std::span<const u8> data)
+dmaWrite(sim::MemBus &bus, Addr pa, std::span<const u8> data)
 {
+    auto &mem = bus.mem();
     assert(pa + data.size() <= mem.size());
+    bus.noteDeviceWrite(pa, data.size());
     // riolint:allow(R1) DMA addresses physical memory directly; I/O
     // bypasses CPU page protection by design (paper section 4.2).
     std::memcpy(mem.raw() + pa, data.data(), data.size());

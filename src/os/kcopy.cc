@@ -1,6 +1,7 @@
 #include "os/kcopy.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <vector>
 
 namespace rio::os
@@ -52,11 +53,14 @@ KCopy::offByOneExtra()
                 std::max<u64>(64 << 10,
                               heap_->allocatedBytes() * 5 / 4));
         }
+        // The scribbled value is drawn before its address.
+        const auto value = static_cast<u8>(faultRng_.next());
+        const Addr victim = heap.base + faultRng_.below(span);
+        assert(!machine_.bus().watches(victim, 1));
         // riolint:allow(R1) fault-injection scribble: the modelled
         // off-by-one corrupts memory behind the kernel's back, so it
         // must not go through the checked bus.
-        machine_.mem().raw()[heap.base + faultRng_.below(span)] =
-            static_cast<u8>(faultRng_.next());
+        machine_.mem().raw()[victim] = value;
         return 0;
     }
     return 1;

@@ -162,7 +162,7 @@ Ufs::fillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys)
         // data=journal: the logged image is newer than the home copy
         // until checkpoint, and costs no disk time to serve.
         std::fill(scratch_.begin() + valid, scratch_.end(), 0);
-        dmaWrite(machine_.mem(), pagePhys, scratch_);
+        dmaWrite(machine_.bus(), pagePhys, scratch_);
         return valid;
     }
     procs_.enter(ProcId::DiskStrategy);
@@ -193,7 +193,7 @@ Ufs::fillPage(DevNo dev, InodeNo ino, u64 pageIdx, Addr pagePhys)
     // Stale bytes past EOF on the last block must read as zeroes if
     // the file is later extended over them.
     std::fill(scratch_.begin() + valid, scratch_.end(), 0);
-    dmaWrite(machine_.mem(), pagePhys, scratch_);
+    dmaWrite(machine_.bus(), pagePhys, scratch_);
     return valid;
 }
 

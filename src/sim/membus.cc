@@ -112,6 +112,49 @@ MemBus::patchCheck(Addr pa, u64 store_count)
 }
 
 void
+MemBus::armWatch(AccessWatch &watch, AccessWatch::Window loads,
+                 AccessWatch::Window stores)
+{
+    watch_ = &watch;
+    loadWatch_ = loads;
+    storeWatch_ = stores;
+}
+
+void
+MemBus::disarmWatch()
+{
+    watch_ = nullptr;
+    loadWatch_ = {};
+    storeWatch_ = {};
+}
+
+void
+MemBus::noteDeviceWrite(Addr pa, u64 len)
+{
+    while (len != 0) {
+        const u64 chunk =
+            std::min(len, kPageSize - (pa & (kPageSize - 1)));
+        checkStore(pa, chunk);
+        pa += chunk;
+        len -= chunk;
+    }
+}
+
+bool
+MemBus::watches(Addr pa, u64 len) const
+{
+    if (len == 0)
+        return false;
+    const u64 last = (pa + len - 1) >> kPageShift;
+    for (u64 page = pa >> kPageShift; page <= last; ++page) {
+        const u64 slot = page - storeWatch_.first;
+        if (slot < storeWatch_.marks.size() && storeWatch_.marks[slot])
+            return true;
+    }
+    return false;
+}
+
+void
 MemBus::auditStore(Addr pa, u64 len)
 {
     if (audit_)
@@ -123,7 +166,9 @@ MemBus::load8(Addr va)
 {
     ++stats_.loads;
     clock_.advance(kernelNs(costs_.memAccessNs));
-    return mem_.raw()[translate(va, false)];
+    const Addr pa = translate(va, false);
+    checkLoad(pa, 1);
+    return mem_.raw()[pa];
 }
 
 u16
@@ -133,7 +178,9 @@ MemBus::load16(Addr va)
     ++stats_.loads;
     clock_.advance(kernelNs(costs_.memAccessNs));
     u16 value;
-    std::memcpy(&value, mem_.raw() + translate(va, false), 2);
+    const Addr pa = translate(va, false);
+    checkLoad(pa, 2);
+    std::memcpy(&value, mem_.raw() + pa, 2);
     return value;
 }
 
@@ -144,7 +191,9 @@ MemBus::load32(Addr va)
     ++stats_.loads;
     clock_.advance(kernelNs(costs_.memAccessNs));
     u32 value;
-    std::memcpy(&value, mem_.raw() + translate(va, false), 4);
+    const Addr pa = translate(va, false);
+    checkLoad(pa, 4);
+    std::memcpy(&value, mem_.raw() + pa, 4);
     return value;
 }
 
@@ -155,7 +204,9 @@ MemBus::load64(Addr va)
     ++stats_.loads;
     clock_.advance(kernelNs(costs_.memAccessNs));
     u64 value;
-    std::memcpy(&value, mem_.raw() + translate(va, false), 8);
+    const Addr pa = translate(va, false);
+    checkLoad(pa, 8);
+    std::memcpy(&value, mem_.raw() + pa, 8);
     return value;
 }
 
@@ -166,6 +217,7 @@ MemBus::store8(Addr va, u8 value)
     clock_.advance(kernelNs(costs_.memAccessNs));
     const Addr pa = translate(va, true);
     patchCheck(pa, 1);
+    checkStore(pa, 1);
     auditStore(pa, 1);
     mem_.raw()[pa] = value;
     hook_.emit(EventKind::CheckedStore, pa, 1);
@@ -179,6 +231,7 @@ MemBus::store16(Addr va, u16 value)
     clock_.advance(kernelNs(costs_.memAccessNs));
     const Addr pa = translate(va, true);
     patchCheck(pa, 1);
+    checkStore(pa, 2);
     auditStore(pa, 2);
     std::memcpy(mem_.raw() + pa, &value, 2);
     hook_.emit(EventKind::CheckedStore, pa, 2);
@@ -192,6 +245,7 @@ MemBus::store32(Addr va, u32 value)
     clock_.advance(kernelNs(costs_.memAccessNs));
     const Addr pa = translate(va, true);
     patchCheck(pa, 1);
+    checkStore(pa, 4);
     auditStore(pa, 4);
     std::memcpy(mem_.raw() + pa, &value, 4);
     hook_.emit(EventKind::CheckedStore, pa, 4);
@@ -205,6 +259,7 @@ MemBus::store64(Addr va, u64 value)
     clock_.advance(kernelNs(costs_.memAccessNs));
     const Addr pa = translate(va, true);
     patchCheck(pa, 1);
+    checkStore(pa, 8);
     auditStore(pa, 8);
     std::memcpy(mem_.raw() + pa, &value, 8);
     hook_.emit(EventKind::CheckedStore, pa, 8);
@@ -223,6 +278,7 @@ MemBus::readBytes(Addr va, std::span<u8> out)
             std::min<u64>(in_page, out.size() - done);
         ++stats_.loads;
         const Addr pa = translate(cur, false);
+        checkLoad(pa, chunk);
         std::memcpy(out.data() + done, mem_.raw() + pa, chunk);
         done += chunk;
     }
@@ -242,6 +298,7 @@ MemBus::writeBytes(Addr va, std::span<const u8> in)
         ++stats_.stores;
         const Addr pa = translate(cur, true);
         patchCheck(pa, (chunk + 7) / 8);
+        checkStore(pa, chunk);
         auditStore(pa, chunk);
         std::memcpy(mem_.raw() + pa, in.data() + done, chunk);
         hook_.emit(EventKind::CheckedStore, pa, chunk);
@@ -267,6 +324,8 @@ MemBus::copy(Addr dst, Addr src, u64 n)
         ++stats_.stores;
         const Addr dpa = translate(d, true);
         patchCheck(dpa, (chunk + 7) / 8);
+        checkLoad(spa, chunk);
+        checkStore(dpa, chunk);
         auditStore(dpa, chunk);
         std::memmove(mem_.raw() + dpa, mem_.raw() + spa, chunk);
         hook_.emit(EventKind::CheckedStore, dpa, chunk);
@@ -288,6 +347,7 @@ MemBus::set(Addr dst, u8 value, u64 n)
         ++stats_.stores;
         const Addr pa = translate(cur, true);
         patchCheck(pa, (chunk + 7) / 8);
+        checkStore(pa, chunk);
         auditStore(pa, chunk);
         std::memset(mem_.raw() + pa, value, chunk);
         hook_.emit(EventKind::CheckedStore, pa, chunk);

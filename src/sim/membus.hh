@@ -58,6 +58,33 @@ class ProtectionPolicy
 };
 
 /**
+ * Observer of bus accesses to a few marked physical pages, for a layer
+ * that keeps state host-side until the simulated machine could
+ * observe it (Rio's lazy page checksums, core/rio.hh). The bus calls
+ * back before a matching access moves any bytes.
+ */
+class AccessWatch
+{
+  public:
+    /** A run of pages from @p first; page first + i is watched while
+     *  marks[i] is nonzero. */
+    struct Window
+    {
+        u64 first = 0;
+        std::span<const u8> marks;
+    };
+
+    virtual ~AccessWatch() = default;
+
+    /**
+     * A load (@p write false) or store of [pa, pa + len), inside one
+     * page, hits a watched page. A store has passed every protection
+     * check, so its bytes land right after this returns.
+     */
+    virtual void onWatchedAccess(Addr pa, u64 len, bool write) = 0;
+};
+
+/**
  * Bus traffic counters. Scalar accesses count one load/store each;
  * bulk operations (readBytes/writeBytes/copy/set) count one load
  * and/or store per page-sized chunk they touch — i.e. per bus access
@@ -142,6 +169,29 @@ class MemBus
 
     void setPolicy(ProtectionPolicy *policy) { policy_ = policy; }
 
+    /**
+     * Arm @p watch over the pages @p loads marks for loads and those
+     * @p stores marks for stores (the marks must outlive the arming).
+     * An access outside a window costs one compare, as does every
+     * access while the watch is disarmed.
+     */
+    void armWatch(AccessWatch &watch, AccessWatch::Window loads,
+                  AccessWatch::Window stores);
+    void disarmWatch();
+    AccessWatch *watch() { return watch_; }
+
+    /**
+     * A device is about to write [pa, pa + len) behind the bus (DMA):
+     * it bypasses protection, but not the watch.
+     */
+    void noteDeviceWrite(Addr pa, u64 len);
+
+    /**
+     * Does [pa, pa + len) touch a page watched for stores? The fault
+     * models' host writes assert not.
+     */
+    bool watches(Addr pa, u64 len) const;
+
     /** Attach/detach the dynamic store audit (RIO_AUDIT). */
     void setAudit(StoreAudit *audit) { audit_ = audit; }
     StoreAudit *audit() { return audit_; }
@@ -163,6 +213,28 @@ class MemBus
     void patchCheck(Addr pa, u64 store_count);
     void auditStore(Addr pa, u64 len);
 
+    /** Call the armed watch if @p window marks @p pa's page. */
+    void
+    checkWatch(const AccessWatch::Window &window, Addr pa, u64 len,
+               bool write)
+    {
+        const u64 page = (pa >> kPageShift) - window.first;
+        if (page < window.marks.size()) [[unlikely]] {
+            if (window.marks[page] != 0)
+                watch_->onWatchedAccess(pa, len, write);
+        }
+    }
+    void
+    checkLoad(Addr pa, u64 len)
+    {
+        checkWatch(loadWatch_, pa, len, false);
+    }
+    void
+    checkStore(Addr pa, u64 len)
+    {
+        checkWatch(storeWatch_, pa, len, true);
+    }
+
     PhysMem &mem_;
     PageTable &pt_;
     Tlb &tlb_;
@@ -171,6 +243,10 @@ class MemBus
     const CostModel &costs_;
     ProtectionPolicy *policy_ = nullptr;
     StoreAudit *audit_ = nullptr;
+    /** The armed watch; both windows are empty while disarmed. */
+    AccessWatch *watch_ = nullptr;
+    AccessWatch::Window loadWatch_;
+    AccessWatch::Window storeWatch_;
     /** CheckedStore events, after the bytes land (wired by Machine;
      *  independent of the audit: both see every store). */
     EventHook hook_;

@@ -92,7 +92,8 @@ TEST(RioRegistry, ChecksumCatchesDirectCorruption)
     auto ref = rig.kernel().ubc().getPage(1, ino, 0, false);
     const Addr page = rig.kernel().ubc().pagePhys(ref);
     // A wild store that bypasses every legitimate write path.
-    rig.machine.mem().raw()[page + 123] ^= 0xff;
+    rig.machine.bus().store8(page + 123,
+                             rig.machine.mem().image()[page + 123] ^ 0xff);
 
     auto sweep = rig.rio()->verifyChecksums();
     EXPECT_EQ(sweep.mismatches, 1u);

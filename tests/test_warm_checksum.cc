@@ -35,7 +35,8 @@ TEST(WarmChecksum, CorruptedDataPageIsCountedAndStillRestored)
     // Direct corruption: a wild one-byte store into the cached page.
     auto ref = system.kernel().ubc().getPage(1, ino, 0, false);
     const Addr page = system.kernel().ubc().pagePhys(ref);
-    machine.mem().raw()[page + 4000] ^= 0xff;
+    machine.bus().store8(page + 4000,
+                         machine.mem().image()[page + 4000] ^ 0xff);
 
     system.crash("checksum test");
 
@@ -78,7 +79,8 @@ TEST(WarmChecksum, CorruptedMetadataBlockIsCounted)
     auto bref = system.kernel().bufferCache().bread(1, block.value());
     const Addr page = system.kernel().bufferCache().pageAddr(bref);
     system.kernel().bufferCache().brelse(bref);
-    machine.mem().raw()[page + 100] ^= 0x55;
+    machine.bus().store8(page + 100,
+                         machine.mem().image()[page + 100] ^ 0x55);
 
     system.crash("meta checksum");
 

@@ -367,10 +367,12 @@ runR4(Linter &lint)
 // --- R5: registry mutation -------------------------------------------
 
 /** The shadow-page protocol entry points in core/rio.cc — the only
- * code allowed to mutate registry entries. */
+ * code allowed to mutate registry entries through the bus. (The one
+ * host-side entry write, a lazy checksum landing in the field its
+ * endWrite store left owed, is an annotated R1 site instead.) */
 const std::set<std::string> kRegistryWriters = {
-    "install",   "setDirty",   "invalidate", "setDiskBlock",
-    "beginWrite", "endWrite",  "activate",
+    "install",    "setDirty", "invalidate",
+    "beginWrite", "endWrite", "activate",
 };
 
 void
