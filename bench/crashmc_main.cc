@@ -23,13 +23,13 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "harness/crashmc.hh"
 #include "harness/pool.hh"
+#include "support/json.hh"
 
 int
 main()
@@ -74,27 +74,14 @@ main()
 
     const std::string dir = harness::envStr("RIO_MC_JSON", ".");
     const std::string jsonlPath = dir + "/crashmc.jsonl";
-    const std::string jsonPath = dir + "/crashmc.json";
 
-    std::ofstream jsonl(jsonlPath);
+    std::string jsonl;
     for (const harness::McWorkloadResult &workload : result.workloads)
         for (const harness::McPointRecord &point : workload.points)
-            jsonl << harness::mcPointToJson(point) << '\n';
-    jsonl.close();
-    if (jsonl.fail())
-        std::fprintf(stderr, "crashmc: failed writing %s\n",
-                     jsonlPath.c_str());
-    else
-        std::printf("wrote %s\n", jsonlPath.c_str());
-
-    std::ofstream json(jsonPath);
-    json << harness::mcSummaryToJson(result, config);
-    json.close();
-    if (json.fail())
-        std::fprintf(stderr, "crashmc: failed writing %s\n",
-                     jsonPath.c_str());
-    else
-        std::printf("wrote %s\n", jsonPath.c_str());
+            jsonl += harness::mcPointToJson(point) + '\n';
+    support::writeJsonFile(jsonlPath, jsonl);
+    support::writeJsonFile(dir + "/crashmc.json",
+                           harness::mcSummaryToJson(result, config));
 
     const u64 holes = result.totalUnrecovered();
     if (holes != 0) {

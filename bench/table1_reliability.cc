@@ -15,12 +15,14 @@
  */
 
 #include <cstdio>
-#include <fstream>
+#include <filesystem>
+#include <string>
 
 #include "harness/crashcampaign.hh"
 #include "harness/pool.hh"
 #include "harness/sink.hh"
 #include "sim/crash.hh"
+#include "support/json.hh"
 
 int
 main()
@@ -39,24 +41,18 @@ main()
     std::printf("workers: %u\n\n",
                 harness::resolveJobs(config.jobs));
 
-    const std::string jsonlPath = dir + "/trials.jsonl";
-    const std::string jsonPath = dir + "/table1.json";
-    std::ofstream jsonl(jsonlPath);
-    const bool jsonlOpened = static_cast<bool>(jsonl);
-    if (!jsonlOpened) {
+    // Say so before a long campaign, not only when writing fails.
+    if (!std::filesystem::is_directory(dir)) {
         std::fprintf(stderr,
-                     "table1_reliability: cannot write %s "
-                     "(RIO_T1_JSON=%s); structured output disabled\n",
-                     jsonlPath.c_str(), dir.c_str());
+                     "table1_reliability: RIO_T1_JSON=%s is not a "
+                     "directory; structured output will not be written\n",
+                     dir.c_str());
     }
 
     std::vector<harness::TrialRecord> records;
     harness::CampaignStats stats;
     const harness::CampaignResult result =
         campaign.runAll(&records, &stats);
-    for (const harness::TrialRecord &record : records)
-        jsonl << harness::trialToJson(record) << '\n';
-    jsonl.close();
 
     std::fputs(
         harness::CrashCampaign::renderTable1(result, config).c_str(),
@@ -77,23 +73,12 @@ main()
                 stats.wallSeconds, stats.jobs,
                 stats.trialsPerSecond());
 
-    std::ofstream json(jsonPath);
-    json << harness::campaignToJson(result, config, &stats);
-    json.close();
-    if (json.fail()) {
-        std::fprintf(stderr,
-                     "table1_reliability: failed writing %s\n",
-                     jsonPath.c_str());
-    } else {
-        std::printf("wrote %s\n", jsonPath.c_str());
-    }
-    if (jsonlOpened && jsonl.good()) {
-        std::printf("wrote %s\n", jsonlPath.c_str());
-    } else if (jsonlOpened) {
-        std::fprintf(stderr,
-                     "table1_reliability: failed writing %s\n",
-                     jsonlPath.c_str());
-    }
+    support::writeJsonFile(dir + "/table1.json",
+                           harness::campaignToJson(result, config, &stats));
+    std::string jsonl;
+    for (const harness::TrialRecord &record : records)
+        jsonl += harness::trialToJson(record) + '\n';
+    support::writeJsonFile(dir + "/trials.jsonl", jsonl);
 
     std::printf(
         "\nPaper reference: disk 7 of 650 (1.1%%); Rio w/o protection "

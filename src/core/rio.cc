@@ -244,7 +244,8 @@ RioSystem::writeEntryField32(u64 index, u64 off, u32 value)
     machine_.bus().store32(entryAddr(index) + off, value);
     machine_.events().emit(sim::EventKind::RioFieldWrite,
                            entryAddr(index) + off);
-    nvMirror(entryAddr(index) + off, 4);
+    if (nv_)
+        nvMirror(entryAddr(index) + off, 4);
 }
 
 void
@@ -253,7 +254,8 @@ RioSystem::writeEntryField64(u64 index, u64 off, u64 value)
     machine_.bus().store64(entryAddr(index) + off, value);
     machine_.events().emit(sim::EventKind::RioFieldWrite,
                            entryAddr(index) + off);
-    nvMirror(entryAddr(index) + off, 8);
+    if (nv_)
+        nvMirror(entryAddr(index) + off, 8);
 }
 
 void

@@ -141,7 +141,8 @@ struct CampaignConfig
     u32 jobs = 0;
     /** Live progress line on stderr. */
     bool progress = false;
-    /** Structured-output directory; empty = off. */
+    /** Directory for table1.json and trials.jsonl; table1_reliability
+     *  writes to the working directory when empty. */
     std::string jsonDir;
 
     /** Post-crash corruption stage (fault/postcrash.hh) applied to
@@ -192,8 +193,8 @@ struct CampaignConfig
     bool lockdep = true;
 
     /** @{ rio-nv + intermittent-power dimensions. All default off;
-     *  with every one at its default the legacy three systems run
-     *  byte-identically to a build without the NV tier. */
+     *  with every one at its default the three paper systems draw the
+     *  same RNG streams and get the same results as without them. */
     /** fault/nvfault.hh intensity applied to the NV region at each
      *  crash; 0 = pristine NV. Only meaningful for
      *  SystemKind::RioNvProtected — other systems have no NV

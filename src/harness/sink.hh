@@ -15,7 +15,6 @@
 #define RIO_HARNESS_SINK_HH
 
 #include <string>
-#include <string_view>
 
 #include "support/types.hh"
 
@@ -67,8 +66,8 @@ struct TrialOutcome
     bool readOnlyDegraded = false; ///< Fs ended read-only remounted.
     /** @} */
 
-    /** @{ rio-nv dimension: emitted only when the trial's machine had
-     *  an NV region, so legacy JSONL stays byte-identical. */
+    /** @{ rio-nv dimension: meaningful when the trial's machine had
+     *  an NV region. */
     bool nvBacked = false;
     bool nvMirrorPresent = false; ///< Final warm reboot saw a mirror.
     bool nvMirrorCorrupt = false; ///< Some reboot saw a bad header.
@@ -79,7 +78,7 @@ struct TrialOutcome
     u64 nvLinesTorn = 0;      ///< NV fault model: torn cache lines.
     /** @} */
 
-    /** @{ Intermittent-power dimension: emitted only for power-cycle
+    /** @{ Intermittent-power dimension: meaningful for power-cycle
      *  trials (CampaignConfig::powerCycleOps > 0). */
     bool powerCycleMode = false;
     u32 powerCycles = 0; ///< Power-loss crashes survived.
@@ -124,14 +123,18 @@ struct CampaignStats
     }
 };
 
-/** Escape for embedding in a JSON string literal. */
-std::string jsonEscape(std::string_view text);
-
-/** The JSONL line for one record (no trailing newline). */
+/**
+ * The JSONL line for one record (no trailing newline). Every field is
+ * always present; one that does not apply to the trial is null: cause
+ * and crashAfterNs without a crash, doubleCrashPhase without a double
+ * crash, and the rio-nv and intermittent-power counters of a trial
+ * that ran without that dimension.
+ */
 std::string trialToJson(const TrialRecord &record);
 
 /**
- * Machine-readable Table 1: per-cell counts, totals, crash causes.
+ * Machine-readable Table 1 (schema 2): per-cell counts, totals, crash
+ * causes.
  * @p stats may be null; when present a "host" section with wall-clock
  * throughput is included (host timing is *not* deterministic).
  */

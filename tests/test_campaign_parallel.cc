@@ -343,15 +343,6 @@ TEST(CampaignParallel, TrialRecordReplaysWithRecordedSeed)
 // JSON rendering.
 // ---------------------------------------------------------------
 
-TEST(SinkTest, JsonEscapesControlAndQuoteCharacters)
-{
-    EXPECT_EQ(jsonEscape("plain"), "plain");
-    EXPECT_EQ(jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(jsonEscape("a\nb\tc"), "a\\nb\\tc");
-    EXPECT_EQ(jsonEscape(std::string_view("\x01", 1)), "\\u0001");
-}
-
 TEST(SinkTest, TrialJsonContainsCoordinatesAndSeed)
 {
     TrialRecord record;

@@ -1,10 +1,11 @@
 /**
  * @file
- * Golden JsonObject rendering. riobench's result files and
- * BENCH_nv.json are this pretty layout byte for byte: nested objects
- * re-indented two spaces per level, extend() keeping insertion order,
- * doubles as %.9g with non-finite values as null, and the escape
- * table every key and string goes through.
+ * Golden rendering of the one JSON writer. riobench's result files
+ * and BENCH_nv.json are its pretty layout byte for byte: nested
+ * objects re-indented two spaces per level, extend() keeping
+ * insertion order, doubles as %.9g with non-finite values as null,
+ * and the escape table every key and string goes through. The JSONL
+ * records (trials.jsonl, crashmc.jsonl) are its compact layout.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +15,12 @@
 #include <string>
 #include <string_view>
 
-#include "emit_bench.hh"
-#include "harness/sink.hh"
+#include "support/json.hh"
 
 using namespace rio;
-using benchio::JsonObject;
-using harness::jsonEscape;
+using support::JsonArray;
+using support::JsonObject;
+using support::jsonEscape;
 
 namespace
 {
@@ -107,4 +108,56 @@ TEST(JsonObject, RenderingAtADepthIndentsEveryLine)
                             "    },\n"
                             "    \"y\": \"z\"\n"
                             "  }");
+}
+
+TEST(JsonObject, ArraysAndNullRenderPrettyAndCompact)
+{
+    JsonObject element;
+    element.put("k", u32{1});
+    JsonArray inner;
+    inner.push(std::string("b"));
+    JsonArray list;
+    list.push(std::string("a")).push(element).push(JsonArray{}).push(
+        inner);
+
+    JsonObject doc;
+    doc.put("list", list);
+    doc.put("none", nullptr);
+    doc.put("s", "a b: c, \"d\" {e}\\");
+    doc.put("after", "x");
+    EXPECT_EQ(doc.str(), "{\n"
+                         "  \"list\": [\n"
+                         "    \"a\",\n"
+                         "    {\n"
+                         "      \"k\": 1\n"
+                         "    },\n"
+                         "    [],\n"
+                         "    [\n"
+                         "      \"b\"\n"
+                         "    ]\n"
+                         "  ],\n"
+                         "  \"none\": null,\n"
+                         "  \"s\": \"a b: c, \\\"d\\\" {e}\\\\\",\n"
+                         "  \"after\": \"x\"\n"
+                         "}");
+    // Spaces inside strings survive, escaped quotes and a trailing
+    // backslash included; nothing else is left between tokens.
+    EXPECT_EQ(doc.compact(),
+              "{\"list\":[\"a\",{\"k\":1},[],[\"b\"]],\"none\":null,"
+              "\"s\":\"a b: c, \\\"d\\\" {e}\\\\\",\"after\":\"x\"}");
+    EXPECT_EQ(JsonObject{}.compact(), "{}");
+    EXPECT_EQ(JsonArray{}.str(), "[]");
+}
+
+TEST(JsonObject, CompactIsThePrettyDocumentOnOneLine)
+{
+    const std::string line = sample().compact();
+    EXPECT_EQ(line,
+              "{\"name\":\"a\\\"b\\\\c\\n\\t\\u0001 d\",\"n\":-2,"
+              "\"big\":18446744073709551615,\"third\":0.333333333,"
+              "\"whole\":2,\"tiny\":1.5e-12,\"inf\":null,\"nan\":null,"
+              "\"off\":false,\"inner\":{\"count\":3,\"ratio\":0.125,"
+              "\"deeper\":{\"ok\":true}},\"empty\":{},\"t\":\"x\","
+              "\"k\\\"ey\":\"v\"}");
+    EXPECT_EQ(line.find('\n'), std::string::npos);
 }

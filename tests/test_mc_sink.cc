@@ -4,8 +4,9 @@
  * mcSummaryToJson and mcRenderSummary make of a hand-built McResult
  * with one recovered point, one counterexample whose failure text
  * holds a quote and a newline, and per-class counts with zero
- * entries (which every rendering skips). crashmc_main writes these
- * files; the corpus pipeline reads the counterexamples back.
+ * entries (the JSON summary lists them, the text summary skips
+ * them). crashmc_main writes these files; the corpus pipeline reads
+ * the counterexamples back.
  */
 
 #include <gtest/gtest.h>
@@ -128,6 +129,7 @@ TEST(GoldenMcSink, SummaryJson)
         mcSummaryToJson(handBuiltResult(), handBuiltConfig()),
         "{\n"
         "  \"experiment\": \"crashmc\",\n"
+        "  \"schema\": 2,\n"
         "  \"seed\": 5,\n"
         "  \"ops\": 4,\n"
         "  \"hardened\": false,\n"
@@ -135,18 +137,55 @@ TEST(GoldenMcSink, SummaryJson)
         "  \"journalChecksum\": false,\n"
         "  \"tornCommit\": true,\n"
         "  \"workloads\": [\n"
-        "    {\"name\": \"shadow-flip\", \"events\": 3, \"pointsRun\": 2, "
-        "\"recovered\": 1, \"unrecovered\": 1, \"drift\": 0, "
-        "\"perClass\": {\"bus-store\": 2, \"proto-commit\": 1}},\n"
-        "    {\"name\": \"journal-ordered\", \"events\": 5, "
-        "\"pointsRun\": 5, \"recovered\": 4, \"unrecovered\": 0, "
-        "\"drift\": 1, \"perClass\": {\"disk-flush\": 4, "
-        "\"journal-commit\": 1}}\n"
+        "    {\n"
+        "      \"name\": \"shadow-flip\",\n"
+        "      \"events\": 3,\n"
+        "      \"pointsRun\": 2,\n"
+        "      \"recovered\": 1,\n"
+        "      \"unrecovered\": 1,\n"
+        "      \"drift\": 0,\n"
+        "      \"perClass\": {\n"
+        "        \"bus-store\": 2,\n"
+        "        \"proto-open\": 0,\n"
+        "        \"proto-close\": 0,\n"
+        "        \"proto-shadow-copy\": 0,\n"
+        "        \"proto-field-write\": 0,\n"
+        "        \"proto-commit\": 1,\n"
+        "        \"disk-flush\": 0,\n"
+        "        \"nv-mirror-write\": 0,\n"
+        "        \"journal-commit\": 0,\n"
+        "        \"journal-checkpoint\": 0\n"
+        "      }\n"
+        "    },\n"
+        "    {\n"
+        "      \"name\": \"journal-ordered\",\n"
+        "      \"events\": 5,\n"
+        "      \"pointsRun\": 5,\n"
+        "      \"recovered\": 4,\n"
+        "      \"unrecovered\": 0,\n"
+        "      \"drift\": 1,\n"
+        "      \"perClass\": {\n"
+        "        \"bus-store\": 0,\n"
+        "        \"proto-open\": 0,\n"
+        "        \"proto-close\": 0,\n"
+        "        \"proto-shadow-copy\": 0,\n"
+        "        \"proto-field-write\": 0,\n"
+        "        \"proto-commit\": 0,\n"
+        "        \"disk-flush\": 4,\n"
+        "        \"nv-mirror-write\": 0,\n"
+        "        \"journal-commit\": 1,\n"
+        "        \"journal-checkpoint\": 0\n"
+        "      }\n"
+        "    }\n"
         "  ],\n"
         "  \"counterexamples\": [\n"
-        "    {\"workload\": \"shadow-flip\", \"eventIndex\": 2, "
-        "\"eventClass\": \"proto-commit\", \"seed\": 5, \"failure\": "
-        "\"file \\\"/m/f1\\\" differs\\nsecond line\"}\n"
+        "    {\n"
+        "      \"workload\": \"shadow-flip\",\n"
+        "      \"eventIndex\": 2,\n"
+        "      \"eventClass\": \"proto-commit\",\n"
+        "      \"seed\": 5,\n"
+        "      \"failure\": \"file \\\"/m/f1\\\" differs\\nsecond line\"\n"
+        "    }\n"
         "  ],\n"
         "  \"totalUnrecovered\": 2\n"
         "}\n");

@@ -3,9 +3,9 @@
  * The rio-nv tier end to end: NvRegion persistence and fault hooks,
  * the NV registry mirror graft under a hardened warm reboot, the
  * intermittent-power campaign dimension, the crash-point model
- * checker with the NV mirror enabled, and the JSONL emission
- * contract that keeps legacy trial records byte-identical when the
- * NV tier is absent.
+ * checker with the NV mirror enabled, and the trial record's NV
+ * fields: always present, and drawn from no RNG when the NV tier is
+ * absent.
  */
 
 #include <gtest/gtest.h>
@@ -352,32 +352,56 @@ TEST(PowerCycle, RunsTheOutageBudgetAndRecoversClean)
 }
 
 // ---------------------------------------------------------------
-// JSONL contract: legacy records stay byte-identical.
+// JSONL contract: every record carries every field.
 // ---------------------------------------------------------------
 
-TEST(NvSink, LegacyTrialJsonCarriesNoNvOrPowerKeys)
+TEST(NvSink, EveryTrialJsonCarriesTheSameKeys)
 {
-    harness::TrialRecord record;
-    record.crashed = true;
-    const std::string json = harness::trialToJson(record);
-    EXPECT_EQ(json.find("nv"), std::string::npos);
-    EXPECT_EQ(json.find("power"), std::string::npos);
+    // Schema v2: a record carries every field whatever dimensions its
+    // trial ran, so a default record and one with every block filled
+    // give the same keys in the same order.
+    auto keysOf = [](const std::string &line) {
+        std::vector<std::string> keys;
+        std::size_t at = 0;
+        while ((at = line.find("\":", at)) != std::string::npos) {
+            const std::size_t open = line.rfind('"', at - 1);
+            keys.push_back(line.substr(open + 1, at - open - 1));
+            at += 2;
+        }
+        return keys;
+    };
 
-    harness::TrialRecord nvRecord = record;
-    nvRecord.nvBacked = true;
-    nvRecord.powerCycleMode = true;
-    const std::string nvJson = harness::trialToJson(nvRecord);
-    EXPECT_NE(nvJson.find("\"nvBacked\":true"), std::string::npos);
-    EXPECT_NE(nvJson.find("\"powerCycleMode\":true"),
+    harness::TrialRecord full;
+    full.crashed = true;
+    full.cause = 1;
+    full.crashAfterNs = 5;
+    full.doubleCrashFired = true;
+    full.doubleCrashPhase = 1;
+    full.nvBacked = true;
+    full.nvMirrorWrites = 3;
+    full.powerCycleMode = true;
+    full.powerCycles = 2;
+    full.message = "panic";
+    const std::string plainJson =
+        harness::trialToJson(harness::TrialRecord{});
+    const std::string fullJson = harness::trialToJson(full);
+    const std::vector<std::string> keys = keysOf(plainJson);
+    EXPECT_EQ(keys, keysOf(fullJson));
+    EXPECT_EQ(keys.size(), 50u);
+    EXPECT_NE(plainJson.find("\"cause\":null"), std::string::npos);
+    EXPECT_NE(plainJson.find("\"doubleCrashPhase\":null"),
+              std::string::npos);
+    EXPECT_NE(plainJson.find("\"nvBacked\":false"), std::string::npos);
+    EXPECT_NE(fullJson.find("\"nvBacked\":true"), std::string::npos);
+    EXPECT_NE(fullJson.find("\"powerCycleMode\":true"),
               std::string::npos);
 }
 
 TEST(NvSink, NvKnobsDoNotPerturbANonNvTrial)
 {
-    // Table 1's trials.jsonl must stay byte-identical whether the NV
-    // tier is merely disabled or the knobs never existed: enabling
-    // the NV fault stream on a machine without an NV region draws
-    // nothing and emits nothing.
+    // Enabling the NV fault stream on a machine without an NV region
+    // draws nothing from the trial's RNG, so the trial's record is
+    // the same with the knob at zero or at full intensity.
     harness::CampaignConfig plain;
     plain.seed = 11;
     harness::CampaignConfig knobbed = plain;

@@ -54,22 +54,27 @@ TEST(GoldenTrial, DiskBased)
               ",\"trialSeed\":3568005726136891794"
               ",\"crashSeed\":13017804424008807350,\"attempts\":1"
               ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"consistency check\""
-              ",\"crashAfterNs\":561522500,\"corrupt\":false"
-              ",\"checksumDetected\":false,\"memtestDetected\":false"
-              ",\"corruptFiles\":0,\"protectionSaves\":0"
-              ",\"dumpOk\":true,\"metadataQuarantined\":0"
-              ",\"duplicateClaims\":0,\"boundsViolations\":0"
-              ",\"shadowChecksumBad\":0,\"dataQuarantined\":0"
-              ",\"metadataUnrestorable\":0,\"postCrashOps\":0"
-              ",\"doubleCrashFired\":false,\"recoveryPasses\":1"
+              ",\"cause\":\"consistency check\",\"crashAfterNs\":561522500"
+              ",\"corrupt\":false,\"checksumDetected\":false"
+              ",\"memtestDetected\":false,\"corruptFiles\":0"
+              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
+              ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
+              ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
+              ",\"postCrashOps\":0,\"doubleCrashFired\":false"
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":1"
               ",\"recoveryResumed\":false,\"checkpointWrites\":0"
               ",\"retriedSectors\":0,\"remappedSectors\":0"
               ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
               ",\"diskBadSectorErrors\":0,\"diskSectorsRemapped\":0"
-              ",\"readOnlyDegraded\":false"
-              ",\"message\":\"consistency check: buffer cache: bad buffer "
-              "header magic\"}");
+              ",\"readOnlyDegraded\":false,\"nvBacked\":false"
+              ",\"nvMirrorPresent\":null,\"nvMirrorCorrupt\":null"
+              ",\"nvEntriesGrafted\":null,\"nvShadowsUsed\":null"
+              ",\"nvMirrorWrites\":null,\"nvBitsFlipped\":null"
+              ",\"nvLinesTorn\":null,\"powerCycleMode\":false"
+              ",\"powerCycles\":null,\"workloadOps\":null,\"recoveryNs\":null"
+              ",\"message\":\"consistency check: buffer cache: bad "
+              "buffer header magic\"}");
 }
 
 TEST(GoldenTrial, RioWithProtection)
@@ -77,25 +82,30 @@ TEST(GoldenTrial, RioWithProtection)
     EXPECT_EQ(trialJson(CampaignConfig{}, SystemKind::RioWithProtection,
                         fault::FaultType::CopyOverrun, 0),
               "{\"system\":\"Rio w/ protection\",\"systemIndex\":2"
-              ",\"fault\":\"copy overrun\",\"faultIndex\":10"
-              ",\"trial\":0,\"trialSeed\":5435398162250997398"
+              ",\"fault\":\"copy overrun\",\"faultIndex\":10,\"trial\":0"
+              ",\"trialSeed\":5435398162250997398"
               ",\"crashSeed\":1066746667616934751,\"attempts\":1"
-              ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"protection fault\",\"crashAfterNs\":3723084"
-              ",\"corrupt\":false,\"checksumDetected\":false"
-              ",\"memtestDetected\":false,\"corruptFiles\":0"
-              ",\"protectionSaves\":1,\"dumpOk\":true"
+              ",\"discards\":0,\"crashed\":true,\"cause\":\"protection fault\""
+              ",\"crashAfterNs\":3723084,\"corrupt\":false"
+              ",\"checksumDetected\":false,\"memtestDetected\":false"
+              ",\"corruptFiles\":0,\"protectionSaves\":1,\"dumpOk\":true"
               ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
               ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
               ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
               ",\"postCrashOps\":0,\"doubleCrashFired\":false"
-              ",\"recoveryPasses\":1,\"recoveryResumed\":false"
-              ",\"checkpointWrites\":23,\"retriedSectors\":0"
-              ",\"remappedSectors\":0,\"abandonedSectors\":0"
-              ",\"diskTransientErrors\":0,\"diskBadSectorErrors\":0"
-              ",\"diskSectorsRemapped\":0,\"readOnlyDegraded\":false"
-              ",\"message\":\"protection fault: write to protected address "
-              "0x8000000000ac6000\"}");
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":1"
+              ",\"recoveryResumed\":false,\"checkpointWrites\":23"
+              ",\"retriedSectors\":0,\"remappedSectors\":0"
+              ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
+              ",\"diskBadSectorErrors\":0,\"diskSectorsRemapped\":0"
+              ",\"readOnlyDegraded\":false,\"nvBacked\":false"
+              ",\"nvMirrorPresent\":null,\"nvMirrorCorrupt\":null"
+              ",\"nvEntriesGrafted\":null,\"nvShadowsUsed\":null"
+              ",\"nvMirrorWrites\":null,\"nvBitsFlipped\":null"
+              ",\"nvLinesTorn\":null,\"powerCycleMode\":false"
+              ",\"powerCycles\":null,\"workloadOps\":null,\"recoveryNs\":null"
+              ",\"message\":\"protection fault: write to protected "
+              "address 0x8000000000ac6000\"}");
 }
 
 TEST(GoldenTrial, PostCrashCorruption)
@@ -109,20 +119,25 @@ TEST(GoldenTrial, PostCrashCorruption)
               ",\"trialSeed\":9911394642172665602"
               ",\"crashSeed\":16871681250069612306,\"attempts\":1"
               ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"consistency check\""
-              ",\"crashAfterNs\":775092307,\"corrupt\":true"
-              ",\"checksumDetected\":false,\"memtestDetected\":true"
-              ",\"corruptFiles\":14,\"protectionSaves\":0"
-              ",\"dumpOk\":true,\"metadataQuarantined\":3"
-              ",\"duplicateClaims\":2,\"boundsViolations\":0"
-              ",\"shadowChecksumBad\":0,\"dataQuarantined\":0"
-              ",\"metadataUnrestorable\":0,\"postCrashOps\":10"
-              ",\"doubleCrashFired\":false,\"recoveryPasses\":1"
+              ",\"cause\":\"consistency check\",\"crashAfterNs\":775092307"
+              ",\"corrupt\":true,\"checksumDetected\":false"
+              ",\"memtestDetected\":true,\"corruptFiles\":14"
+              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"metadataQuarantined\":3,\"duplicateClaims\":2"
+              ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
+              ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
+              ",\"postCrashOps\":10,\"doubleCrashFired\":false"
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":1"
               ",\"recoveryResumed\":false,\"checkpointWrites\":121"
               ",\"retriedSectors\":0,\"remappedSectors\":0"
               ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
               ",\"diskBadSectorErrors\":0,\"diskSectorsRemapped\":0"
-              ",\"readOnlyDegraded\":false"
+              ",\"readOnlyDegraded\":false,\"nvBacked\":false"
+              ",\"nvMirrorPresent\":null,\"nvMirrorCorrupt\":null"
+              ",\"nvEntriesGrafted\":null,\"nvShadowsUsed\":null"
+              ",\"nvMirrorWrites\":null,\"nvBitsFlipped\":null"
+              ",\"nvLinesTorn\":null,\"powerCycleMode\":false"
+              ",\"powerCycles\":null,\"workloadOps\":null,\"recoveryNs\":null"
               ",\"message\":\"consistency check: ubc: object/page hash "
               "inconsistent\"}");
 }
@@ -139,21 +154,25 @@ TEST(GoldenTrial, DiskFaultsWithDoubleCrash)
               ",\"trialSeed\":6341835741175547949"
               ",\"crashSeed\":16521210987355115870,\"attempts\":2"
               ",\"discards\":1,\"crashed\":true"
-              ",\"cause\":\"consistency check\""
-              ",\"crashAfterNs\":1799696165,\"corrupt\":false"
-              ",\"checksumDetected\":false,\"memtestDetected\":false"
-              ",\"corruptFiles\":0,\"protectionSaves\":0"
-              ",\"dumpOk\":true,\"metadataQuarantined\":0"
-              ",\"duplicateClaims\":0,\"boundsViolations\":0"
-              ",\"shadowChecksumBad\":0,\"dataQuarantined\":0"
-              ",\"metadataUnrestorable\":0,\"postCrashOps\":0"
-              ",\"doubleCrashFired\":true"
-              ",\"doubleCrashPhase\":\"data-restore\""
-              ",\"recoveryPasses\":2,\"recoveryResumed\":true"
-              ",\"checkpointWrites\":109,\"retriedSectors\":6146"
-              ",\"remappedSectors\":3,\"abandonedSectors\":0"
-              ",\"diskTransientErrors\":4,\"diskBadSectorErrors\":3"
-              ",\"diskSectorsRemapped\":3,\"readOnlyDegraded\":false"
+              ",\"cause\":\"consistency check\",\"crashAfterNs\":1799696165"
+              ",\"corrupt\":false,\"checksumDetected\":false"
+              ",\"memtestDetected\":false,\"corruptFiles\":0"
+              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
+              ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
+              ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
+              ",\"postCrashOps\":0,\"doubleCrashFired\":true"
+              ",\"doubleCrashPhase\":\"data-restore\",\"recoveryPasses\":2"
+              ",\"recoveryResumed\":true,\"checkpointWrites\":109"
+              ",\"retriedSectors\":6146,\"remappedSectors\":3"
+              ",\"abandonedSectors\":0,\"diskTransientErrors\":4"
+              ",\"diskBadSectorErrors\":3,\"diskSectorsRemapped\":3"
+              ",\"readOnlyDegraded\":false,\"nvBacked\":false"
+              ",\"nvMirrorPresent\":null,\"nvMirrorCorrupt\":null"
+              ",\"nvEntriesGrafted\":null,\"nvShadowsUsed\":null"
+              ",\"nvMirrorWrites\":null,\"nvBitsFlipped\":null"
+              ",\"nvLinesTorn\":null,\"powerCycleMode\":false"
+              ",\"powerCycles\":null,\"workloadOps\":null,\"recoveryNs\":null"
               ",\"message\":\"consistency check: ubc: bad page header "
               "magic\"}");
 }
@@ -167,15 +186,15 @@ TEST(GoldenTrial, RioNvClassic)
               ",\"trialSeed\":17465241763666013746"
               ",\"crashSeed\":10928740156506051952,\"attempts\":1"
               ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"consistency check\""
-              ",\"crashAfterNs\":313262146,\"corrupt\":false"
-              ",\"checksumDetected\":false,\"memtestDetected\":false"
-              ",\"corruptFiles\":0,\"protectionSaves\":0"
-              ",\"dumpOk\":true,\"metadataQuarantined\":0"
-              ",\"duplicateClaims\":0,\"boundsViolations\":0"
-              ",\"shadowChecksumBad\":0,\"dataQuarantined\":0"
-              ",\"metadataUnrestorable\":0,\"postCrashOps\":0"
-              ",\"doubleCrashFired\":false,\"recoveryPasses\":1"
+              ",\"cause\":\"consistency check\",\"crashAfterNs\":313262146"
+              ",\"corrupt\":false,\"checksumDetected\":false"
+              ",\"memtestDetected\":false,\"corruptFiles\":0"
+              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
+              ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
+              ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
+              ",\"postCrashOps\":0,\"doubleCrashFired\":false"
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":1"
               ",\"recoveryResumed\":false,\"checkpointWrites\":123"
               ",\"retriedSectors\":0,\"remappedSectors\":0"
               ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
@@ -183,10 +202,11 @@ TEST(GoldenTrial, RioNvClassic)
               ",\"readOnlyDegraded\":false,\"nvBacked\":true"
               ",\"nvMirrorPresent\":true,\"nvMirrorCorrupt\":false"
               ",\"nvEntriesGrafted\":0,\"nvShadowsUsed\":0"
-              ",\"nvMirrorWrites\":23538,\"nvBitsFlipped\":0"
-              ",\"nvLinesTorn\":0"
-              ",\"message\":\"consistency check: buffer cache: bad buffer "
-              "header magic\"}");
+              ",\"nvMirrorWrites\":23538,\"nvBitsFlipped\":0,\"nvLinesTorn\":0"
+              ",\"powerCycleMode\":false,\"powerCycles\":null"
+              ",\"workloadOps\":null,\"recoveryNs\":null"
+              ",\"message\":\"consistency check: buffer cache: bad "
+              "buffer header magic\"}");
 }
 
 TEST(GoldenTrial, PowerCycleRioNv)
@@ -197,25 +217,24 @@ TEST(GoldenTrial, PowerCycleRioNv)
               ",\"fault\":\"kernel heap\",\"faultIndex\":1,\"trial\":0"
               ",\"trialSeed\":2472048318534567101"
               ",\"crashSeed\":2064935983713350268,\"attempts\":1"
-              ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"kernel panic\",\"crashAfterNs\":149864603"
-              ",\"corrupt\":false,\"checksumDetected\":false"
-              ",\"memtestDetected\":false,\"corruptFiles\":0"
-              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"discards\":0,\"crashed\":true,\"cause\":\"kernel panic\""
+              ",\"crashAfterNs\":149864603,\"corrupt\":false"
+              ",\"checksumDetected\":false,\"memtestDetected\":false"
+              ",\"corruptFiles\":0,\"protectionSaves\":0,\"dumpOk\":true"
               ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
               ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
               ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
               ",\"postCrashOps\":0,\"doubleCrashFired\":false"
-              ",\"recoveryPasses\":2,\"recoveryResumed\":false"
-              ",\"checkpointWrites\":177,\"retriedSectors\":0"
-              ",\"remappedSectors\":0,\"abandonedSectors\":0"
-              ",\"diskTransientErrors\":0,\"diskBadSectorErrors\":0"
-              ",\"diskSectorsRemapped\":0,\"readOnlyDegraded\":false"
-              ",\"nvBacked\":true,\"nvMirrorPresent\":true"
-              ",\"nvMirrorCorrupt\":false,\"nvEntriesGrafted\":0"
-              ",\"nvShadowsUsed\":0,\"nvMirrorWrites\":125796"
-              ",\"nvBitsFlipped\":0,\"nvLinesTorn\":0"
-              ",\"powerCycleMode\":true,\"powerCycles\":2"
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":2"
+              ",\"recoveryResumed\":false,\"checkpointWrites\":177"
+              ",\"retriedSectors\":0,\"remappedSectors\":0"
+              ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
+              ",\"diskBadSectorErrors\":0,\"diskSectorsRemapped\":0"
+              ",\"readOnlyDegraded\":false,\"nvBacked\":true"
+              ",\"nvMirrorPresent\":true,\"nvMirrorCorrupt\":false"
+              ",\"nvEntriesGrafted\":0,\"nvShadowsUsed\":0"
+              ",\"nvMirrorWrites\":125796,\"nvBitsFlipped\":0"
+              ",\"nvLinesTorn\":0,\"powerCycleMode\":true,\"powerCycles\":2"
               ",\"workloadOps\":1197,\"recoveryNs\":28010202265"
               ",\"message\":\"kernel panic: power loss: intermittent "
               "supply\"}");
@@ -230,21 +249,24 @@ TEST(GoldenTrial, PowerCycleRioWithProtection)
               ",\"fault\":\"kernel heap\",\"faultIndex\":1,\"trial\":0"
               ",\"trialSeed\":11486143483305615492"
               ",\"crashSeed\":4988808923355907470,\"attempts\":1"
-              ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"kernel panic\",\"crashAfterNs\":126367860"
-              ",\"corrupt\":false,\"checksumDetected\":false"
-              ",\"memtestDetected\":false,\"corruptFiles\":0"
-              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"discards\":0,\"crashed\":true,\"cause\":\"kernel panic\""
+              ",\"crashAfterNs\":126367860,\"corrupt\":false"
+              ",\"checksumDetected\":false,\"memtestDetected\":false"
+              ",\"corruptFiles\":0,\"protectionSaves\":0,\"dumpOk\":true"
               ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
               ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
               ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
               ",\"postCrashOps\":0,\"doubleCrashFired\":false"
-              ",\"recoveryPasses\":2,\"recoveryResumed\":false"
-              ",\"checkpointWrites\":135,\"retriedSectors\":0"
-              ",\"remappedSectors\":0,\"abandonedSectors\":0"
-              ",\"diskTransientErrors\":0,\"diskBadSectorErrors\":0"
-              ",\"diskSectorsRemapped\":0,\"readOnlyDegraded\":false"
-              ",\"powerCycleMode\":true,\"powerCycles\":2"
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":2"
+              ",\"recoveryResumed\":false,\"checkpointWrites\":135"
+              ",\"retriedSectors\":0,\"remappedSectors\":0"
+              ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
+              ",\"diskBadSectorErrors\":0,\"diskSectorsRemapped\":0"
+              ",\"readOnlyDegraded\":false,\"nvBacked\":false"
+              ",\"nvMirrorPresent\":null,\"nvMirrorCorrupt\":null"
+              ",\"nvEntriesGrafted\":null,\"nvShadowsUsed\":null"
+              ",\"nvMirrorWrites\":null,\"nvBitsFlipped\":null"
+              ",\"nvLinesTorn\":null,\"powerCycleMode\":true,\"powerCycles\":2"
               ",\"workloadOps\":1197,\"recoveryNs\":24050531785"
               ",\"message\":\"kernel panic: power loss: intermittent "
               "supply\"}");
@@ -264,25 +286,24 @@ TEST(GoldenTrial, PowerCycleRioNvWithRepairableDamage)
               ",\"fault\":\"kernel heap\",\"faultIndex\":1,\"trial\":0"
               ",\"trialSeed\":2472048318534567101"
               ",\"crashSeed\":2064935983713350268,\"attempts\":1"
-              ",\"discards\":0,\"crashed\":true"
-              ",\"cause\":\"kernel panic\",\"crashAfterNs\":149864603"
-              ",\"corrupt\":false,\"checksumDetected\":false"
-              ",\"memtestDetected\":false,\"corruptFiles\":0"
-              ",\"protectionSaves\":0,\"dumpOk\":true"
+              ",\"discards\":0,\"crashed\":true,\"cause\":\"kernel panic\""
+              ",\"crashAfterNs\":149864603,\"corrupt\":false"
+              ",\"checksumDetected\":false,\"memtestDetected\":false"
+              ",\"corruptFiles\":0,\"protectionSaves\":0,\"dumpOk\":true"
               ",\"metadataQuarantined\":0,\"duplicateClaims\":0"
               ",\"boundsViolations\":0,\"shadowChecksumBad\":0"
               ",\"dataQuarantined\":0,\"metadataUnrestorable\":0"
               ",\"postCrashOps\":6,\"doubleCrashFired\":false"
-              ",\"recoveryPasses\":2,\"recoveryResumed\":false"
-              ",\"checkpointWrites\":177,\"retriedSectors\":0"
-              ",\"remappedSectors\":0,\"abandonedSectors\":0"
-              ",\"diskTransientErrors\":0,\"diskBadSectorErrors\":0"
-              ",\"diskSectorsRemapped\":0,\"readOnlyDegraded\":false"
-              ",\"nvBacked\":true,\"nvMirrorPresent\":true"
-              ",\"nvMirrorCorrupt\":false,\"nvEntriesGrafted\":5"
-              ",\"nvShadowsUsed\":0,\"nvMirrorWrites\":125796"
-              ",\"nvBitsFlipped\":0,\"nvLinesTorn\":3"
-              ",\"powerCycleMode\":true,\"powerCycles\":2"
+              ",\"doubleCrashPhase\":null,\"recoveryPasses\":2"
+              ",\"recoveryResumed\":false,\"checkpointWrites\":177"
+              ",\"retriedSectors\":0,\"remappedSectors\":0"
+              ",\"abandonedSectors\":0,\"diskTransientErrors\":0"
+              ",\"diskBadSectorErrors\":0,\"diskSectorsRemapped\":0"
+              ",\"readOnlyDegraded\":false,\"nvBacked\":true"
+              ",\"nvMirrorPresent\":true,\"nvMirrorCorrupt\":false"
+              ",\"nvEntriesGrafted\":5,\"nvShadowsUsed\":0"
+              ",\"nvMirrorWrites\":125796,\"nvBitsFlipped\":0"
+              ",\"nvLinesTorn\":3,\"powerCycleMode\":true,\"powerCycles\":2"
               ",\"workloadOps\":1197,\"recoveryNs\":28010202265"
               ",\"message\":\"kernel panic: power loss: intermittent "
               "supply\"}");

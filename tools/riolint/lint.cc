@@ -10,9 +10,13 @@
 
 #include "callgraph.hh"
 #include "lockgraph.hh"
+#include "support/json.hh"
 
 namespace riolint
 {
+
+using rio::support::JsonArray;
+using rio::support::JsonObject;
 
 namespace
 {
@@ -902,23 +906,6 @@ class JournalAnalysis
 // ---------------------------------------------------------------------
 
 std::string
-jsonEscape(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default: out.push_back(c);
-        }
-    }
-    return out;
-}
-
-std::string
 dirOf(const std::string &path)
 {
     const std::size_t slash = path.find_last_of('/');
@@ -1086,44 +1073,35 @@ Report::json() const
         }
     }
 
-    std::ostringstream out;
-    out << "{\n";
-    out << "  \"violations\": " << violations() << ",\n";
-    out << "  \"allowed\": " << allowed() << ",\n";
-
-    auto emitTallies = [&](const char *key,
-                           const std::map<std::string, Tally> &map) {
-        out << "  \"" << key << "\": {";
-        bool first = true;
+    auto tallies = [](const std::map<std::string, Tally> &map) {
+        JsonObject out;
         for (const auto &[name, tally] : map) {
-            out << (first ? "\n" : ",\n");
-            out << "    \"" << jsonEscape(name)
-                << "\": {\"violations\": " << tally.violations
-                << ", \"allowed\": " << tally.allowed << "}";
-            first = false;
+            out.put(name, JsonObject()
+                              .put("violations", tally.violations)
+                              .put("allowed", tally.allowed));
         }
-        out << (first ? "},\n" : "\n  },\n");
+        return out;
     };
-    emitTallies("rules", byRule);
-    emitTallies("directories", byDir);
-
-    out << "  \"findings\": [";
-    bool first = true;
+    JsonArray list;
     for (const Finding &f : findings) {
-        out << (first ? "\n" : ",\n");
-        out << "    {\"rule\": \"" << ruleId(f.rule)
-            << "\", \"file\": \"" << jsonEscape(f.file)
-            << "\", \"line\": " << f.line << ", \"allowed\": "
-            << (f.allowed ? "true" : "false") << ", \"message\": \""
-            << jsonEscape(f.message) << "\"";
+        JsonObject finding;
+        finding.put("rule", ruleId(f.rule))
+            .put("file", f.file)
+            .put("line", f.line)
+            .put("allowed", f.allowed)
+            .put("message", f.message);
         if (f.allowed)
-            out << ", \"reason\": \"" << jsonEscape(f.reason) << "\"";
-        out << "}";
-        first = false;
+            finding.put("reason", f.reason);
+        list.push(finding);
     }
-    out << (first ? "]\n" : "\n  ]\n");
-    out << "}\n";
-    return out.str();
+    return JsonObject()
+               .put("violations", violations())
+               .put("allowed", allowed())
+               .put("rules", tallies(byRule))
+               .put("directories", tallies(byDir))
+               .put("findings", list)
+               .str() +
+           "\n";
 }
 
 std::vector<Finding>

@@ -4,8 +4,13 @@
 #include <cctype>
 #include <sstream>
 
+#include "support/json.hh"
+
 namespace riolint
 {
+
+using rio::support::JsonArray;
+using rio::support::JsonObject;
 
 namespace
 {
@@ -39,22 +44,6 @@ crashPrimitives()
         "queueWrite", "retryRead", "retryWrite",
     };
     return kPrims;
-}
-
-std::string
-jsonEscapeText(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          default: out.push_back(c);
-        }
-    }
-    return out;
 }
 
 } // namespace
@@ -591,54 +580,41 @@ LockAnalysis::dot() const
 std::string
 LockAnalysis::jsonReport() const
 {
-    std::ostringstream out;
-    out << "{\n  \"locks\": [";
-    bool first = true;
+    auto site = [this](std::size_t fileIndex, int line) {
+        return graph_.file(fileIndex).path + ":" + std::to_string(line);
+    };
+    JsonArray locks;
     for (const std::string &lock : lockNames_) {
-        out << (first ? "\n" : ",\n");
-        out << "    {\"name\": \"" << jsonEscapeText(lock)
-            << "\", \"rank\": " << rankOf(lock);
+        JsonObject entry;
+        entry.put("name", lock).put("rank", rankOf(lock));
         auto decl = ranks_.find(lock);
         if (decl != ranks_.end()) {
-            out << ", \"declared\": \""
-                << jsonEscapeText(
-                       graph_.file(decl->second.fileIndex).path)
-                << ":" << decl->second.line << "\"";
+            entry.put("declared",
+                      site(decl->second.fileIndex, decl->second.line));
         }
-        out << "}";
-        first = false;
+        locks.push(entry);
     }
-    out << (first ? "],\n" : "\n  ],\n");
-
-    out << "  \"edges\": [";
-    first = true;
+    JsonArray edges;
     for (const auto &[key, info] : edges_) {
-        out << (first ? "\n" : ",\n");
-        out << "    {\"from\": \"" << jsonEscapeText(key.first)
-            << "\", \"to\": \"" << jsonEscapeText(key.second)
-            << "\", \"via\": \"" << jsonEscapeText(info.via)
-            << "\", \"site\": \""
-            << jsonEscapeText(graph_.file(info.fileIndex).path)
-            << ":" << info.line << "\"}";
-        first = false;
+        edges.push(JsonObject()
+                       .put("from", key.first)
+                       .put("to", key.second)
+                       .put("via", info.via)
+                       .put("site", site(info.fileIndex, info.line)));
     }
-    out << (first ? "],\n" : "\n  ],\n");
-
-    out << "  \"cycles\": [";
-    first = true;
+    JsonArray cycles;
     for (const auto &cycle : cycles_) {
-        out << (first ? "\n" : ",\n");
-        out << "    [";
-        for (std::size_t i = 0; i < cycle.size(); ++i) {
-            out << (i ? ", " : "") << "\""
-                << jsonEscapeText(cycle[i]) << "\"";
-        }
-        out << "]";
-        first = false;
+        JsonArray names;
+        for (const std::string &name : cycle)
+            names.push(name);
+        cycles.push(names);
     }
-    out << (first ? "]\n" : "\n  ]\n");
-    out << "}\n";
-    return out.str();
+    return JsonObject()
+               .put("locks", locks)
+               .put("edges", edges)
+               .put("cycles", cycles)
+               .str() +
+           "\n";
 }
 
 } // namespace riolint
