@@ -6,8 +6,8 @@
  * what an operator (or the warm reboot) would see: per-page entries,
  * dirty/changing states, checksums, protection status, and the
  * machine's region map. Finally crashes the box and prints the same
- * view from the post-crash memory dump — the exact input the warm
- * reboot works from.
+ * view as the warm reboot parsed it from the post-crash memory — the
+ * exact input its restore works from.
  */
 
 #include <cstdio>
@@ -123,8 +123,9 @@ main()
     }
 
     std::puts("\n=== live registry (running system) ===");
-    printRegistry(
-        core::parseRegistry(machine.mem().image(), machine.mem()));
+    printRegistry(core::parseRegistry(
+        core::RecoveryImage(machine.mem().image(), machine.mem()),
+        machine.mem()));
 
     const core::RioStats &stats = system.rio()->stats();
     std::printf("\nrio stats: %llu installs, %llu updates, %llu page "
@@ -146,8 +147,7 @@ main()
 
     auto report = system.restoreMetadata();
     std::puts("\n=== registry as seen in the post-crash dump ===");
-    printRegistry(core::parseRegistry(system.warmReboot()->dumpImage(),
-                                      machine.mem()));
+    printRegistry(system.warmReboot()->registryImage());
 
     std::printf("\nwarm reboot step 1: dumped %llu MB, restored %llu "
                 "dirty metadata blocks (%llu from shadows)\n",

@@ -43,7 +43,7 @@ nvFetch(sim::NvRegion &nv, u64 offset, std::span<u8> out,
 } // namespace
 
 NvMirrorGraft
-graftNvMirror(sim::Machine &machine, std::span<u8> image,
+graftNvMirror(sim::Machine &machine, RecoveryImage &image,
               bool verified, sim::SimClock *clock)
 {
     NvMirrorGraft graft;
@@ -77,6 +77,7 @@ graftNvMirror(sim::Machine &machine, std::span<u8> image,
     graft.body.assign(reg.size, 0);
     nvFetch(*nv, NvL::kHeaderBytes, graft.body, clock);
     graft.valid = true;
+    const std::span<u8> region = image.writableRegistry();
 
     const auto &buf = machine.mem().region(sim::RegionKind::BufPool);
     const auto &ubc = machine.mem().region(sim::RegionKind::UbcPool);
@@ -91,15 +92,12 @@ graftNvMirror(sim::Machine &machine, std::span<u8> image,
             if (off + L::kEntrySize > body.size())
                 break;
             const auto mirror = body.subspan(off, L::kEntrySize);
-            const auto live =
-                image.subspan(reg.base + off, L::kEntrySize);
+            const auto live = region.subspan(off, L::kEntrySize);
             if (!std::equal(mirror.begin(), mirror.end(),
                             live.begin()))
                 ++graft.entriesGrafted;
         }
-        std::copy(body.begin(), body.end(),
-                  image.begin() +
-                      static_cast<std::ptrdiff_t>(reg.base));
+        std::copy(body.begin(), body.end(), region.begin());
         return graft;
     }
 
@@ -136,8 +134,7 @@ graftNvMirror(sim::Machine &machine, std::span<u8> image,
             return false;
         const u64 n = std::min<u64>(entry.size, sim::kPageSize);
         return bindChecksum(
-                   support::checksum32(
-                       image.subspan(entry.physAddr, n)),
+                   support::checksum32(image.bytes(entry.physAddr, n)),
                    entry.diskBlock) == entry.checksum;
     };
 
@@ -146,7 +143,7 @@ graftNvMirror(sim::Machine &machine, std::span<u8> image,
         if (off + L::kEntrySize > body.size())
             break;
         const auto mirror = body.subspan(off, L::kEntrySize);
-        const auto live = image.subspan(reg.base + off, L::kEntrySize);
+        const auto live = region.subspan(off, L::kEntrySize);
         if (std::equal(mirror.begin(), mirror.end(), live.begin()))
             continue;
         std::optional<RegistryEntry> liveEntry, nvEntry;

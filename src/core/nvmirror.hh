@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "core/registry.hh"
 #include "sim/machine.hh"
 #include "support/types.hh"
 
@@ -59,9 +60,11 @@ struct NvMirrorGraft
 
 /**
  * Validate the machine's NV mirror and merge it into @p image (a
- * surviving-memory image about to be fed to parseRegistry). A no-op
- * returning an all-false result when the machine has no NV region or
- * the mirror was never initialised.
+ * surviving-memory image about to be fed to parseRegistry). Only
+ * the image's Registry region is written, through its private copy,
+ * which a valid mirror always takes. A no-op returning an all-false
+ * result when the machine has no NV region or the mirror was never
+ * initialised.
  *
  * @p verified selects the merge discipline:
  *
@@ -82,7 +85,7 @@ struct NvMirrorGraft
  * header and body (the oracle passes nullptr: an instrumentation
  * capture must not perturb the simulated clock).
  */
-NvMirrorGraft graftNvMirror(sim::Machine &machine, std::span<u8> image,
+NvMirrorGraft graftNvMirror(sim::Machine &machine, RecoveryImage &image,
                             bool verified, sim::SimClock *clock);
 
 } // namespace rio::core

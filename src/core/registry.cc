@@ -1,5 +1,8 @@
 #include "core/registry.hh"
 
+#include <algorithm>
+#include <cassert>
+
 #include "support/bytes.hh"
 
 namespace rio::core
@@ -38,8 +41,55 @@ decodeRegistryEntry(std::span<const u8> raw)
     return entry;
 }
 
+RecoveryImage::RecoveryImage(std::span<const u8> bytes,
+                             const sim::PhysMem &mem)
+    : bytes_(bytes),
+      regBase_(mem.region(sim::RegionKind::Registry).base),
+      regSize_(mem.region(sim::RegionKind::Registry).size)
+{
+    assert(regBase_ + regSize_ <= bytes_.size());
+}
+
+std::span<const u8>
+RecoveryImage::bytes(Addr addr, u64 n) const
+{
+    assert(addr <= size() && n <= size() - addr);
+    const Addr regEnd = regBase_ + regCopy_.size();
+    if (regCopy_.empty() || addr + n <= regBase_ || addr >= regEnd)
+        return bytes_.subspan(addr, n);
+    if (addr >= regBase_ && addr + n <= regEnd)
+        return std::span<const u8>(regCopy_).subspan(addr - regBase_, n);
+    // Straddles an edge of the copy: the image, then the copy over it.
+    scratch_.assign(bytes_.begin() + static_cast<std::ptrdiff_t>(addr),
+                    bytes_.begin() + static_cast<std::ptrdiff_t>(addr + n));
+    const Addr lo = std::max(addr, regBase_);
+    const Addr hi = std::min(addr + n, regEnd);
+    std::copy(regCopy_.begin() + static_cast<std::ptrdiff_t>(lo - regBase_),
+              regCopy_.begin() + static_cast<std::ptrdiff_t>(hi - regBase_),
+              scratch_.begin() + static_cast<std::ptrdiff_t>(lo - addr));
+    return scratch_;
+}
+
+std::span<const u8>
+RecoveryImage::registry() const
+{
+    if (!regCopy_.empty())
+        return regCopy_;
+    return bytes_.subspan(regBase_, regSize_);
+}
+
+std::span<u8>
+RecoveryImage::writableRegistry()
+{
+    if (regCopy_.empty()) {
+        const auto region = bytes_.subspan(regBase_, regSize_);
+        regCopy_.assign(region.begin(), region.end());
+    }
+    return regCopy_;
+}
+
 RegistryImage
-parseRegistry(std::span<const u8> memImage, const sim::PhysMem &mem)
+parseRegistry(const RecoveryImage &memImage, const sim::PhysMem &mem)
 {
     using L = RegistryLayout;
     RegistryImage image;
@@ -55,11 +105,12 @@ parseRegistry(std::span<const u8> memImage, const sim::PhysMem &mem)
         return buf.contains(pa) || ubc.contains(pa);
     };
 
+    const auto entries = memImage.registry();
     for (u64 i = 0; i < entryCount; ++i) {
-        const u64 base = reg.base + i * L::kEntrySize;
-        if (base + L::kEntrySize > memImage.size())
+        const u64 off = i * L::kEntrySize;
+        if (off + L::kEntrySize > entries.size())
             break;
-        auto raw = memImage.subspan(base, L::kEntrySize);
+        auto raw = entries.subspan(off, L::kEntrySize);
         const u32 magic = get<u32>(raw, L::kOffMagic);
         if (magic == 0) {
             ++image.freeEntries;

@@ -119,7 +119,46 @@ std::optional<RegistryEntry>
 decodeRegistryEntry(std::span<const u8> raw);
 
 /**
- * Parse the registry out of a full physical-memory image, validating
+ * A surviving physical-memory image as recovery reads it. The bytes
+ * stay where they are: physical memory itself on a fresh warm reboot,
+ * the read-back of the swap dump on a resumed one. Only the rio-nv
+ * graft writes, and only into the Registry region (entries and
+ * shadow pages), so writableRegistry() takes a private copy of that
+ * region on its first call, and reads of the region come from the
+ * copy from then on. The image never changes under the caller.
+ */
+class RecoveryImage
+{
+  public:
+    /** @p bytes (all of @p mem's regions) must outlive this object
+     *  and stay unchanged. */
+    RecoveryImage(std::span<const u8> bytes, const sim::PhysMem &mem);
+
+    u64 size() const { return bytes_.size(); }
+
+    /**
+     * Bytes [addr, addr + n), which must lie inside size(). A range
+     * that straddles the edge of a copied Registry region is stitched
+     * into a scratch buffer, valid until the next call.
+     */
+    std::span<const u8> bytes(Addr addr, u64 n) const;
+
+    /** The Registry region: its copy if taken. */
+    std::span<const u8> registry() const;
+
+    /** The Registry region, copied out of the image on first call. */
+    std::span<u8> writableRegistry();
+
+  private:
+    std::span<const u8> bytes_;
+    Addr regBase_ = 0;
+    u64 regSize_ = 0;
+    std::vector<u8> regCopy_;
+    mutable std::vector<u8> scratch_;
+};
+
+/**
+ * Parse the registry out of a physical-memory image, validating
  * each entry against the machine's region map.
  */
 struct RegistryImage
@@ -129,7 +168,7 @@ struct RegistryImage
     u64 freeEntries = 0;
 };
 
-RegistryImage parseRegistry(std::span<const u8> memImage,
+RegistryImage parseRegistry(const RecoveryImage &image,
                             const sim::PhysMem &mem);
 
 } // namespace rio::core

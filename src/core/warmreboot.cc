@@ -1,6 +1,7 @@
 #include "core/warmreboot.hh"
 
 #include <algorithm>
+#include <cassert>
 #include <unordered_map>
 
 #include "os/ioretry.hh"
@@ -141,16 +142,17 @@ WarmReboot::writeCheckpoint(RecoveryReport &recovery)
 
 /**
  * rio-nv: if the NV mirror holds a copy of @p entry's shadow page
- * that passes the entry's location-bound checksum, stage it into the
- * dump at the shadow address and return that address; 0 otherwise.
- * Must stay in lockstep with the oracle's nvShadowMatches
+ * that passes the entry's location-bound checksum, stage it into
+ * @p dump at the shadow address and return that address; 0
+ * otherwise. Must stay in lockstep with the oracle's nvShadowMatches
  * (harness/oracle.cc).
  */
 Addr
-WarmReboot::stageNvShadow(const RegistryEntry &entry, u64 n)
+WarmReboot::stageNvShadow(const NvMirrorGraft &graft,
+                          RecoveryImage &dump,
+                          const RegistryEntry &entry, u64 n)
 {
-    if (!nvGraft_.valid || entry.shadowAddr == 0 ||
-        entry.checksum == 0)
+    if (!graft.valid || entry.shadowAddr == 0 || entry.checksum == 0)
         return 0;
     const auto &reg =
         machine_.mem().region(sim::RegionKind::Registry);
@@ -158,16 +160,14 @@ WarmReboot::stageNvShadow(const RegistryEntry &entry, u64 n)
         entry.shadowAddr + sim::kPageSize > reg.base + reg.size)
         return 0;
     const u64 off = entry.shadowAddr - reg.base;
-    const auto bytes =
-        std::span<const u8>(nvGraft_.body).subspan(off, n);
-    if (bindChecksum(support::checksum32(bytes), entry.diskBlock) !=
-        entry.checksum)
+    const std::span<const u8> body(graft.body);
+    if (bindChecksum(support::checksum32(body.subspan(off, n)),
+                     entry.diskBlock) != entry.checksum)
         return 0;
-    std::copy_n(nvGraft_.body.begin() +
-                    static_cast<std::ptrdiff_t>(off),
-                sim::kPageSize,
-                dump_.begin() +
-                    static_cast<std::ptrdiff_t>(entry.shadowAddr));
+    const auto page = body.subspan(off, sim::kPageSize);
+    std::copy(page.begin(), page.end(),
+              dump.writableRegistry().begin() +
+                  static_cast<std::ptrdiff_t>(off));
     return entry.shadowAddr;
 }
 
@@ -188,7 +188,15 @@ WarmReboot::dumpAndRestoreMetadata()
     // swap partition is refused outright: a partial dump would make
     // the user-level data restore replay pages that were never
     // written, so the failure is recorded instead.
+    //
+    // Nothing writes physical memory from here until the next kernel
+    // boots, so a fresh pass reads the image in place: the swap dump
+    // is written from it and the metadata restore reads it, with no
+    // host copy beyond the Registry region the rio-nv graft rewrites.
     const auto image = mem.image();
+#ifndef NDEBUG
+    const u32 imageSumBefore = support::checksum32(image);
+#endif
     report.dumpBytes = image.size();
     const u64 fullSectors = image.size() / sim::kSectorSize;
     const u64 tailBytes = image.size() % sim::kSectorSize;
@@ -206,6 +214,8 @@ WarmReboot::dumpAndRestoreMetadata()
     // second crash (or decaying media) may have eaten either.
     ckptActive_ = false;
     bool resumed = false;
+    // A resumed pass's image: the first crash's dump, read back.
+    std::vector<u8> fromSwap;
     if (ckptRoom) {
         Checkpoint prior;
         if (readCheckpoint(prior, report.recovery) &&
@@ -213,8 +223,7 @@ WarmReboot::dumpAndRestoreMetadata()
             (prior.flags & kFlagAllDone) == 0 &&
             prior.dumpBytes == image.size() &&
             prior.dumpSectors == dumpSectors) {
-            std::vector<u8> fromSwap(dumpSectors * sim::kSectorSize,
-                                     0);
+            fromSwap.assign(dumpSectors * sim::kSectorSize, 0);
             bool readOk = true;
             for (u64 done = 0; done < dumpSectors;) {
                 const u64 n = std::min(kDumpChunkSectors,
@@ -238,10 +247,6 @@ WarmReboot::dumpAndRestoreMetadata()
                              fromSwap.data(), image.size()))
                        : 0;
             if (readOk && sum == prior.dumpChecksum) {
-                dump_.assign(fromSwap.begin(),
-                             fromSwap.begin() +
-                                 static_cast<std::ptrdiff_t>(
-                                     image.size()));
                 ckpt_ = prior;
                 ckptActive_ = true;
                 resumed = true;
@@ -255,6 +260,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 // gone: fall back to a fresh pass from the (still
                 // surviving) memory image.
                 report.recovery.dumpChecksumBad = true;
+                fromSwap = {};
             }
         }
     }
@@ -316,8 +322,11 @@ WarmReboot::dumpAndRestoreMetadata()
             }
             noteStep(RecoveryPhase::Dump, totalSteps, totalSteps);
         }
-        dump_.assign(image.begin(), image.end());
     }
+    RecoveryImage dump(
+        resumed ? std::span<const u8>(fromSwap).first(image.size())
+                : image,
+        mem);
 
     // --- Graft the NV registry mirror (rio-nv). -------------------
     // Battery-backed DRAM survives what killed the kernel; merge its
@@ -325,14 +334,14 @@ WarmReboot::dumpAndRestoreMetadata()
     // crash (or the corruptor) destroyed come back from the mirror.
     // Under the hardened policy this is a per-slot verified merge;
     // trusting takes the mirror wholesale (core/nvmirror.hh).
-    nvGraft_ = graftNvMirror(machine_, dump_,
-                             policy_.quarantineBadChecksums, &clock);
-    report.nvMirrorPresent = nvGraft_.present;
-    report.nvMirrorCorrupt = nvGraft_.corrupt;
-    report.nvEntriesGrafted = nvGraft_.entriesGrafted;
+    const NvMirrorGraft graft = graftNvMirror(
+        machine_, dump, policy_.quarantineBadChecksums, &clock);
+    report.nvMirrorPresent = graft.present;
+    report.nvMirrorCorrupt = graft.corrupt;
+    report.nvEntriesGrafted = graft.entriesGrafted;
 
     // --- Scan the registry out of the dump. -----------------------
-    image_ = parseRegistry(dump_, mem);
+    image_ = parseRegistry(dump, mem);
     report.entriesSeen = image_.entries.size();
     report.corruptEntries = image_.corruptEntries;
 
@@ -352,8 +361,8 @@ WarmReboot::dumpAndRestoreMetadata()
     }
 
     // --- Restore dirty metadata to its disk address. ---------------
-    // On a fresh pass this reads the host-side copy of the surviving
-    // image, so it proceeds even when the swap dump failed. On a
+    // On a fresh pass this reads the surviving image in memory, so
+    // it proceeds even when the swap dump failed. On a
     // resumed pass the registry scan above ran against the swap copy
     // of the *first* crash's image — the decisions it feeds are the
     // same ones the dead pass made, so skipping the first
@@ -418,8 +427,7 @@ WarmReboot::dumpAndRestoreMetadata()
                     advance();
                     continue;
                 }
-                if (entry.shadowAddr + sim::kPageSize >
-                    dump_.size()) {
+                if (entry.shadowAddr + sim::kPageSize > dump.size()) {
                     ++report.recovery.boundsViolations;
                     ++report.metadataUnrestorable;
                     advance();
@@ -429,7 +437,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 ++report.metadataFromShadow;
             } else {
                 const auto inDump = [&](Addr addr) {
-                    return addr + sim::kPageSize <= dump_.size();
+                    return addr + sim::kPageSize <= dump.size();
                 };
                 // The entry checksum covers the last consistent
                 // contents — what the shadow holds mid-update, and
@@ -439,8 +447,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 // diskBlock fails here like corrupted content.
                 const auto matches = [&](Addr addr) {
                     return bindChecksum(
-                               support::checksum32(std::span<const u8>(
-                                   dump_.data() + addr, n)),
+                               support::checksum32(dump.bytes(addr, n)),
                                entry.diskBlock) == entry.checksum;
                 };
                 const bool haveShadow = entry.shadowAddr != 0;
@@ -472,7 +479,8 @@ WarmReboot::dumpAndRestoreMetadata()
                         ++report.recovery.shadowChecksumBad;
                     source = entry.physAddr;
                     ++report.metadataFromPhysFallback;
-                } else if (const Addr nvSrc = stageNvShadow(entry, n);
+                } else if (const Addr nvSrc =
+                               stageNvShadow(graft, dump, entry, n);
                            nvSrc != 0) {
                     // Both in-memory candidates are gone, but the
                     // battery-backed tier still holds the shadow,
@@ -492,7 +500,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 }
             }
         } else {
-            if (source + sim::kPageSize > dump_.size()) {
+            if (source + sim::kPageSize > dump.size()) {
                 ++report.recovery.boundsViolations;
                 ++report.metadataUnrestorable;
                 advance();
@@ -500,8 +508,7 @@ WarmReboot::dumpAndRestoreMetadata()
             }
             if (entry.checksum != 0) {
                 const u32 actual = bindChecksum(
-                    support::checksum32(
-                        std::span<const u8>(dump_.data() + source, n)),
+                    support::checksum32(dump.bytes(source, n)),
                     entry.diskBlock);
                 if (actual != entry.checksum) {
                     ++report.metadataChecksumBad;
@@ -521,9 +528,7 @@ WarmReboot::dumpAndRestoreMetadata()
                 disk,
                 static_cast<SectorNo>(entry.diskBlock) *
                     sim::kSectorsPerBlock,
-                sim::kSectorsPerBlock,
-                std::span<const u8>(dump_.data() + source,
-                                    sim::kPageSize),
+                sim::kSectorsPerBlock, dump.bytes(source, sim::kPageSize),
                 clock, io_));
         if (!put.ok()) {
             // The block never reached the platter; the stale on-disk
@@ -541,6 +546,7 @@ WarmReboot::dumpAndRestoreMetadata()
             writeCheckpoint(report.recovery);
     }
     noteStep(RecoveryPhase::MetadataRestore, totalMeta, totalMeta);
+    assert(support::checksum32(image) == imageSumBefore);
     return report;
 }
 

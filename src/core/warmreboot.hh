@@ -10,6 +10,16 @@
  *  2. After the system is fully booted, a user-level process analyzes
  *     the dump and restores file data through ordinary system calls.
  *
+ * Step 1 reads physical memory where it lies. Nothing writes memory
+ * between the start of the step and the next kernel boot, so the
+ * swap dump is written straight from the image and the metadata
+ * restore reads the same bytes; the host holds no copy of memory. The
+ * rio-nv graft is the one writer, and it writes only the Registry
+ * region, into a private copy (core::RecoveryImage, registry.hh).
+ * Debug builds assert that the step leaves memory unchanged. A
+ * resumed pass reads the first crash's dump back from swap and uses
+ * that as its image.
+ *
  * The crashed OS left memory in an *arbitrary* state (section 3), so
  * the restore path treats the surviving image as adversarial input:
  * a RestorePolicy decides whether checksum-mismatched metadata is
@@ -49,8 +59,6 @@
 
 #ifndef RIO_CORE_WARMREBOOT_HH
 #define RIO_CORE_WARMREBOOT_HH
-
-#include <vector>
 
 #include "core/nvmirror.hh"
 #include "core/registry.hh"
@@ -219,8 +227,9 @@ class WarmReboot
      */
     void restoreData(os::Vfs &vfs, WarmRebootReport &report);
 
-    /** The memory image captured by the dump (for inspection). */
-    std::span<const u8> dumpImage() const { return dump_; }
+    /** The registry the metadata restore scanned out of the image
+     *  (rio-nv graft applied); restoreData replays its data pages. */
+    const RegistryImage &registryImage() const { return image_; }
 
     const RestorePolicy &policy() const { return policy_; }
 
@@ -249,7 +258,8 @@ class WarmReboot
     void writeCheckpoint(RecoveryReport &recovery);
     /** Emit the Recovery* event of @p phase to the machine's hook. */
     void noteStep(RecoveryPhase phase, u64 step, u64 total);
-    Addr stageNvShadow(const RegistryEntry &entry, u64 n);
+    Addr stageNvShadow(const NvMirrorGraft &graft, RecoveryImage &dump,
+                       const RegistryEntry &entry, u64 n);
 
     sim::Machine &machine_;
     RestorePolicy policy_;
@@ -257,10 +267,7 @@ class WarmReboot
     Checkpoint ckpt_;
     /** True once this pass owns a live checkpoint on swap. */
     bool ckptActive_ = false;
-    std::vector<u8> dump_;
     RegistryImage image_;
-    /** rio-nv: the validated NV mirror, grafted before the scan. */
-    NvMirrorGraft nvGraft_;
 };
 
 } // namespace rio::core

@@ -117,24 +117,14 @@ captureRecoveryOracle(sim::Machine &machine,
 {
     OracleCapture capture;
     auto &mem = machine.mem();
-    // rio-nv: the warm reboot grafts the NV mirror into its dump
-    // before scanning; predict its decisions by grafting the same
-    // way into a scratch copy (untimed — this capture must not
-    // perturb the clock). Without an NV region this is the plain
-    // in-place parse.
-    core::NvMirrorGraft graft;
-    core::RegistryImage parsed;
-    std::vector<u8> scratch;
-    if (machine.nv()) {
-        const auto image = mem.image();
-        scratch.assign(image.begin(), image.end());
-        graft = core::graftNvMirror(machine, scratch,
-                                    policy.quarantineBadChecksums,
-                                    nullptr);
-        parsed = core::parseRegistry(scratch, mem);
-    } else {
-        parsed = core::parseRegistry(mem.image(), mem);
-    }
+    // rio-nv: the warm reboot grafts the NV mirror into its view of
+    // memory before scanning; predict its decisions by grafting the
+    // same way (untimed — this capture must not perturb the clock).
+    // Without an NV region the graft is a no-op.
+    core::RecoveryImage image(mem.image(), mem);
+    const core::NvMirrorGraft graft = core::graftNvMirror(
+        machine, image, policy.quarantineBadChecksums, nullptr);
+    const core::RegistryImage parsed = core::parseRegistry(image, mem);
     const u64 diskBlocks =
         machine.disk().numSectors() / sim::kSectorsPerBlock;
 

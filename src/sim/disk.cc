@@ -168,8 +168,8 @@ Disk::write(SectorNo start, u64 count, std::span<const u8> data,
     const DiskStatus status = faultCheck(true, start, count);
     if (status != DiskStatus::Ok)
         return status;
-    std::memcpy(store_.data() + start * kSectorSize, data.data(),
-                count * kSectorSize);
+    store_.copyIn(start * kSectorSize,
+                  data.first(count * kSectorSize));
     hook_.emit(EventKind::DiskWrite, start, count);
     return DiskStatus::Ok;
 }
@@ -226,8 +226,9 @@ Disk::apply(const Pending &pending)
     }
     if (count != pending.count)
         ++stats_.clampedWrites;
-    std::memcpy(store_.data() + pending.start * kSectorSize,
-                pending.data.data(), count * kSectorSize);
+    store_.copyIn(pending.start * kSectorSize,
+                  std::span<const u8>(pending.data)
+                      .first(count * kSectorSize));
     ++stats_.writes;
     stats_.sectorsWritten += count;
     hook_.emit(EventKind::DiskWrite, pending.start, count);
@@ -272,8 +273,9 @@ Disk::crashDropQueue(SimNs when)
                 ++stats_.clampedWrites;
             const u64 copy = std::min(done, devLimit);
             if (copy > 0) {
-                std::memcpy(store_.data() + inflight.start * kSectorSize,
-                            inflight.data.data(), copy * kSectorSize);
+                store_.copyIn(inflight.start * kSectorSize,
+                              std::span<const u8>(inflight.data)
+                                  .first(copy * kSectorSize));
             }
             const SectorNo tornAt = inflight.start + done;
             if (tornAt < numSectors_) {

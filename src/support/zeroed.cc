@@ -2,6 +2,9 @@
 
 #include <sys/mman.h>
 
+#include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <new>
 
 namespace rio::support
@@ -9,6 +12,16 @@ namespace rio::support
 
 namespace
 {
+
+/** The granule copyIn skips by: the host's base page. */
+constexpr u64 kHostPage = 4096;
+
+bool
+allZero(const u8 *p, u64 n)
+{
+    // Byte 0 is zero and every byte equals its successor.
+    return n == 0 || (p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0);
+}
 
 /** Map @p size zero bytes, at @p at exactly when it is non-null. */
 u8 *
@@ -33,6 +46,25 @@ ZeroedBytes::~ZeroedBytes()
 {
     if (data_)
         ::munmap(data_, size_);
+}
+
+void
+ZeroedBytes::copyIn(u64 at, std::span<const u8> src)
+{
+    assert(at <= size_ && src.size() <= size_ - at);
+    const u8 *from = src.data();
+    u64 left = src.size();
+    while (left > 0) {
+        // Up to the next page boundary of the destination.
+        const u64 n = std::min(left, kHostPage - at % kHostPage);
+        // The source is checked first: it is resident, while reading
+        // an untouched destination page costs a fault.
+        if (!allZero(from, n) || !allZero(data_ + at, n))
+            std::memcpy(data_ + at, from, n);
+        at += n;
+        from += n;
+        left -= n;
+    }
 }
 
 void

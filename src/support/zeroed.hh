@@ -10,6 +10,15 @@
  * zero page, and pages never touched cost nothing. zero() hands the
  * pages back the same way, so a cold reset costs one system call
  * rather than a write over every byte.
+ *
+ * copyIn() keeps stores sparse under host writes too. A disk that is
+ * formatted, or that takes a dump of mostly empty memory, is sent
+ * long runs of zeros; a plain copy would fault in a fresh page for
+ * each of them just to hold zeros it already reads as. copyIn skips
+ * every page-sized piece whose source is all zero and whose
+ * destination already reads zero. Those bytes would not change, so
+ * the skip is invisible: the store reads back exactly as if every
+ * byte had been copied.
  */
 
 #ifndef RIO_SUPPORT_ZEROED_HH
@@ -36,6 +45,14 @@ class ZeroedBytes
     u8 *data() { return data_; }
     const u8 *data() const { return data_; }
     std::span<const u8> span() const { return {data_, size_}; }
+
+    /**
+     * Copy @p src to offset @p at, skipping each piece (at most one
+     * host page, aligned to the store's pages) whose source and
+     * destination are both all zero. Reads as a plain copy.
+     * Requires at + src.size() <= size().
+     */
+    void copyIn(u64 at, std::span<const u8> src);
 
     /** Make every byte zero again; the address does not change. */
     void zero();

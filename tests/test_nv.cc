@@ -273,6 +273,40 @@ TEST(NvGraft, RepairsEverySmashedRegistrySlot)
     EXPECT_TRUE(rig.fileIntact);
 }
 
+TEST(NvGraft, GraftsIntoACopyAndLeavesMemoryInPlace)
+{
+    NvCrashRig rig;
+    const auto live = liveSlots(rig.machine);
+    ASSERT_FALSE(live.empty());
+    const auto &reg =
+        rig.machine.mem().region(sim::RegionKind::Registry);
+    for (const u64 i : live) {
+        poke<u32>(rig.machine.mem().raw() + reg.base +
+                      i * L::kEntrySize,
+                  L::kOffMagic, 0x13371337u);
+    }
+
+    // The warm reboot dumps and scans memory where it lies: the
+    // graft lands in a private copy of the Registry region, so the
+    // image is unchanged by the step and the smashed slots stay
+    // smashed in memory, yet the parsed registry holds every slot.
+    const u32 before = support::checksum32(rig.machine.mem().image());
+    auto report = rig.system.restoreMetadata();
+    EXPECT_EQ(support::checksum32(rig.machine.mem().image()), before);
+    EXPECT_EQ(peek<u32>(rig.machine.mem().raw() + reg.base +
+                            live.front() * L::kEntrySize,
+                        L::kOffMagic),
+              0x13371337u);
+    EXPECT_EQ(report.nvEntriesGrafted, live.size());
+    const auto &parsed = rig.system.warmReboot()->registryImage();
+    EXPECT_EQ(parsed.entries.size(), live.size());
+    EXPECT_EQ(parsed.corruptEntries, 0u);
+
+    rig.system.boot(false);
+    rig.system.restoreData(report);
+    EXPECT_GT(report.dataPagesRestored, 0u);
+}
+
 TEST(NvGraft, RejectsAMirrorWithASmashedHeader)
 {
     NvCrashRig rig;

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/system.hh"
@@ -337,8 +338,9 @@ TEST(RioRegistry, ParserSkipsCorruptEntries)
     rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
     rio::wl::tolerate(vfs.close(rig.proc, fd.value()));
 
-    auto clean = core::parseRegistry(rig.machine.mem().image(),
-                                     rig.machine.mem());
+    const auto &mem = rig.machine.mem();
+    auto clean =
+        core::parseRegistry(core::RecoveryImage(mem.image(), mem), mem);
     EXPECT_GT(clean.entries.size(), 0u);
     EXPECT_EQ(clean.corruptEntries, 0u);
 
@@ -359,10 +361,40 @@ TEST(RioRegistry, ParserSkipsCorruptEntries)
             break;
         }
     }
-    auto damaged = core::parseRegistry(rig.machine.mem().image(),
-                                       rig.machine.mem());
+    auto damaged =
+        core::parseRegistry(core::RecoveryImage(mem.image(), mem), mem);
     EXPECT_EQ(damaged.corruptEntries, 1u);
     EXPECT_EQ(damaged.entries.size(), clean.entries.size() - 1);
+}
+
+TEST(RioRegistry, RecoveryImageWritesOnlyItsRegistryCopy)
+{
+    RioRig rig(os::ProtectionMode::Off);
+    const auto &mem = rig.machine.mem();
+    const auto &reg = mem.region(sim::RegionKind::Registry);
+    const auto memory = mem.image();
+    const u32 before = support::checksum32(memory);
+    core::RecoveryImage image(memory, mem);
+    EXPECT_EQ(image.bytes(reg.base, 64).data(), memory.data() + reg.base);
+
+    const auto copy = image.writableRegistry();
+    ASSERT_EQ(copy.size(), reg.size);
+    std::fill(copy.begin(), copy.end(), 0xc3);
+    EXPECT_EQ(support::checksum32(memory), before);
+    EXPECT_EQ(image.registry().data(), copy.data());
+
+    // A read across either edge of the region: memory outside, the
+    // copy inside.
+    for (const Addr edge : {reg.base, reg.end()}) {
+        const auto across = image.bytes(edge - 16, 32);
+        for (u64 i = 0; i < 32; ++i) {
+            const Addr pa = edge - 16 + i;
+            ASSERT_EQ(across[i], reg.contains(pa) ? 0xc3 : memory[pa])
+                << "byte at " << pa;
+        }
+    }
+    EXPECT_EQ(image.bytes(reg.end(), 64).data(),
+              memory.data() + reg.end());
 }
 
 TEST(RioRegistry, ProtectionOverheadIsSmall)

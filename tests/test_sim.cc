@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "sim/machine.hh"
 
@@ -446,6 +448,110 @@ TEST(DiskTest, TornWriteSpanningDeviceEndClamps)
     EXPECT_EQ(disk2.queueDepth(), 0u);
     EXPECT_GE(disk2.stats().clampedWrites, 1u);
     EXPECT_EQ(disk2.crashDropQueue(clock.now() + 1), 0u);
+}
+
+// The store skips host pages that would stay zero (support::
+// ZeroedBytes::copyIn); none of these may tell the difference.
+
+namespace
+{
+
+/** Every byte of @p disk, host-side. */
+std::vector<u8>
+diskBytes(const Disk &disk)
+{
+    std::vector<u8> out;
+    for (SectorNo s = 0; s < disk.numSectors(); ++s) {
+        const auto sector = disk.peekSector(s);
+        out.insert(out.end(), sector.begin(), sector.end());
+    }
+    return out;
+}
+
+} // namespace
+
+TEST(DiskTest, ZeroWriteOverDataReadsBackZero)
+{
+    CostModel costs;
+    Disk disk(1 << 20, costs, support::Rng(12));
+    SimClock clock;
+    // Sectors 5..36 straddle host pages at both ends.
+    std::vector<u8> data(kSectorSize * 32, 0x5a);
+    std::vector<u8> zeros(kSectorSize * 32, 0), out(kSectorSize * 32);
+    EXPECT_EQ(disk.write(5, 32, data, clock), DiskStatus::Ok);
+    EXPECT_EQ(disk.write(5, 32, zeros, clock), DiskStatus::Ok);
+    EXPECT_EQ(disk.read(5, 32, out, clock), DiskStatus::Ok);
+    EXPECT_EQ(out, zeros);
+
+    // The queued path, over a partial page.
+    EXPECT_EQ(disk.write(40, 3, data, clock), DiskStatus::Ok);
+    EXPECT_EQ(disk.queueWrite(41, 1, zeros, clock), DiskStatus::Ok);
+    disk.drain(clock);
+    EXPECT_EQ(disk.peekSector(40)[0], 0x5a);
+    EXPECT_EQ(disk.peekSector(41)[kSectorSize - 1], 0);
+    EXPECT_EQ(disk.peekSector(42)[0], 0x5a);
+}
+
+TEST(DiskTest, SparseWritesReadBackAsPlainCopies)
+{
+    CostModel costs;
+    // Small, so writes keep landing on each other's sectors.
+    Disk disk(256 << 10, costs, support::Rng(13));
+    SimClock clock;
+    std::vector<u8> model(256 << 10, 0);
+    support::Rng rng(14);
+    for (int op = 0; op < 400; ++op) {
+        const u64 count = 1 + rng.below(24);
+        const SectorNo start = rng.below(disk.numSectors() - count);
+        // Zero, filled, or a per-sector mix of the two.
+        const u64 kind = rng.below(3);
+        std::vector<u8> data(count * kSectorSize, 0);
+        for (u64 s = 0; s < count; ++s) {
+            if (kind == 1 || (kind == 2 && rng.below(2) == 0))
+                std::fill_n(data.begin() + s * kSectorSize, kSectorSize,
+                            static_cast<u8>(1 + rng.below(255)));
+        }
+        const DiskStatus status =
+            rng.below(2) == 0 ? disk.write(start, count, data, clock)
+                              : disk.queueWrite(start, count, data, clock);
+        ASSERT_EQ(status, DiskStatus::Ok);
+        std::copy(data.begin(), data.end(),
+                  model.begin() + start * kSectorSize);
+    }
+    disk.drain(clock);
+    EXPECT_EQ(diskBytes(disk), model);
+}
+
+TEST(DiskTest, TornZeroWriteClearsItsWholeSectorPrefix)
+{
+    CostModel costs;
+    Disk disk(1 << 20, costs, support::Rng(15));
+    SimClock clock;
+    constexpr u64 kCount = 64;
+    std::vector<u8> data(kSectorSize * kCount, 0x5a);
+    std::vector<u8> zeros(kSectorSize * kCount, 0);
+    EXPECT_EQ(disk.write(3, kCount, data, clock), DiskStatus::Ok);
+    // Nothing queued, so the zero write starts now; crash halfway.
+    const SimNs before = disk.stats().busyNs;
+    EXPECT_EQ(disk.queueWrite(3, kCount, zeros, clock), DiskStatus::Ok);
+    const SimNs service = disk.stats().busyNs - before;
+    EXPECT_EQ(disk.crashDropQueue(clock.now() + service / 2), 1u);
+
+    auto sectorIs = [&](SectorNo s, u8 fill) {
+        const auto bytes = disk.peekSector(s);
+        return std::all_of(bytes.begin(), bytes.end(),
+                           [fill](u8 b) { return b == fill; });
+    };
+    SectorNo torn = 3;
+    while (torn < 3 + kCount && sectorIs(torn, 0))
+        ++torn;
+    // About half landed as zeros, then one garbage sector, then the
+    // old data the crash kept.
+    EXPECT_GE(torn, 3 + kCount / 4);
+    EXPECT_LE(torn, 3 + 3 * kCount / 4);
+    EXPECT_FALSE(sectorIs(torn, 0x5a));
+    for (SectorNo s = torn + 1; s < 3 + kCount; ++s)
+        EXPECT_TRUE(sectorIs(s, 0x5a)) << "sector " << s;
 }
 
 TEST(DiskTest, SequentialFasterThanRandom)

@@ -3,15 +3,20 @@
  * Tests for the lazily zeroed backing stores: physical memory, the
  * data disk, swap and the NV region start all zero without being
  * written, a cold reset zeroes memory again, and a warm reset keeps
- * every byte but the firmware scribble.
+ * every byte but the firmware scribble. copyIn reads as a plain copy
+ * but leaves pages that would stay zero untouched.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <fstream>
 #include <vector>
 
 #include "sim/machine.hh"
+#include "support/rng.hh"
 #include "support/zeroed.hh"
 
 using namespace rio;
@@ -100,6 +105,16 @@ persistentProbesHold(Machine &machine, u8 fill)
     return true;
 }
 
+/** This process's resident set, from /proc/self/statm. */
+i64
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    u64 size = 0, resident = 0;
+    statm >> size >> resident;
+    return static_cast<i64>(resident) * ::sysconf(_SC_PAGESIZE);
+}
+
 } // namespace
 
 TEST(ZeroedStore, FreshMachineReadsZeroEverywhere)
@@ -167,4 +182,63 @@ TEST(ZeroedBytes, ZeroKeepsTheAddress)
     EXPECT_EQ(empty.data(), nullptr);
     empty.zero();
     EXPECT_TRUE(empty.span().empty());
+}
+
+TEST(ZeroedBytes, CopyInZerosOverDataClearsThem)
+{
+    support::ZeroedBytes bytes(4 * 4096);
+    const std::vector<u8> data(bytes.size(), 0xa5);
+    const std::vector<u8> zeros(bytes.size(), 0);
+    bytes.copyIn(0, data);
+    bytes.copyIn(0, zeros);
+    EXPECT_TRUE(allZero(bytes.span()));
+
+    // A piece shorter than a page, across a page boundary.
+    bytes.copyIn(0, data);
+    bytes.copyIn(4096 - 10, std::span(zeros).first(30));
+    for (u64 i = 0; i < bytes.size(); ++i) {
+        const bool cleared = i >= 4096 - 10 && i < 4096 + 20;
+        ASSERT_EQ(bytes.data()[i], cleared ? 0 : 0xa5) << "byte " << i;
+    }
+}
+
+TEST(ZeroedBytes, CopyInReadsAsAPlainCopyAtAnyAlignment)
+{
+    support::ZeroedBytes bytes(6 * 4096 + 300);
+    std::vector<u8> model(bytes.size(), 0);
+    support::Rng rng(21);
+    for (int op = 0; op < 500; ++op) {
+        const u64 len = rng.below(3 * 4096);
+        const u64 at = rng.below(bytes.size() - len + 1);
+        // Zero, filled, or zero with one stray byte.
+        std::vector<u8> src(len, 0);
+        const u64 kind = rng.below(3);
+        if (kind == 1)
+            std::fill(src.begin(), src.end(), 1 + rng.below(255));
+        else if (kind == 2 && len > 0)
+            src[rng.below(len)] = 0x7f;
+        bytes.copyIn(at, src);
+        std::copy(src.begin(), src.end(), model.begin() + at);
+    }
+    EXPECT_TRUE(std::equal(model.begin(), model.end(), bytes.data()));
+}
+
+TEST(ZeroedBytes, CopyInOfZerosLeavesAFreshStoreUnbacked)
+{
+    constexpr u64 kStore = 64ull << 20;
+    constexpr u64 kChunk = 256ull << 10;
+    std::vector<u8> chunk(kChunk, 0);
+
+    support::ZeroedBytes zeros(kStore);
+    const i64 before = residentBytes();
+    for (u64 at = 0; at < kStore; at += kChunk)
+        zeros.copyIn(at, chunk);
+    EXPECT_LT(residentBytes() - before, i64{1} << 20);
+
+    std::fill(chunk.begin(), chunk.end(), 0x3c);
+    support::ZeroedBytes data(kStore);
+    const i64 mid = residentBytes();
+    for (u64 at = 0; at < kStore; at += kChunk)
+        data.copyIn(at, chunk);
+    EXPECT_GE(residentBytes() - mid, i64{63} << 20);
 }
