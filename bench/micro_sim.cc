@@ -164,7 +164,7 @@ BENCHMARK(BM_RegistryGuardedWrite);
 /**
  * One legitimate write through Rio with checksums on: install (the
  * same identity, so the no-op path), beginWrite, one store32 and
- * endWrite. Arg 0 picks the page — 0 a dirty metadata buffer (the
+ * the window's commit. Arg 0 picks the page — 0 a dirty metadata buffer (the
  * window runs on a shadow copy), 1 a UBC data page (no shadow); arg 1
  * the protection — 0 Off, 1 VmTlb.
  */
@@ -213,9 +213,9 @@ BM_RioWriteWindow(benchmark::State &state)
     u32 i = 0;
     for (auto _ : state) {
         rio.install(page, tag);
-        rio.beginWrite(page);
+        os::WriteWindow window = rio.beginWrite(page);
         machine.bus().store32(page + 64, ++i);
-        rio.endWrite(page, entry.size);
+        std::move(window).commit(entry.size);
     }
 }
 BENCHMARK(BM_RioWriteWindow)

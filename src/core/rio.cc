@@ -199,7 +199,7 @@ RioSystem::openPage(Addr page)
     }
 }
 
-void
+RioSystem::ClosedPage
 RioSystem::closePage(Addr page)
 {
     if (auto *audit = machine_.audit())
@@ -207,21 +207,22 @@ RioSystem::closePage(Addr page)
     machine_.events().emit(sim::EventKind::RioClosePage, page);
     switch (options_.protection) {
       case os::ProtectionMode::Off:
-        return;
+        break;
       case os::ProtectionMode::VmTlb: {
         machine_.clock().advance(
             machine_.config().costs.protToggleNs / 2);
         const u64 vpn = page >> sim::kPageShift;
         machine_.pageTable().setWritable(vpn, false);
         machine_.tlb().invalidatePage(vpn);
-        return;
+        break;
       }
       case os::ProtectionMode::CodePatch:
         machine_.clock().advance(
             machine_.config().costs.protToggleNs / 4);
         openPages_.erase(page);
-        return;
+        break;
     }
+    return ClosedPage(page);
 }
 
 u32
@@ -239,23 +240,42 @@ RioSystem::readEntryField64(u64 index, u64 off) const
 }
 
 void
-RioSystem::writeEntryField32(u64 index, u64 off, u32 value)
+RioSystem::writeEntryField32(const EntryWindow &window, u64 off,
+                             u32 value)
 {
-    machine_.bus().store32(entryAddr(index) + off, value);
-    machine_.events().emit(sim::EventKind::RioFieldWrite,
-                           entryAddr(index) + off);
+    assert(window.open_ && "entry write after its window committed");
+    const Addr field = entryAddr(window.index) + off;
+    machine_.bus().store32(field, value);
+    machine_.events().emit(sim::EventKind::RioFieldWrite, field);
     if (nv_)
-        nvMirror(entryAddr(index) + off, 4);
+        nvMirror(field, 4);
 }
 
 void
-RioSystem::writeEntryField64(u64 index, u64 off, u64 value)
+RioSystem::writeEntryField64(const EntryWindow &window, u64 off,
+                             u64 value)
 {
-    machine_.bus().store64(entryAddr(index) + off, value);
-    machine_.events().emit(sim::EventKind::RioFieldWrite,
-                           entryAddr(index) + off);
+    assert(window.open_ && "entry write after its window committed");
+    const Addr field = entryAddr(window.index) + off;
+    machine_.bus().store64(field, value);
+    machine_.events().emit(sim::EventKind::RioFieldWrite, field);
     if (nv_)
-        nvMirror(entryAddr(index) + off, 8);
+        nvMirror(field, 8);
+}
+
+void
+RioSystem::commitEntry(EntryWindow &&window, ClosedPage data)
+{
+    assert(isFileCachePage(data.page_) &&
+           entryIndexFor(data.page_) == window.index &&
+           "commit flip without closing the entry's own page");
+    // The event fires *before* the flip so a modeled crash here lands
+    // in the pre-commit window (Changing entry, shadow already
+    // cleared) — the warm reboot must cope with exactly this state.
+    machine_.events().emit(sim::EventKind::RioCommit, data.page_);
+    writeEntryField32(window, L::kOffState, L::kStateActive);
+    window.open_ = false;
+    closePage(window.page_);
 }
 
 void
@@ -438,29 +458,24 @@ RioSystem::install(Addr page, const os::CacheTag &tag)
     }
 
     ++stats_.registryInstalls;
-    const Addr regPage = registryPageOf(index);
-    openPage(regPage);
-    writeEntryField32(index, L::kOffMagic, L::kMagic);
-    writeEntryField32(index, L::kOffState, L::kStateActive);
-    writeEntryField64(index, L::kOffPhysAddr, page);
-    writeEntryField32(index, L::kOffKind,
-                      tag.kind == os::CacheKind::Metadata
-                          ? L::kKindMetadata
-                          : L::kKindData);
-    writeEntryField32(index, L::kOffDev, tag.dev);
-    writeEntryField32(index, L::kOffIno, tag.ino);
-    writeEntryField64(index, L::kOffOffset, tag.offset);
-    writeEntryField32(index, L::kOffDiskBlock, tag.diskBlock);
-    writeEntryField32(index, L::kOffSize, tag.size);
-    writeEntryField32(index, L::kOffDirty, 0);
+    EntryWindow entry(*this, index);
+    writeEntryField32(entry, L::kOffMagic, L::kMagic);
+    writeEntryField32(entry, L::kOffState, L::kStateActive);
+    writeEntryField64(entry, L::kOffPhysAddr, page);
+    writeEntryField32(entry, L::kOffKind, wantKind);
+    writeEntryField32(entry, L::kOffDev, tag.dev);
+    writeEntryField32(entry, L::kOffIno, tag.ino);
+    writeEntryField64(entry, L::kOffOffset, tag.offset);
+    writeEntryField32(entry, L::kOffDiskBlock, tag.diskBlock);
+    writeEntryField32(entry, L::kOffSize, tag.size);
+    writeEntryField32(entry, L::kOffDirty, 0);
     // This store lands (the stores above went through the same open
     // page) and overwrites the whole field: a sum still pending in it
     // can never be observed.
     if (lazy_)
         lazy_->dropPending(index);
-    writeEntryField32(index, L::kOffChecksum, 0);
-    writeEntryField64(index, L::kOffShadow, 0);
-    closePage(regPage);
+    writeEntryField32(entry, L::kOffChecksum, 0);
+    writeEntryField64(entry, L::kOffShadow, 0);
 }
 
 void
@@ -472,26 +487,21 @@ RioSystem::setDirty(Addr page, bool dirty)
     if ((readEntryField32(index, L::kOffDirty) != 0) == dirty)
         return;
     ++stats_.registryUpdates;
-    const Addr regPage = registryPageOf(index);
-    openPage(regPage);
-    writeEntryField32(index, L::kOffDirty, dirty ? 1 : 0);
-    closePage(regPage);
+    EntryWindow entry(*this, index);
+    writeEntryField32(entry, L::kOffDirty, dirty ? 1 : 0);
 }
 
 void
 RioSystem::invalidate(Addr page)
 {
     ++stats_.registryUpdates;
-    const u64 index = entryIndexFor(page);
-    const Addr regPage = registryPageOf(index);
-    openPage(regPage);
-    writeEntryField32(index, L::kOffMagic, 0);
-    writeEntryField32(index, L::kOffState, L::kStateFree);
-    closePage(regPage);
+    EntryWindow entry(*this, entryIndexFor(page));
+    writeEntryField32(entry, L::kOffMagic, 0);
+    writeEntryField32(entry, L::kOffState, L::kStateFree);
 }
 
 void
-RioSystem::beginWrite(Addr page)
+RioSystem::openWrite(Addr page)
 {
     ++stats_.registryUpdates;
     const u64 index = entryIndexFor(page);
@@ -509,20 +519,21 @@ RioSystem::beginWrite(Addr page)
         // to the shadow before the original is modified.
         ++stats_.shadowCopies;
         shadow = allocShadow();
-        openPage(shadow);
-        machine_.bus().copy(shadow, page, sim::kPageSize);
-        closePage(shadow);
+        {
+            PageWindow copy(*this, shadow);
+            machine_.bus().copy(shadow, page, sim::kPageSize);
+        }
         // The NV copy of the shadow is the restore's last candidate
         // when both in-memory copies are gone (core/nvmirror.hh).
         nvMirror(shadow, sim::kPageSize);
         machine_.events().emit(sim::EventKind::RioShadowCopy, shadow);
     }
 
-    const Addr regPage = registryPageOf(index);
-    openPage(regPage);
-    writeEntryField64(index, L::kOffShadow, shadow);
-    writeEntryField32(index, L::kOffState, L::kStateChanging);
-    closePage(regPage);
+    {
+        EntryWindow entry(*this, index);
+        writeEntryField64(entry, L::kOffShadow, shadow);
+        writeEntryField32(entry, L::kOffState, L::kStateChanging);
+    }
 
     // The window may change the page, DMA included. A sum still
     // reading it reads the shadow instead when the shadow is a
@@ -545,7 +556,7 @@ RioSystem::endWrite(Addr page, u32 validBytes)
     ++stats_.registryUpdates;
     const u64 index = entryIndexFor(page);
 
-    closePage(page);
+    const ClosedPage closed = closePage(page);
 
     // The sum covers the page as the window leaves it; a lazy one
     // stays owed, with a placeholder in the field, until it could be
@@ -556,9 +567,8 @@ RioSystem::endWrite(Addr page, u32 validBytes)
         checksum = sumPage(page, validBytes, block);
 
     const Addr shadow = readEntryField64(index, L::kOffShadow);
-    const Addr regPage = registryPageOf(index);
-    openPage(regPage);
-    writeEntryField32(index, L::kOffSize, validBytes);
+    EntryWindow entry(*this, index);
+    writeEntryField32(entry, L::kOffSize, validBytes);
     if (lazy_) {
         // Owed before the placeholder lands, so a crash at the store's
         // own event still finds it; the watch lets this one store by.
@@ -566,15 +576,10 @@ RioSystem::endWrite(Addr page, u32 validBytes)
         lazy_->setPending(index, page, validBytes, block);
         lazy_->expectOwnStore(entryAddr(index) + L::kOffChecksum);
     }
-    writeEntryField32(index, L::kOffChecksum, checksum);
-    writeEntryField64(index, L::kOffShadow, 0);
-    // The atomic commit: the entry points back at the original. The
-    // event fires *before* the flip so a modeled crash here lands
-    // in the pre-commit window (Changing entry, shadow already
-    // cleared) — the warm reboot must cope with exactly this state.
-    machine_.events().emit(sim::EventKind::RioCommit, page);
-    writeEntryField32(index, L::kOffState, L::kStateActive);
-    closePage(regPage);
+    writeEntryField32(entry, L::kOffChecksum, checksum);
+    writeEntryField64(entry, L::kOffShadow, 0);
+    // The atomic commit: the entry points back at the original.
+    commitEntry(std::move(entry), closed);
     if (shadow != 0)
         freeShadow(shadow);
 }

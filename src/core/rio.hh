@@ -23,6 +23,7 @@
 #ifndef RIO_CORE_RIO_HH
 #define RIO_CORE_RIO_HH
 
+#include <exception>
 #include <memory>
 #include <unordered_set>
 #include <vector>
@@ -97,8 +98,6 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
     void install(Addr page, const os::CacheTag &tag) override;
     void setDirty(Addr page, bool dirty) override;
     void invalidate(Addr page) override;
-    void beginWrite(Addr page) override;
-    void endWrite(Addr page, u32 validBytes) override;
     /** @} */
 
     /** @{ sim::ProtectionPolicy. */
@@ -135,12 +134,73 @@ class RioSystem : public os::CacheGuard, public sim::ProtectionPolicy
     ChecksumSweep verifyChecksums();
 
   private:
+    /** Compile-fail fixtures (tests/typestate) reach the protocol's
+     *  private steps through this; it has no definition in the tree. */
+    friend struct ProtocolFixture;
+
+    /**
+     * A protection window on one page, open for the token's lifetime.
+     * The destructor closes it, except while a crash unwinds through
+     * it: the crashed kernel never closed the page either.
+     */
+    class PageWindow
+    {
+      public:
+        PageWindow(RioSystem &rio, Addr page) : rio_(rio), page_(page)
+        {
+            rio_.openPage(page_);
+        }
+        /** noexcept(false): the close emits an event a crash can land
+         *  on; see BufferCache::WriteWindow. */
+        ~PageWindow() noexcept(false)
+        {
+            if (open_ && std::uncaught_exceptions() == 0)
+                rio_.closePage(page_);
+        }
+        PageWindow(const PageWindow &) = delete;
+        PageWindow &operator=(const PageWindow &) = delete;
+
+      private:
+        friend class RioSystem;
+        RioSystem &rio_;
+        Addr page_;
+        bool open_ = true;
+    };
+
+    /** The window on entry @p index's registry page: the only way to
+     *  write the entry's fields. */
+    struct EntryWindow : PageWindow
+    {
+        EntryWindow(RioSystem &rio, u64 index)
+            : PageWindow(rio, rio.registryPageOf(index)), index(index)
+        {
+        }
+        const u64 index;
+    };
+
+    /** Proof that a data page's window has closed. Only closePage
+     *  makes one and the commit flip takes one, so the flip cannot be
+     *  spelled while the data page is still open. */
+    class ClosedPage
+    {
+        friend class RioSystem;
+        explicit ClosedPage(Addr page) : page_(page) {}
+        Addr page_;
+    };
+
+    /** os::CacheGuard's window halves. */
+    void openWrite(Addr page) override;
+    void endWrite(Addr page, u32 validBytes) override;
+
     u64 entryIndexFor(Addr page) const;
     Addr entryAddr(u64 index) const;
     void openPage(Addr page);
-    void closePage(Addr page);
-    void writeEntryField32(u64 index, u64 off, u32 value);
-    void writeEntryField64(u64 index, u64 off, u64 value);
+    ClosedPage closePage(Addr page);
+    void writeEntryField32(const EntryWindow &window, u64 off, u32 value);
+    void writeEntryField64(const EntryWindow &window, u64 off, u64 value);
+    /** The atomic commit: flip the entry back to Active as the last
+     *  store of @p window, then close it. @p data is the entry's page. */
+    void commitEntry(EntryWindow &&window, ClosedPage data);
     u32 readEntryField32(u64 index, u64 off) const;
     u64 readEntryField64(u64 index, u64 off) const;
     Addr registryPageOf(u64 index) const;

@@ -26,10 +26,12 @@
 #ifndef RIO_HARNESS_HCONFIG_HH
 #define RIO_HARNESS_HCONFIG_HH
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <span>
 #include <stdexcept>
@@ -84,9 +86,10 @@ rejectEnv(const char *name, const char *value,
 }
 
 /**
- * A clean non-negative decimal number in [@p minValue, @p maxValue].
- * A knob that is narrowed or scaled passes the largest value that
- * still fits, so it cannot truncate or wrap.
+ * A clean non-negative decimal number in [@p minValue, @p maxValue]:
+ * digits only, so no sign, blank or hex prefix that strtoull would
+ * skip or read. A knob that is narrowed or scaled passes the largest
+ * value that still fits, so it cannot truncate or wrap.
  */
 inline u64
 envU64(const char *name, u64 fallback, u64 minValue = 0,
@@ -98,9 +101,8 @@ envU64(const char *name, u64 fallback, u64 minValue = 0,
     char *end = nullptr;
     errno = 0;
     const unsigned long long parsed = std::strtoull(value, &end, 10);
-    const bool negative = std::string(value).find('-') !=
-                          std::string::npos;
-    if (end == value || *end != '\0' || errno == ERANGE || negative)
+    if (!std::isdigit(static_cast<unsigned char>(*value)) ||
+        *end != '\0' || errno == ERANGE)
         rejectEnv(name, value, "a non-negative decimal number");
     if (parsed < minValue)
         rejectEnv(name, value,
@@ -144,7 +146,8 @@ envBool(const char *name, bool fallback)
 
 /**
  * A finite decimal number in [@p minValue, @p maxValue] with nothing
- * after it. Intensities and rates are never negative; a rate passes
+ * before or after it: no blank, no '+' and no hex, which strtod would
+ * all take. Intensities and rates are never negative; a rate passes
  * 1 as its maximum.
  */
 inline double
@@ -156,7 +159,11 @@ envF64(const char *name, double fallback, double minValue = 0.0,
         return fallback;
     char *end = nullptr;
     const double parsed = std::strtod(value, &end);
-    if (end == value || *end != '\0' || !std::isfinite(parsed))
+    const bool plain =
+        (std::isdigit(static_cast<unsigned char>(*value)) ||
+         *value == '.' || *value == '-') &&
+        std::strpbrk(value, "xX") == nullptr;
+    if (!plain || end == value || *end != '\0' || !std::isfinite(parsed))
         rejectEnv(name, value, "a finite number");
     if (parsed < minValue || parsed > maxValue) {
         char range[64];

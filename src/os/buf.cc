@@ -215,9 +215,9 @@ BufferCache::diskFill(Ref ref)
     }
     const Addr page = pageAddr(ref);
     guard_->install(page, tagOf(ref));
-    guard_->beginWrite(page);
+    os::WriteWindow window = guard_->beginWrite(page);
     dmaWrite(machine_.bus(), page, staging_);
-    guard_->endWrite(page, sim::kPageSize);
+    std::move(window).commit(sim::kPageSize);
     setFlags(ref, flags(ref) | kValid);
 }
 
@@ -371,60 +371,66 @@ BufferCache::readData(Ref ref, u64 off, std::span<u8> out)
 }
 
 BufferCache::WriteWindow::WriteWindow(BufferCache &cache, Ref ref)
-    : cache_(cache), ref_(ref), page_(cache.pageAddr(ref))
+    : cache_(cache), ref_(ref), window_(open(cache, ref))
 {
+}
+
+os::WriteWindow
+BufferCache::WriteWindow::open(BufferCache &cache, Ref ref)
+{
+    const Addr page = cache.pageAddr(ref);
     // A freshly allocated buffer may not be registered yet (getblk
     // for full overwrite); install its identity before writing.
-    cache_.guard_->install(page_, cache_.tagOf(ref_));
-    cache_.guard_->beginWrite(page_);
+    cache.guard_->install(page, cache.tagOf(ref));
+    return cache.guard_->beginWrite(page);
 }
 
 BufferCache::WriteWindow::~WriteWindow() noexcept(false)
 {
     if (std::uncaught_exceptions() > 0)
         return; // The machine is crashing mid-write; leave it torn.
-    cache_.guard_->endWrite(page_, sim::kPageSize);
+    std::move(window_).commit(sim::kPageSize);
     const u32 f = cache_.flags(ref_);
     cache_.setFlags(ref_, f | kValid | kDirty);
-    cache_.guard_->setDirty(page_, true);
+    cache_.guard_->setDirty(window_.page(), true);
 }
 
 void
 BufferCache::WriteWindow::store8(u64 off, u8 value)
 {
-    cache_.machine_.bus().store8(page_ + off, value);
+    cache_.machine_.bus().store8(window_.page() + off, value);
 }
 
 void
 BufferCache::WriteWindow::store16(u64 off, u16 value)
 {
-    cache_.machine_.bus().store16(page_ + off, value);
+    cache_.machine_.bus().store16(window_.page() + off, value);
 }
 
 void
 BufferCache::WriteWindow::store32(u64 off, u32 value)
 {
-    cache_.machine_.bus().store32(page_ + off, value);
+    cache_.machine_.bus().store32(window_.page() + off, value);
 }
 
 void
 BufferCache::WriteWindow::store64(u64 off, u64 value)
 {
-    cache_.machine_.bus().store64(page_ + off, value);
+    cache_.machine_.bus().store64(window_.page() + off, value);
 }
 
 void
 BufferCache::WriteWindow::copyIn(u64 off, std::span<const u8> data)
 {
     assert(off + data.size() <= sim::kPageSize);
-    cache_.kcopy_.copyIn(page_ + off, data);
+    cache_.kcopy_.copyIn(window_.page() + off, data);
 }
 
 void
 BufferCache::WriteWindow::zero(u64 off, u64 n)
 {
     assert(off + n <= sim::kPageSize);
-    cache_.kcopy_.zero(page_ + off, n);
+    cache_.kcopy_.zero(window_.page() + off, n);
 }
 
 void

@@ -148,8 +148,9 @@ class BufferCache
 
     /**
      * RAII write window: opens the Rio protection/shadow window for
-     * the buffer's page, exposes stores, closes on destruction and
-     * marks the buffer dirty.
+     * the buffer's page, exposes stores, commits it on destruction and
+     * marks the buffer dirty. A crash unwinding through it leaves the
+     * page open and the buffer untouched (os::WriteWindow).
      */
     class WriteWindow
     {
@@ -169,9 +170,11 @@ class BufferCache
         void zero(u64 off, u64 n);
 
       private:
+        static os::WriteWindow open(BufferCache &cache, Ref ref);
+
         BufferCache &cache_;
         Ref ref_;
-        Addr page_;
+        os::WriteWindow window_;
     };
 
     /** @{ Reads from the cached block. */

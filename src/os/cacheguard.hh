@@ -10,16 +10,21 @@
  * NullCacheGuard.
  *
  * The contract: the file cache calls install() when a page starts
- * caching new content, brackets *every* legitimate content change
- * with beginWrite()/endWrite(), reports dirty-state transitions, and
- * calls invalidate() when the page stops caching anything. A page's
- * content changes only by bus store or by DMA through os::dmaWrite:
- * Rio may owe a page's checksum past endWrite (core/rio.hh) and must
- * see, through the bus's watch, every change to the bytes it covers.
+ * caching new content, makes *every* legitimate content change inside
+ * a WriteWindow (beginWrite() ... commit()), reports dirty-state
+ * transitions, and calls invalidate() when the page stops caching
+ * anything. A page's content changes only by bus store or by DMA
+ * through os::dmaWrite: Rio may owe a page's checksum past the commit
+ * (core/rio.hh) and must see, through the bus's watch, every change
+ * to the bytes it covers.
  */
 
 #ifndef RIO_OS_CACHEGUARD_HH
 #define RIO_OS_CACHEGUARD_HH
+
+#include <cassert>
+#include <exception>
+#include <utility>
 
 #include "support/types.hh"
 
@@ -41,6 +46,47 @@ struct CacheTag
     u64 offset = 0;        ///< Data: byte offset within the file.
     BlockNo diskBlock = 0; ///< Metadata: disk block number.
     u32 size = 0;          ///< Valid bytes on the page.
+};
+
+class CacheGuard;
+
+/**
+ * An open write window on one file-cache page (CacheGuard::beginWrite).
+ * Move-only; `std::move(window).commit(validBytes)` is the only way to
+ * close it. A crash that unwinds through an open window leaves it
+ * open, as the crashed kernel would: the page stays writable and its
+ * entry Changing. Dropping a window uncommitted any other way is a
+ * bug, and Debug builds abort on it.
+ */
+class WriteWindow
+{
+  public:
+    WriteWindow(WriteWindow &&other) noexcept
+        : guard_(std::exchange(other.guard_, nullptr)), page_(other.page_)
+    {
+    }
+    WriteWindow(const WriteWindow &) = delete;
+    WriteWindow &operator=(const WriteWindow &) = delete;
+    ~WriteWindow()
+    {
+        assert((guard_ == nullptr || std::uncaught_exceptions() > 0) &&
+               "write window dropped without commit");
+    }
+
+    Addr page() const { return page_; }
+
+    /** Close the window: @p validBytes of the page are meaningful. The
+     *  window counts as closed even when the close crashes. */
+    void commit(u32 validBytes) &&;
+
+  private:
+    friend class CacheGuard;
+    WriteWindow(CacheGuard &guard, Addr page) : guard_(&guard), page_(page)
+    {
+    }
+
+    CacheGuard *guard_;
+    Addr page_;
 };
 
 class CacheGuard
@@ -70,11 +116,28 @@ class CacheGuard
      * protection window, mark the page "changing", and (for critical
      * metadata) divert the registry to a shadow copy.
      */
-    virtual void beginWrite(Addr page) = 0;
+    [[nodiscard]] WriteWindow
+    beginWrite(Addr page)
+    {
+        openWrite(page);
+        return WriteWindow(*this, page);
+    }
 
-    /** The write finished; @p validBytes are now meaningful. */
+  private:
+    friend class WriteWindow;
+
+    /** The window's two halves, reached only through beginWrite and
+     *  WriteWindow::commit. */
+    virtual void openWrite(Addr page) = 0;
     virtual void endWrite(Addr page, u32 validBytes) = 0;
 };
+
+inline void
+WriteWindow::commit(u32 validBytes) &&
+{
+    assert(guard_ != nullptr && "write window committed twice");
+    std::exchange(guard_, nullptr)->endWrite(page_, validBytes);
+}
 
 /** No-op guard for the non-Rio configurations. */
 class NullCacheGuard : public CacheGuard
@@ -83,7 +146,9 @@ class NullCacheGuard : public CacheGuard
     void install(Addr, const CacheTag &) override {}
     void setDirty(Addr, bool) override {}
     void invalidate(Addr) override {}
-    void beginWrite(Addr) override {}
+
+  private:
+    void openWrite(Addr) override {}
     void endWrite(Addr, u32) override {}
 };
 

@@ -1,6 +1,7 @@
 #include "os/journal.hh"
 
 #include <algorithm>
+#include <cassert>
 
 #include "os/dma.hh"
 #include "os/ioretry.hh"
@@ -182,6 +183,7 @@ Journal::appendData(DevNo dev, BlockNo block, Addr pageAddr)
 void
 Journal::txBegin()
 {
+    assert(!txOpen_ && "compound transactions never nest");
     txOpen_ = true;
     txOpenedAt_ = machine_.clock().now();
 }
@@ -189,6 +191,7 @@ Journal::txBegin()
 void
 Journal::txAppend(BlockNo block, Addr pageAddr, bool isData)
 {
+    assert(txOpen_ && "txAppend outside an open transaction");
     TxBlock entry;
     entry.home = block;
     entry.data = isData;
@@ -201,6 +204,7 @@ Journal::txAppend(BlockNo block, Addr pageAddr, bool isData)
 void
 Journal::txCommit()
 {
+    assert(txOpen_ && "txCommit with no transaction open");
     if (inCommit_)
         return; // Size trigger re-entered during the ordered flush.
     inCommit_ = true;
@@ -317,6 +321,11 @@ Journal::txCommit()
 void
 Journal::checkpoint()
 {
+    // Write-ahead: home copies are rewritten only for sealed
+    // transactions. Inside a commit that is every logged one; the
+    // open transaction's images are still in tx_, not in the map.
+    assert((!txOpen_ || inCommit_) &&
+           "checkpoint while a transaction is open");
     if (usedSlots_ == 0 && checkpointMap_.empty())
         return;
     procs_.enter(ProcId::DiskStrategy);
@@ -374,7 +383,7 @@ Journal::commitTransaction()
 {
     if (!txOpen_)
         return;
-    txCommit(); // riolint:allow(R9) closes the transaction the append path opened across syscalls
+    txCommit();
 }
 
 void

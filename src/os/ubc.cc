@@ -190,14 +190,14 @@ Ubc::getPage(DevNo dev, InodeNo ino, u64 pageIdx, bool fill)
     if (fill) {
         ++stats_.fills;
         procs_.enter(ProcId::UbcFill);
-        guard_->beginWrite(page);
+        WriteWindow window = guard_->beginWrite(page);
         const u32 valid = backing_->fillPage(dev, ino, pageIdx, page);
-        guard_->endWrite(page, valid);
+        std::move(window).commit(valid);
         bus.store32(h + kOffSize, valid);
     } else {
-        guard_->beginWrite(page);
+        WriteWindow window = guard_->beginWrite(page);
         kcopy_.zero(sim::physToKseg(page), sim::kPageSize);
-        guard_->endWrite(page, 0);
+        std::move(window).commit(0);
     }
     return ref;
 }
@@ -210,10 +210,10 @@ Ubc::write(Ref ref, u64 off, std::span<const u8> data, u32 newValidBytes)
     procs_.enter(ProcId::UfsWriteFile);
     auto &bus = machine_.bus();
     const Addr page = pagePhys(ref);
-    guard_->beginWrite(page);
+    WriteWindow window = guard_->beginWrite(page);
     // The UBC is physically addressed: use the KSEG alias.
     kcopy_.copyIn(sim::physToKseg(page) + off, data);
-    guard_->endWrite(page, newValidBytes);
+    std::move(window).commit(newValidBytes);
     const Addr h = headerAddr(ref);
     bus.store32(h + kOffSize, newValidBytes);
     // Insert unconditionally, so the index covers a page whose kDirty
@@ -346,9 +346,9 @@ Ubc::truncateFile(DevNo dev, InodeNo ino, u64 newSize)
     if (boundary != kInvalidRef) {
         const u32 keep = static_cast<u32>(newSize % sim::kPageSize);
         const Addr page = pagePhys(boundary);
-        guard_->beginWrite(page);
+        WriteWindow window = guard_->beginWrite(page);
         kcopy_.zero(sim::physToKseg(page) + keep, sim::kPageSize - keep);
-        guard_->endWrite(page, keep);
+        std::move(window).commit(keep);
         bus.store32(headerAddr(boundary) + kOffSize, keep);
     }
 }

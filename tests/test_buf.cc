@@ -30,7 +30,7 @@ class RecordingGuard : public os::NullCacheGuard
         lastPage = page;
     }
 
-    void beginWrite(Addr) override { ++begins; }
+    void openWrite(Addr) override { ++begins; }
     void endWrite(Addr, u32) override { ++ends; }
 
     void

@@ -98,9 +98,9 @@ scenario(sim::Machine &machine)
         machine.mem().region(sim::RegionKind::Registry).base;
     rio.install(page, {os::CacheKind::Metadata, 1, 0, 0, 9, 100});
     rio.setDirty(page, true);
-    rio.beginWrite(page);
+    os::WriteWindow window = rio.beginWrite(page);
     const Addr shadow = rio.entryFor(page)->shadowAddr;
-    rio.endWrite(page, 100);
+    std::move(window).commit(100);
     rio.deactivate();
 
     // 16 MB of memory dumps in 16 chunks; the registry is empty.

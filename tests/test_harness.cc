@@ -215,7 +215,8 @@ TEST(EnvStrict, ExplicitZeroRejected)
 
 TEST(EnvStrict, GarbageRejectedLoudly)
 {
-    for (const char *bad : {"abc", "5x", "-1", "0x10", "1.5", "+"}) {
+    for (const char *bad : {"abc", "5x", "-1", "0x10", "1.5", "+", " 5",
+                            "+5", "\t7"}) {
         EnvGuard guard("RIO_TEST_KNOB", bad);
         EXPECT_THROW(harness::envU64("RIO_TEST_KNOB", 4, 1),
                      std::invalid_argument)
@@ -244,7 +245,8 @@ TEST(EnvStrict, U64WithoutMinimumStillRejectsGarbage)
         EnvGuard guard("RIO_TEST_KNOB", "0");
         EXPECT_EQ(harness::envU64("RIO_TEST_KNOB", 4), 0u);
     }
-    for (const char *bad : {"abc", "four", "5x", "-1", "1.5"}) {
+    for (const char *bad :
+         {"abc", "four", "5x", "-1", "1.5", " 5", "+5", "\t7"}) {
         EnvGuard guard("RIO_TEST_KNOB", bad);
         EXPECT_THROW(harness::envU64("RIO_TEST_KNOB", 4),
                      std::invalid_argument)
@@ -291,7 +293,8 @@ TEST(EnvStrict, F64RejectsTrailingGarbageAndNonFinite)
         EXPECT_EQ(harness::envF64("RIO_TEST_KNOB", 1.0), 0.5);
     }
     for (const char *bad :
-         {"abc", "1.0x", "0.5 ", "inf", "-inf", "nan", "1e999"}) {
+         {"abc", "1.0x", "0.5 ", "inf", "-inf", "nan", "1e999", " 0.5",
+          "+0.5", "0x1p-1", "0x10"}) {
         EnvGuard guard("RIO_TEST_KNOB", bad);
         EXPECT_THROW(harness::envF64("RIO_TEST_KNOB", 1.0),
                      std::invalid_argument)

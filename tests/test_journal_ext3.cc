@@ -191,6 +191,43 @@ TEST(JournalExt3, GroupCommitTimerSealsAgedTransaction)
     EXPECT_GT(kernel.journal().transactionsCommitted(), 0u);
 }
 
+TEST(JournalExt3, FullLogCheckpointsInsideTheCommit)
+{
+    // No periodic checkpoint and no sync: the only checkpoint left is
+    // txCommit's own, when the log has no room for the transaction it
+    // is sealing. Checkpointing then is legal while that transaction
+    // is open (Debug builds assert it is open only inside a commit):
+    // it writes home only the older, sealed transactions.
+    os::KernelConfig config =
+        os::systemPreset(os::SystemPreset::JournalWriteback);
+    config.journal.checkpointEveryCommits = 0;
+    sim::Machine machine(test::smallMachine());
+    os::Kernel kernel(machine, config);
+    kernel.boot(nullptr, true);
+    const os::Journal &journal = kernel.journal();
+    const u64 before = journal.checkpointsDone();
+
+    int openAtCheckpoint = 0;
+    const auto watch = machine.subscribe(
+        [&](const sim::Event &) { openAtCheckpoint += journal.txOpen(); },
+        sim::eventBit(sim::EventKind::JournalCheckpointAdvance));
+    os::Process proc(1);
+    auto &vfs = kernel.vfs();
+    const std::vector<u8> data(3000, 0x5c);
+    int files = 0;
+    while (journal.checkpointsDone() == before && files < 64) {
+        auto fd = vfs.open(proc, "/f" + std::to_string(files++),
+                           os::OpenFlags::writeOnly());
+        wl::tolerate(vfs.write(proc, fd.value(), data));
+        wl::tolerate(vfs.fsync(proc, fd.value())); // Commits.
+        wl::tolerate(vfs.close(proc, fd.value()));
+    }
+    EXPECT_EQ(journal.checkpointsDone(), before + 1)
+        << "the log never filled in " << files << " commits";
+    EXPECT_EQ(openAtCheckpoint, 1);
+    EXPECT_GT(journal.transactionsCommitted(), 2u);
+}
+
 TEST(JournalExt3, AllThreeModesSurviveCrashAndReplay)
 {
     const os::SystemPreset presets[] = {

@@ -82,6 +82,22 @@ struct Rig
         return buf.pageAddr(ref);
     }
 
+    /** Run @p inside in a write window on @p page, then crash the
+     *  kernel with the window still open, as System::crash does: the
+     *  crash unwinds through the window, so it never commits. */
+    template <typename Fn>
+    void
+    crashInWindow(Addr page, const char *why, Fn &&inside)
+    {
+        try {
+            os::WriteWindow window = rio().beginWrite(page);
+            inside();
+            machine.crash(sim::CrashCause::KernelPanic, why);
+        } catch (const sim::CrashException &) {
+        }
+        system.teardown();
+    }
+
     sim::Machine machine;
     core::System system;
     os::Process proc{1};
@@ -209,10 +225,10 @@ TEST(LazyChecksum, DmaInsideAWindowLeavesTheOwedSumIntact)
     const u32 before = sumOfPage(rig.machine, page);
 
     // A disk read lands in the open window, bypassing the bus.
-    rig.rio().beginWrite(page);
-    const std::vector<u8> block(sim::kPageSize, 0x77);
-    os::dmaWrite(rig.machine.bus(), page, block);
-    rig.system.crash("lazy checksum: dma");
+    rig.crashInWindow(page, "lazy checksum: dma", [&] {
+        const std::vector<u8> block(sim::kPageSize, 0x77);
+        os::dmaWrite(rig.machine.bus(), page, block);
+    });
     EXPECT_EQ(imageField(rig.machine, page), before);
 }
 
@@ -267,9 +283,8 @@ crashInsideWindow(os::ProtectionMode mode, Victim victim)
     Rig rig(mode);
     const Addr page = victim == Victim::Metadata ? rig.dirtyMetadataPage()
                                                  : rig.dataPage();
-    rig.rio().beginWrite(page);
-    rig.machine.bus().store8(page + 100, 9);
-    rig.system.crash("lazy checksum: inside window");
+    rig.crashInWindow(page, "lazy checksum: inside window",
+                      [&] { rig.machine.bus().store8(page + 100, 9); });
     return registryDigest(rig.machine);
 }
 
@@ -284,7 +299,7 @@ crashInsideEndWrite(os::ProtectionMode mode, Victim victim, u64 at)
     Rig rig(mode);
     const Addr page = victim == Victim::Metadata ? rig.dirtyMetadataPage()
                                                  : rig.dataPage();
-    rig.rio().beginWrite(page);
+    os::WriteWindow window = rig.rio().beginWrite(page);
     rig.machine.bus().store8(page + 100, 9);
     u64 seen = 0;
     bool crashed = false;
@@ -301,7 +316,7 @@ crashInsideEndWrite(os::ProtectionMode mode, Victim victim, u64 at)
                 sim::eventBit(sim::EventKind::RioFieldWrite) |
                 sim::eventBit(sim::EventKind::RioCommit));
         try {
-            rig.rio().endWrite(page, sim::kPageSize);
+            std::move(window).commit(sim::kPageSize);
         } catch (const sim::CrashException &crash) {
             rig.machine.noteCrash(crash.when());
         }
@@ -395,9 +410,9 @@ TEST(LazyChecksum, RewritesSumNothingUntilObserved)
     // A data page has no shadow: its windows journal what they
     // overwrite instead.
     for (int i = 0; i < 5; ++i) {
-        rig.rio().beginWrite(data);
+        os::WriteWindow window = rig.rio().beginWrite(data);
         rig.machine.bus().store8(data + i, static_cast<u8>(i));
-        rig.rio().endWrite(data, sim::kPageSize);
+        std::move(window).commit(sim::kPageSize);
     }
     EXPECT_EQ(rig.rio().stats().pagesSummed, before);
 
@@ -416,14 +431,14 @@ TEST(LazyChecksum, CrashAfterJournaledChangesKeepsTheOldSum)
 
     // Overlapping changes, a bulk one among them: undone newest
     // first, they give back the bytes endWrite summed.
-    rig.rio().beginWrite(page);
-    auto &bus = rig.machine.bus();
-    bus.store32(page + 8, 0x01020304);
-    const std::vector<u8> run(300, 0x6e);
-    bus.writeBytes(page + 6, run);
-    bus.store8(page + 10, 0x99);
-    bus.set(page + 4000, 0, 500);
-    rig.system.crash("lazy checksum: journal");
+    rig.crashInWindow(page, "lazy checksum: journal", [&] {
+        auto &bus = rig.machine.bus();
+        bus.store32(page + 8, 0x01020304);
+        const std::vector<u8> run(300, 0x6e);
+        bus.writeBytes(page + 6, run);
+        bus.store8(page + 10, 0x99);
+        bus.set(page + 4000, 0, 500);
+    });
     EXPECT_EQ(imageField(rig.machine, page), before);
 
     // A window that rewrites the page more than once stops
@@ -432,14 +447,14 @@ TEST(LazyChecksum, CrashAfterJournaledChangesKeepsTheOldSum)
     const Addr other = again.dataPage();
     const u32 old = sumOfPage(again.machine, other);
     const u64 summed = again.rio().stats().pagesSummed;
-    again.rio().beginWrite(other);
-    const std::vector<u8> page1(sim::kPageSize, 0x11);
-    const std::vector<u8> page2(sim::kPageSize, 0x22);
-    again.machine.bus().writeBytes(other, page1);
-    EXPECT_EQ(again.rio().stats().pagesSummed, summed);
-    again.machine.bus().writeBytes(other, page2);
-    EXPECT_EQ(again.rio().stats().pagesSummed, summed + 1);
-    again.system.crash("lazy checksum: journal overflow");
+    again.crashInWindow(other, "lazy checksum: journal overflow", [&] {
+        const std::vector<u8> page1(sim::kPageSize, 0x11);
+        const std::vector<u8> page2(sim::kPageSize, 0x22);
+        again.machine.bus().writeBytes(other, page1);
+        EXPECT_EQ(again.rio().stats().pagesSummed, summed);
+        again.machine.bus().writeBytes(other, page2);
+        EXPECT_EQ(again.rio().stats().pagesSummed, summed + 1);
+    });
     EXPECT_EQ(imageField(again.machine, other), old);
 }
 

@@ -245,6 +245,55 @@ TEST(RioShadow, EntryIsChangingDuringWindowActiveAfter)
     buf.brelse(ref);
 }
 
+TEST(WriteWindow, PanicInsideAUbcWindowLeavesThePageOpen)
+{
+    // The crash unwinds through the UBC's window, so nothing commits
+    // it: the data page stays writable and its entry Changing, the
+    // state a crashed kernel leaves for the warm reboot.
+    RioRig rig(os::ProtectionMode::VmTlb);
+    auto &vfs = rig.kernel().vfs();
+    auto fd = vfs.open(rig.proc, "/w", os::OpenFlags::writeOnly());
+    const std::vector<u8> data(100, 0x41);
+    rio::wl::tolerate(vfs.write(rig.proc, fd.value(), data));
+    const InodeNo ino = vfs.stat("/w").value().ino;
+    auto &ubc = rig.kernel().ubc();
+    const auto ref = ubc.getPage(1, ino, 0, false);
+    const Addr page = ubc.pagePhys(ref);
+    const u64 vpn = page >> sim::kPageShift;
+    ASSERT_FALSE(rig.machine.pageTable().read(vpn).writable);
+
+    bool fired = false;
+    {
+        const auto crasher = rig.machine.subscribe(
+            [&](const sim::Event &event) {
+                if (fired || event.a >> sim::kPageShift != vpn)
+                    return;
+                fired = true;
+                rig.machine.crash(sim::CrashCause::KernelPanic,
+                                  "panic inside a UBC write window");
+            },
+            sim::eventBit(sim::EventKind::CheckedStore));
+        try {
+            ubc.write(ref, 0, data, 200);
+        } catch (const sim::CrashException &crash) {
+            rig.machine.noteCrash(crash.when());
+        }
+    }
+    ASSERT_TRUE(fired);
+    EXPECT_TRUE(rig.machine.pageTable().read(vpn).writable);
+    EXPECT_EQ(rig.rio()->entryFor(page)->state,
+              core::RegistryLayout::kStateChanging);
+}
+
+#ifndef NDEBUG
+TEST(WriteWindowDeathTest, DroppedUncommittedAborts)
+{
+    os::NullCacheGuard guard;
+    EXPECT_DEATH({ os::WriteWindow window = guard.beginWrite(0); },
+                 "write window dropped without commit");
+}
+#endif
+
 namespace
 {
 

@@ -190,95 +190,6 @@ void RioSystem::setDirty(Addr page, bool dirty) {
     EXPECT_EQ(countRule(findings, Rule::R5RegistryMutation), 0);
 }
 
-TEST(Riolint, R6FiresOnProtocolTypestateViolations)
-{
-    const auto findings = lintFixture("bad_r6.cc");
-    // Write without a window, flip before close, window left open,
-    // and an unmatched closePage: four distinct findings.
-    EXPECT_EQ(countRule(findings, Rule::R6ShadowProtocol), 4);
-}
-
-TEST(Riolint, R6AcceptsTheRealProtocolIncludingTheHandoff)
-{
-    // install's single window, plus the sanctioned cross-function
-    // handoff: beginWrite leaves the data page open, endWrite closes
-    // it before committing in its own registry window.
-    const auto findings = riolint::lintSource("src/core/rio.cc", R"(
-void RioSystem::install(Addr page, u64 index) {
-    openPage(registryPageOf(index));
-    writeEntryField32(index, L::kOffMagic, L::kMagic);
-    writeEntryField32(index, L::kOffState, L::kStateActive);
-    closePage(registryPageOf(index));
-}
-void RioSystem::beginWrite(Addr page, u64 index) {
-    openPage(registryPageOf(index));
-    writeEntryField32(index, L::kOffState, L::kStateChanging);
-    closePage(registryPageOf(index));
-    openPage(page);
-}
-void RioSystem::endWrite(Addr page, u64 index) {
-    closePage(page);
-    openPage(registryPageOf(index));
-    writeEntryField64(index, L::kOffShadow, 0);
-    writeEntryField32(index, L::kOffState, L::kStateActive);
-    closePage(registryPageOf(index));
-}
-void BufferCache::diskFill(Addr page, u64 index) {
-    install(page, index);
-    beginWrite(page, index);
-    dmaWrite(page);
-    endWrite(page, index);
-}
-)");
-    EXPECT_EQ(countRule(findings, Rule::R6ShadowProtocol), 0);
-}
-
-TEST(Riolint, R6TracksWindowsThroughCalls)
-{
-    // A window opened inside a helper and never closed leaks at the
-    // outermost caller — the root function is where the finding
-    // lands, since every callee's delta is visible there.
-    const auto leaky = riolint::lintSource("src/core/rio.cc", R"(
-void RioSystem::opener(Addr page) {
-    openPage(page);
-}
-void RioSystem::leaky(Addr page) {
-    opener(page);
-}
-)");
-    EXPECT_EQ(countRule(leaky, Rule::R6ShadowProtocol), 1);
-
-    // Splitting open and close across helpers is fine as long as the
-    // root balances them.
-    const auto balanced = riolint::lintSource("src/core/rio.cc", R"(
-void RioSystem::opener(Addr page) {
-    openPage(page);
-}
-void RioSystem::closer(Addr page) {
-    closePage(page);
-}
-void RioSystem::balanced(Addr page) {
-    opener(page);
-    closer(page);
-}
-)");
-    EXPECT_EQ(countRule(balanced, Rule::R6ShadowProtocol), 0);
-}
-
-TEST(Riolint, R6IgnoresInterfaceStubs)
-{
-    // A no-op endWrite override (e.g. the null CacheGuard) never
-    // touches the protocol and must not trip the inherited-window
-    // convention.
-    const auto findings = riolint::lintSource("src/os/guard.hh", R"(
-class NullGuard {
-    void beginWrite(Addr) override {}
-    void endWrite(Addr, u32) override {}
-};
-)");
-    EXPECT_EQ(countRule(findings, Rule::R6ShadowProtocol), 0);
-}
-
 TEST(Riolint, R7FiresOnLockCycleAcrossFunctions)
 {
     const auto findings = lintFixture("bad_r7.cc");
@@ -296,38 +207,6 @@ TEST(Riolint, R8FiresOnCrashCapableCallsUnderBareLocks)
     const auto findings = lintFixture("bad_r8.cc");
     // Direct retryWrite, transitive panic, and a missing release.
     EXPECT_EQ(countRule(findings, Rule::R8CrashWhileLocked), 3);
-}
-
-TEST(Riolint, R9FiresOnJournalTypestateViolations)
-{
-    const auto findings = lintFixture("bad_r9.cc");
-    // Append with no begin, commit with nothing open, checkpoint
-    // inside an open transaction, and a transaction left open at
-    // function end: four distinct findings.
-    EXPECT_EQ(countRule(findings, Rule::R9JournalTx), 4);
-}
-
-TEST(Riolint, R9AcceptsTheRealTransactionOrder)
-{
-    // The journal's own idiom: append opens on demand and commits
-    // when the transaction fills; checkpointNow seals first, then
-    // checkpoints with nothing open. Declarations and qualified
-    // definition names are not protocol steps.
-    const auto findings = riolint::lintSource("src/os/journal.cc", R"(
-void Journal::append(DevNo dev, BlockNo home, bool data) {
-    if (!txOpen_)
-        txBegin();
-    txAppend(dev, home, data);
-    if (tx_.size() >= maxTxBlocks_)
-        txCommit();
-}
-void Journal::checkpointNow() {
-    txBegin();
-    txCommit();
-    checkpoint();
-}
-)");
-    EXPECT_EQ(countRule(findings, Rule::R9JournalTx), 0);
 }
 
 TEST(Riolint, R8AcceptsGuardedCrashCapableCalls)

@@ -18,10 +18,8 @@ parseRuleId(const std::string &id, Rule &out)
         {"R3", Rule::R3LockOrder},
         {"R4", Rule::R4ErrorFlow},
         {"R5", Rule::R5RegistryMutation},
-        {"R6", Rule::R6ShadowProtocol},
         {"R7", Rule::R7DeadlockCycle},
         {"R8", Rule::R8CrashWhileLocked},
-        {"R9", Rule::R9JournalTx},
     };
     for (const auto &[name, rule] : kIds) {
         if (id == name) {
@@ -308,7 +306,6 @@ CallGraph::CallGraph(const std::vector<SourceFile> &files)
         byLast_[fns_[f].name].push_back(f);
         byQualified_.emplace(fns_[f].qualified, f);
     }
-    markCalled();
 }
 
 void
@@ -631,17 +628,6 @@ CallGraph::collectCalls(Function &fn)
             cs.link = 'u';
         }
         fn.calls.push_back(std::move(cs));
-    }
-}
-
-void
-CallGraph::markCalled()
-{
-    for (const Function &fn : fns_) {
-        for (const CallSite &call : fn.calls) {
-            for (std::size_t target : resolve(fn, call))
-                called_.insert(target);
-        }
     }
 }
 

@@ -143,12 +143,6 @@ class CallGraph
     std::vector<std::size_t> resolve(const Function &caller,
                                      const CallSite &call) const;
 
-    /** True when at least one scanned call site resolves to @p fn. */
-    bool hasCallers(std::size_t fn) const
-    {
-        return called_.count(fn) > 0;
-    }
-
     /** Static type of a receiver variable, or "" when unknown or
      * conflicting across the program. */
     std::string receiverType(const std::string &var) const;
@@ -160,13 +154,11 @@ class CallGraph
     std::map<std::string, std::string> varTypes_;
     std::map<std::string, std::vector<std::size_t>> byLast_;
     std::map<std::string, std::size_t> byQualified_;
-    std::set<std::size_t> called_;
 
     void collectClasses(const SourceFile &file);
     void collectFunctions(std::size_t fileIndex);
     void collectVarTypes(const SourceFile &file);
     void collectCalls(Function &fn);
-    void markCalled();
 };
 
 } // namespace riolint

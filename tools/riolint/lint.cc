@@ -375,8 +375,8 @@ runR4(Linter &lint)
  * host-side entry write, a lazy checksum landing in the field its
  * endWrite store left owed, is an annotated R1 site instead.) */
 const std::set<std::string> kRegistryWriters = {
-    "install",    "setDirty", "invalidate",
-    "beginWrite", "endWrite", "activate",
+    "install",  "setDirty",    "invalidate", "openWrite",
+    "endWrite", "commitEntry", "activate",
 };
 
 void
@@ -457,450 +457,6 @@ runR5(Linter &lint)
     }
 }
 
-// --- R6: shadow-page protocol typestate (interprocedural) ------------
-
-/**
- * The shadow-page protocol is a typestate: open the registry page,
- * write entry fields, close it, and commit with the state flip as
- * the last store of its own window. Window counts are per-function
- * but *propagate through the call graph*: each function gets a net
- * window delta (opens minus closes, plus its callees' deltas), and
- * the number of windows inherited at entry is the maximum open count
- * observed at any call site that reaches it. That makes the
- * sanctioned beginWrite -> endWrite handoff fall out of the callers
- * that pair them — including RAII ctor/dtor pairs like
- * BufferCache::WriteWindow — instead of being special-cased by name.
- *
- * Flagged orderings are the ones the warm reboot cannot repair:
- *
- *  - a writeEntryField* with no window open — the store would trap
- *    against a protected page, or worse, silently succeed on an
- *    unprotected build and leave no crash-consistent source;
- *  - a flip to kStateActive while more than one window is open —
- *    the data page has not been closed, so a crash after the flip
- *    publishes an entry whose contents are still being written;
- *  - a closePage (direct or through a callee) with no window open;
- *  - more windows open at the end of a *root* function (one no
- *    scanned call site reaches) than it inherited. Non-roots charge
- *    their surplus to their callers; an RAII ctor whose matching
- *    dtor closes the same net count is exempt.
- */
-class ProtocolAnalysis
-{
-  public:
-    explicit ProtocolAnalysis(const CallGraph &graph)
-        : graph_(graph)
-    {
-    }
-
-    void
-    run(std::vector<RawFinding> &out)
-    {
-        extractEvents();
-        computeDeltas();
-        pairRaii();
-        propagateEntries();
-        check(out);
-    }
-
-  private:
-    struct ProtoEvent
-    {
-        enum Kind
-        {
-            Open,
-            Close,
-            Write,
-            Flip,
-            Call,
-        };
-        Kind kind = Open;
-        std::string name; ///< Token text for diagnostics.
-        std::size_t callIdx = 0;
-        int line = 0;
-    };
-
-    const CallGraph &graph_;
-    std::vector<std::vector<ProtoEvent>> events_;
-    std::vector<int> delta_;
-    std::vector<int> entry_;
-    std::vector<char> raiiExempt_;
-
-    static constexpr int kClamp = 8;
-
-    void
-    extractEvents()
-    {
-        const auto &fns = graph_.functions();
-        events_.assign(fns.size(), {});
-        for (std::size_t fi = 0; fi < fns.size(); ++fi) {
-            const Function &fn = fns[fi];
-            const auto &toks =
-                graph_.file(fn.fileIndex).scan.toks;
-
-            std::map<std::size_t, std::size_t> callAt;
-            for (std::size_t c = 0; c < fn.calls.size(); ++c)
-                callAt[fn.calls[c].tokIndex] = c;
-
-            for (std::size_t k = fn.bodyBegin;
-                 k <= fn.bodyEnd && k < toks.size(); ++k) {
-                const Tok &t = toks[k];
-                if (t.kind != 'i')
-                    continue;
-                const bool isCall =
-                    k + 1 < toks.size() && toks[k + 1].text == "(";
-                // A declaration (`void openPage(`) or a qualified
-                // non-member spelling is not a protocol step.
-                const bool declLike =
-                    k > 0 && (toks[k - 1].kind == 'i' ||
-                              toks[k - 1].text == "::");
-                ProtoEvent ev;
-                ev.name = t.text;
-                ev.line = t.line;
-                if (isCall && !declLike && t.text == "openPage") {
-                    ev.kind = ProtoEvent::Open;
-                } else if (isCall && !declLike &&
-                           t.text == "closePage") {
-                    ev.kind = ProtoEvent::Close;
-                } else if (isCall && !declLike &&
-                           (t.text == "writeEntryField32" ||
-                            t.text == "writeEntryField64")) {
-                    ev.kind = isFlip(toks, k) ? ProtoEvent::Flip
-                                              : ProtoEvent::Write;
-                } else if (callAt.count(k)) {
-                    ev.kind = ProtoEvent::Call;
-                    ev.callIdx = callAt[k];
-                } else {
-                    continue;
-                }
-                events_[fi].push_back(std::move(ev));
-            }
-        }
-    }
-
-    /** writeEntryField32 with both kOffState and kStateActive in its
-     * argument list is the commit flip. */
-    static bool
-    isFlip(const std::vector<Tok> &toks, std::size_t i)
-    {
-        if (toks[i].text != "writeEntryField32")
-            return false;
-        bool offState = false;
-        bool stateActive = false;
-        const std::size_t close = matchForward(toks, i + 1);
-        for (std::size_t j = i + 2; j < close && j < toks.size();
-             ++j) {
-            if (toks[j].text == "kOffState")
-                offState = true;
-            else if (toks[j].text == "kStateActive")
-                stateActive = true;
-        }
-        return offState && stateActive;
-    }
-
-    /** Net delta a call site contributes: the candidate definition
-     * with the largest nonzero delta magnitude (virtual-dispatch
-     * stubs with delta 0 lose to the real implementation). */
-    int
-    callDelta(const Function &fn, const ProtoEvent &ev) const
-    {
-        int best = 0;
-        for (std::size_t target :
-             graph_.resolve(fn, fn.calls[ev.callIdx])) {
-            const int d = delta_[target];
-            if (d != 0 && std::abs(d) > std::abs(best))
-                best = d;
-        }
-        return best;
-    }
-
-    void
-    computeDeltas()
-    {
-        const auto &fns = graph_.functions();
-        delta_.assign(fns.size(), 0);
-        for (int pass = 0; pass < 20; ++pass) {
-            bool changed = false;
-            for (std::size_t fi = 0; fi < fns.size(); ++fi) {
-                int d = 0;
-                for (const ProtoEvent &ev : events_[fi]) {
-                    if (ev.kind == ProtoEvent::Open)
-                        ++d;
-                    else if (ev.kind == ProtoEvent::Close)
-                        --d;
-                    else if (ev.kind == ProtoEvent::Call)
-                        d += callDelta(fns[fi], ev);
-                }
-                d = std::clamp(d, -kClamp, kClamp);
-                if (d != delta_[fi]) {
-                    delta_[fi] = d;
-                    changed = true;
-                }
-            }
-            if (!changed)
-                break;
-        }
-    }
-
-    /** A ctor that nets open windows paired with a dtor of the same
-     * class netting them closed is the RAII handoff idiom: the ctor
-     * is exempt from the end-of-function check and the dtor starts
-     * with the ctor's windows inherited. */
-    void
-    pairRaii()
-    {
-        const auto &fns = graph_.functions();
-        raiiExempt_.assign(fns.size(), 0);
-        entry_.assign(fns.size(), 0);
-        for (std::size_t ci = 0; ci < fns.size(); ++ci) {
-            const Function &ctor = fns[ci];
-            if (ctor.className.empty() ||
-                ctor.name != ctor.className || delta_[ci] <= 0)
-                continue;
-            for (std::size_t di = 0; di < fns.size(); ++di) {
-                const Function &dtor = fns[di];
-                if (dtor.className != ctor.className ||
-                    dtor.name != "~" + ctor.className)
-                    continue;
-                if (delta_[di] == -delta_[ci]) {
-                    raiiExempt_[ci] = 1;
-                    entry_[di] =
-                        std::max(entry_[di], delta_[ci]);
-                }
-            }
-        }
-    }
-
-    void
-    propagateEntries()
-    {
-        const auto &fns = graph_.functions();
-        for (int pass = 0; pass < 20; ++pass) {
-            bool changed = false;
-            for (std::size_t fi = 0; fi < fns.size(); ++fi) {
-                int open = entry_[fi];
-                for (const ProtoEvent &ev : events_[fi]) {
-                    switch (ev.kind) {
-                      case ProtoEvent::Open:
-                        ++open;
-                        break;
-                      case ProtoEvent::Close:
-                        open = std::max(open - 1, 0);
-                        break;
-                      case ProtoEvent::Call:
-                        for (std::size_t target : graph_.resolve(
-                                 fns[fi], fn_calls(fi, ev))) {
-                            const int inherited =
-                                std::min(open, kClamp);
-                            if (inherited > entry_[target]) {
-                                entry_[target] = inherited;
-                                changed = true;
-                            }
-                        }
-                        open = std::clamp(
-                            open + callDelta(fns[fi], ev), 0,
-                            kClamp);
-                        break;
-                      default:
-                        break;
-                    }
-                    open = std::min(open, kClamp);
-                }
-            }
-            if (!changed)
-                break;
-        }
-    }
-
-    const CallSite &
-    fn_calls(std::size_t fi, const ProtoEvent &ev) const
-    {
-        return graph_.functions()[fi].calls[ev.callIdx];
-    }
-
-    void
-    check(std::vector<RawFinding> &out)
-    {
-        const auto &fns = graph_.functions();
-        for (std::size_t fi = 0; fi < fns.size(); ++fi) {
-            const Function &fn = fns[fi];
-            // Inherited windows belong to *other* pages the callers
-            // are working on (the UBC fill path holds its page's
-            // window while the UFS fills it through the buffer
-            // cache). `floor` tracks how many of those remain: the
-            // flip check only counts windows opened locally, and a
-            // close with no local window consumes an inherited one
-            // (the beginWrite -> endWrite handoff).
-            int open = entry_[fi];
-            int floor = entry_[fi];
-            int lastRaiseLine = fn.line;
-            for (const ProtoEvent &ev : events_[fi]) {
-                switch (ev.kind) {
-                  case ProtoEvent::Open:
-                    ++open;
-                    lastRaiseLine = ev.line;
-                    break;
-                  case ProtoEvent::Close:
-                    if (open <= 0) {
-                        out.push_back(
-                            {Rule::R6ShadowProtocol, fn.fileIndex,
-                             ev.line,
-                             "closePage without a matching "
-                             "openPage"});
-                    } else {
-                        --open;
-                        floor = std::min(floor, open);
-                    }
-                    break;
-                  case ProtoEvent::Write:
-                  case ProtoEvent::Flip:
-                    if (open <= 0) {
-                        out.push_back(
-                            {Rule::R6ShadowProtocol, fn.fileIndex,
-                             ev.line,
-                             ev.name +
-                                 " outside an openPage/closePage "
-                                 "window; open the registry page "
-                                 "first"});
-                        break;
-                    }
-                    if (ev.kind == ProtoEvent::Flip &&
-                        open - floor != 1) {
-                        out.push_back(
-                            {Rule::R6ShadowProtocol, fn.fileIndex,
-                             ev.line,
-                             "state flip to Active while another "
-                             "page window is still open; close the "
-                             "data page before committing"});
-                    }
-                    break;
-                  case ProtoEvent::Call: {
-                    const int d = callDelta(fn, ev);
-                    if (open + d < 0) {
-                        out.push_back(
-                            {Rule::R6ShadowProtocol, fn.fileIndex,
-                             ev.line,
-                             "call to " + ev.name +
-                                 "() closes a protocol window, but "
-                                 "none is open here"});
-                    }
-                    if (d > 0)
-                        lastRaiseLine = ev.line;
-                    open = std::clamp(open + d, 0, kClamp);
-                    floor = std::min(floor, open);
-                    break;
-                  }
-                }
-            }
-            if (open > entry_[fi] && !graph_.hasCallers(fi) &&
-                !raiiExempt_[fi]) {
-                out.push_back(
-                    {Rule::R6ShadowProtocol, fn.fileIndex,
-                     lastRaiseLine,
-                     "openPage window still open at function end; "
-                     "every open needs a matching closePage"});
-            }
-        }
-    }
-};
-
-/**
- * R9: journal-transaction typestate. The ext3-grade journal's
- * correctness argument is an ordering: txBegin opens a compound
- * transaction, txAppend stages block images into it, txCommit seals
- * it behind a commit record, and checkpoint rewrites home copies
- * only for sealed transactions (the write-ahead rule). Modeled on R6
- * but function-local: each function's body is a linear automaton
- * over the four call tokens, flagging
- *  - txAppend with no transaction open — the image has no
- *    transaction to ride and would never reach a commit record;
- *  - txCommit with no transaction open — commits an empty window
- *    (the sanctioned cross-syscall close in commitTransaction
- *    carries the one allow annotation);
- *  - txBegin while a transaction is already open — compound
- *    transactions never nest;
- *  - checkpoint while a transaction is open — home copies would be
- *    rewritten ahead of the commit record, breaking write-ahead;
- *  - a transaction still open at function end — nothing seals it,
- *    so a crash discards every staged image silently.
- */
-class JournalAnalysis
-{
-  public:
-    explicit JournalAnalysis(const CallGraph &graph) : graph_(graph)
-    {
-    }
-
-    void
-    run(std::vector<RawFinding> &out)
-    {
-        const auto &fns = graph_.functions();
-        for (std::size_t fi = 0; fi < fns.size(); ++fi) {
-            const Function &fn = fns[fi];
-            const auto &toks = graph_.file(fn.fileIndex).scan.toks;
-            bool open = false;
-            int openLine = fn.line;
-            for (std::size_t k = fn.bodyBegin;
-                 k <= fn.bodyEnd && k < toks.size(); ++k) {
-                const Tok &t = toks[k];
-                if (t.kind != 'i')
-                    continue;
-                const bool isCall =
-                    k + 1 < toks.size() && toks[k + 1].text == "(";
-                const bool declLike =
-                    k > 0 && (toks[k - 1].kind == 'i' ||
-                              toks[k - 1].text == "::");
-                if (!isCall || declLike)
-                    continue;
-                if (t.text == "txBegin") {
-                    if (open) {
-                        out.push_back(
-                            {Rule::R9JournalTx, fn.fileIndex, t.line,
-                             "txBegin while a transaction is already "
-                             "open; compound transactions never "
-                             "nest"});
-                    }
-                    open = true;
-                    openLine = t.line;
-                } else if (t.text == "txAppend") {
-                    if (!open) {
-                        out.push_back(
-                            {Rule::R9JournalTx, fn.fileIndex, t.line,
-                             "txAppend outside an open transaction; "
-                             "call txBegin first"});
-                    }
-                } else if (t.text == "txCommit") {
-                    if (!open) {
-                        out.push_back(
-                            {Rule::R9JournalTx, fn.fileIndex, t.line,
-                             "txCommit with no transaction open "
-                             "here"});
-                    }
-                    open = false;
-                } else if (t.text == "checkpoint") {
-                    if (open) {
-                        out.push_back(
-                            {Rule::R9JournalTx, fn.fileIndex, t.line,
-                             "checkpoint while a transaction is "
-                             "open; home copies must not be "
-                             "rewritten ahead of the commit record "
-                             "(write-ahead rule)"});
-                    }
-                }
-            }
-            if (open) {
-                out.push_back(
-                    {Rule::R9JournalTx, fn.fileIndex, openLine,
-                     "transaction still open at function end; "
-                     "nothing seals it behind a commit record"});
-            }
-        }
-    }
-
-  private:
-    const CallGraph &graph_;
-};
-
 // ---------------------------------------------------------------------
 // Report formatting
 // ---------------------------------------------------------------------
@@ -946,10 +502,6 @@ lintProgram(const std::vector<SourceFile> &files)
     // Whole-program rules over the call graph.
     const CallGraph graph(files);
     std::vector<RawFinding> raw;
-    ProtocolAnalysis protocol(graph);
-    protocol.run(raw);
-    JournalAnalysis journal(graph);
-    journal.run(raw);
     LockAnalysis locks(graph);
     locks.run(raw);
     report.lockDot = locks.dot();
@@ -988,10 +540,8 @@ ruleId(Rule rule)
       case Rule::R3LockOrder: return "R3";
       case Rule::R4ErrorFlow: return "R4";
       case Rule::R5RegistryMutation: return "R5";
-      case Rule::R6ShadowProtocol: return "R6";
       case Rule::R7DeadlockCycle: return "R7";
       case Rule::R8CrashWhileLocked: return "R8";
-      case Rule::R9JournalTx: return "R9";
     }
     return "?";
 }
@@ -1010,14 +560,10 @@ ruleTitle(Rule rule)
         return "error flow";
       case Rule::R5RegistryMutation:
         return "registry mutation protocol";
-      case Rule::R6ShadowProtocol:
-        return "shadow-page protocol typestate";
       case Rule::R7DeadlockCycle:
         return "deadlock-potential lock cycle";
       case Rule::R8CrashWhileLocked:
         return "crash-capable operation under bare lock";
-      case Rule::R9JournalTx:
-        return "journal-transaction typestate";
     }
     return "?";
 }

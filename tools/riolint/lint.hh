@@ -12,8 +12,7 @@
  * tokenizer, not a compiler: deliberately simple, zero dependencies,
  * and tuned to this codebase's idiom. Since the whole-program
  * rewrite it builds a call graph over the token stream (callgraph.hh)
- * and propagates lock sets and protocol windows through calls
- * (lockgraph.hh).
+ * and propagates lock sets through calls (lockgraph.hh).
  *
  * Rules:
  *  - R1 checked-store: PhysMem::raw(), memcpy/memmove/memset into
@@ -35,12 +34,11 @@
  *  - R5 registry-mutation: Registry entry writes (writeEntryField*)
  *    are legal only inside the shadow-page protocol entry points in
  *    core/rio.cc.
- *  - R6 shadow-protocol: the protocol is a typestate —
- *    openPage -> writeEntryField* -> closePage -> state flip. Window
- *    counts propagate through the call graph, so the sanctioned
- *    beginWrite -> endWrite handoff is tracked through the callers
- *    that pair them (including RAII ctor/dtor pairs) instead of
- *    being special-cased by name.
+ *  - R6 shadow-protocol: retired. The window order is in the types:
+ *    os::WriteWindow (os/cacheguard.hh) is the data window, and
+ *    RioSystem's EntryWindow and ClosedPage (core/rio.hh) are the
+ *    registry window and the commit flip's proof that the data page
+ *    closed. tests/typestate holds the compile-fail fixtures.
  *  - R7 deadlock-potential: a cycle in the acquired-while-held
  *    graph (built over the same interprocedural lock sets as R3)
  *    means two call paths can wait on each other.
@@ -48,11 +46,9 @@
  *    I/O, sim-time advance, fault hooks) while a lock is held by a
  *    bare acquire() — no RAII Guard, so a crash unwind skips the
  *    release — or a bare acquire with no release on any path.
- *  - R9 journal-transaction typestate: the ext3-grade journal's
- *    compound-transaction order — txBegin -> txAppend* -> txCommit,
- *    checkpoint only with no transaction open (write-ahead rule),
- *    no nesting, nothing left open at function end. Function-local,
- *    modeled on R6's token automaton.
+ *  - R9 journal-transaction typestate: retired. The transaction
+ *    order is asserted in Debug builds by Journal's txBegin,
+ *    txAppend, txCommit and checkpoint (os/journal.cc).
  *
  * A violation is silenced by annotating the offending line (or the
  * line above it) with `// riolint:allow(R<n>) <reason>`. Suppressed
@@ -75,10 +71,8 @@ enum class Rule
     R3LockOrder,
     R4ErrorFlow,
     R5RegistryMutation,
-    R6ShadowProtocol,
     R7DeadlockCycle,
     R8CrashWhileLocked,
-    R9JournalTx,
 };
 
 /** Short rule id, e.g. "R1". */
