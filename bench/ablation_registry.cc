@@ -65,7 +65,7 @@ main()
 {
     harness::rejectUnknownKnobs();
     const u64 seed = harness::envU64("RIO_SEED", 1);
-    const u64 ops = harness::envU64("RIO_ABL_OPS", 20000);
+    const u64 ops = harness::envU64("RIO_ABL_OPS", 20000, 1);
 
     sim::MachineConfig probe;
     probe.physMemBytes = 128ull << 20;

@@ -9,6 +9,10 @@
  * The experiment crashes the machine mid-update (half the directory
  * entry written), warm-reboots, and checks what the recovered file
  * system holds — with and without shadowing, across many seeds.
+ *
+ * Knobs: RIO_SEED, RIO_ABL_TRIALS (trials per arm, default 40); the
+ * trials run serially. Defaults and help in knobTable()
+ * (harness/hconfig.cc).
  */
 
 #include <cstdio>
@@ -114,16 +118,14 @@ runTrials(bool shadow, u64 trials, u64 seedBase)
 int
 main()
 {
-    harness::rejectUnknownKnobs();
-    const u64 trials = harness::envU64("RIO_ABL_TRIALS", 40);
-    const u64 seed = harness::envU64("RIO_SEED", 1);
+    const harness::AblationKnobs knobs = harness::ablationKnobsFromEnv(40);
 
     std::printf("A4: shadow-paged metadata atomicity "
                 "(%llu crashes mid directory update)\n\n",
-                static_cast<unsigned long long>(trials));
+                static_cast<unsigned long long>(knobs.trials));
 
-    const Outcome with = runTrials(true, trials, seed * 101);
-    const Outcome without = runTrials(false, trials, seed * 101);
+    const Outcome with = runTrials(true, knobs.trials, knobs.seed * 101);
+    const Outcome without = runTrials(false, knobs.trials, knobs.seed * 101);
 
     std::printf("%-18s %12s %8s %14s\n", "", "consistent", "torn",
                 "fsck repaired");

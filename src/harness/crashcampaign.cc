@@ -417,19 +417,6 @@ CrashCampaign::runTrial(SystemKind kind, fault::FaultType type,
     return record;
 }
 
-std::vector<TrialRecord>
-CrashCampaign::runTrials(SystemKind kind, u32 trials)
-{
-    const u64 n = config_.faults.size();
-    std::vector<TrialRecord> records(trials);
-    WorkerPool pool(resolveJobs(config_.jobs));
-    parallelFor(pool, trials, [&](u64 t) {
-        records[t] = runTrial(kind, config_.faults[t % n],
-                              static_cast<u32>(t / n));
-    });
-    return records;
-}
-
 void
 CrashCampaign::mergeTrial(CampaignResult &result,
                           const TrialRecord &record) const
@@ -464,73 +451,33 @@ CampaignResult
 CrashCampaign::runAll(std::vector<TrialRecord> *trialRecords,
                       CampaignStats *stats)
 {
-    struct Task
-    {
-        SystemKind kind;
-        fault::FaultType type;
-        u32 trial;
-    };
-    std::vector<Task> tasks;
-    tasks.reserve(config_.systems.size() * config_.faults.size() *
-                  config_.crashesPerCell);
+    // One arm per cell, cell-major: arm trial t is the cell's trial
+    // t, and the merge follows cell order, never completion order, so
+    // the records are the same at any thread count.
+    std::vector<Arm> arms;
     for (const SystemKind kind : config_.systems) {
         for (const fault::FaultType type : config_.faults) {
-            for (u32 trial = 0; trial < config_.crashesPerCell;
-                 ++trial)
-                tasks.push_back({kind, type, trial});
+            CampaignConfig cell = config_;
+            cell.faults = {type};
+            arms.push_back({cell, kind, config_.crashesPerCell});
         }
     }
-
-    const u32 jobs = resolveJobs(config_.jobs);
     // riolint:allow(R2) host wall-clock for throughput reporting only;
     // never feeds simulated state (excluded from byte-identity).
     const auto start = std::chrono::steady_clock::now();
-    std::vector<TrialRecord> records(tasks.size());
-    std::atomic<u64> done{0};
-
-    {
-        WorkerPool pool(jobs);
-        parallelFor(pool, tasks.size(), [&](u64 index) {
-            const Task &task = tasks[index];
-            records[index] =
-                runTrial(task.kind, task.type, task.trial);
-            const u64 finished = done.fetch_add(1) + 1;
-            if (config_.progress) {
-                const double elapsed =
-                    std::chrono::duration<double>(
-                        // riolint:allow(R2) progress meter only.
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-                // One whole line per write; stderr is unbuffered and
-                // \r keeps it to a single live line on a tty.
-                std::fprintf(
-                    stderr,
-                    "\r[table1] %llu/%zu trials  %.1f trials/s ",
-                    static_cast<unsigned long long>(finished),
-                    tasks.size(),
-                    elapsed > 0
-                        ? static_cast<double>(finished) / elapsed
-                        : 0.0);
-            }
-        });
-    }
-    if (config_.progress)
-        std::fputc('\n', stderr);
-
-    // Deterministic merge: cell-major task order, never completion
-    // order, so the records are the same at any thread count.
     CampaignResult result;
+    std::vector<TrialRecord> records;
     u64 attempts = 0;
-    for (const TrialRecord &record : records) {
-        mergeTrial(result, record);
-        attempts += record.attempts;
+    for (auto &cell : runArms(arms, config_.jobs, config_.progress)) {
+        for (TrialRecord &record : cell) {
+            mergeTrial(result, record);
+            attempts += record.attempts;
+            records.push_back(std::move(record));
+        }
     }
-    if (trialRecords != nullptr)
-        *trialRecords = std::move(records);
-
     if (stats != nullptr) {
-        stats->jobs = jobs;
-        stats->trials = tasks.size();
+        stats->jobs = resolveJobs(config_.jobs);
+        stats->trials = records.size();
         stats->attempts = attempts;
         stats->wallSeconds =
             std::chrono::duration<double>(
@@ -538,7 +485,51 @@ CrashCampaign::runAll(std::vector<TrialRecord> *trialRecords,
                 std::chrono::steady_clock::now() - start)
                 .count();
     }
+    if (trialRecords != nullptr)
+        *trialRecords = std::move(records);
     return result;
+}
+
+std::vector<std::vector<TrialRecord>>
+runArms(std::span<const Arm> arms, u32 jobs, bool progress)
+{
+    std::vector<CrashCampaign> campaigns;
+    std::vector<std::vector<TrialRecord>> records;
+    std::vector<std::pair<std::size_t, u32>> tasks; ///< (arm, trial).
+    for (std::size_t arm = 0; arm < arms.size(); ++arm) {
+        campaigns.emplace_back(arms[arm].config);
+        records.emplace_back(arms[arm].trials);
+        for (u32 trial = 0; trial < arms[arm].trials; ++trial)
+            tasks.emplace_back(arm, trial);
+    }
+    // riolint:allow(R2) progress meter only.
+    const auto start = std::chrono::steady_clock::now();
+    std::atomic<u64> done{0};
+    WorkerPool pool(resolveJobs(jobs));
+    parallelFor(pool, tasks.size(), [&](u64 index) {
+        const auto [arm, t] = tasks[index];
+        const std::vector<fault::FaultType> &faults = arms[arm].config.faults;
+        records[arm][t] = campaigns[arm].runTrial(
+            arms[arm].system, faults[t % faults.size()],
+            static_cast<u32>(t / faults.size()));
+        const u64 finished = done.fetch_add(1) + 1;
+        if (!progress)
+            return;
+        const double elapsed =
+            std::chrono::duration<double>(
+                // riolint:allow(R2) progress meter only.
+                std::chrono::steady_clock::now() - start)
+                .count();
+        // One whole line per write; stderr is unbuffered and \r keeps
+        // it to a single live line on a tty.
+        std::fprintf(stderr, "\r[table1] %llu/%zu trials  %.1f trials/s ",
+                     static_cast<unsigned long long>(finished), tasks.size(),
+                     elapsed > 0 ? static_cast<double>(finished) / elapsed
+                                 : 0.0);
+    });
+    if (progress)
+        std::fputc('\n', stderr);
+    return records;
 }
 
 CampaignCell

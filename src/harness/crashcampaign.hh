@@ -38,6 +38,7 @@
 
 #include <array>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -261,11 +262,6 @@ class CrashCampaign
     TrialRecord runTrial(SystemKind kind, fault::FaultType type,
                          u32 trial);
 
-    /** @p trials trials of @p kind over config.jobs workers, in t
-     *  order: trial t runs config.faults[t mod n] as trial t / n, so
-     *  its seeds depend on t alone (the ablations' arms). */
-    std::vector<TrialRecord> runTrials(SystemKind kind, u32 trials);
-
     /** Run crashesPerCell trials for one (system, fault) cell; a
      *  trial that exhausts its attempt budget yields no crash. */
     CampaignCell runCell(SystemKind kind, fault::FaultType type,
@@ -290,6 +286,25 @@ class CrashCampaign
 
     CampaignConfig config_;
 };
+
+/** @p trials trials of @p system under @p config: one arm of an
+ *  ablation, or one cell of runAll. */
+struct Arm
+{
+    CampaignConfig config;
+    SystemKind system;
+    u32 trials;
+};
+
+/**
+ * Every arm's trials on one pool of @p jobs workers (0 = all hardware
+ * threads), merged by index: records[a][t] is arm a's trial t, which
+ * runs config.faults[t mod n] as trial t / n, so its seeds depend on
+ * t alone and arms with the same seed share every coordinate.
+ * @p progress keeps a live trials/s line on stderr.
+ */
+std::vector<std::vector<TrialRecord>>
+runArms(std::span<const Arm> arms, u32 jobs, bool progress = false);
 
 } // namespace rio::harness
 

@@ -31,7 +31,7 @@ constexpr Knob kKnobs[] = {
      "observation window in simulated seconds"},
     {"RIO_T1_JOBS",
      "table1_reliability, fig_mttf, table2_performance, ablation_"
-     "{diskfault,nv,protection,recovery,sdet_scale}",
+     "{diskfault,nv,protection,recovery,sdet_scale,shadow}",
      "all hardware threads", "worker threads (explicit: >= 1)"},
     {"RIO_T1_JSON", "table1_reliability", ".", "output directory"},
     {"RIO_T1_PROGRESS", kT1, "0", "1 = live trials/s line on stderr"},
@@ -40,11 +40,9 @@ constexpr Knob kKnobs[] = {
     {"RIO_T1_POSTCRASH", kT1, "0", "post-crash damage on Rio (0 = off)"},
     {"RIO_T1_HARDENED", kT1, "1", "0 = trusting warm-reboot restore"},
     {"RIO_T1_IDLEFLUSH_NS", kT1, "0", "Rio idle write-back period, 0 = off"},
-    {"RIO_DISKFAULT_INTENSITY", "table1_reliability, fig_mttf, "
-     "ablation_diskfault", "0; 1.0 in ablation_diskfault",
+    {"RIO_DISKFAULT_INTENSITY", kT1, "0",
      "faulty-disk model intensity (fault/diskfault.hh)"},
-    {"RIO_DISKFAULT_DOUBLECRASH", "table1_reliability, fig_mttf, "
-     "ablation_diskfault", "0; 0.5 in ablation_diskfault",
+    {"RIO_DISKFAULT_DOUBLECRASH", kT1, "0",
      "chance of a second crash during recovery"},
     {"RIO_DISKFAULT_RETRY", kT1, "1", "0 = assume-success disk I/O"},
     {"RIO_DISKFAULT_REENTRANT", kT1, "1", "0 = single-shot recovery"},
@@ -66,17 +64,11 @@ constexpr Knob kKnobs[] = {
     {"RIO_MC_JSON", kMc, ".", "output directory"},
     {"RIO_PERF_MB", "table2_performance, policy_explorer",
      "40; 8 in policy_explorer", "cp+rm tree in MiB"},
-    {"RIO_DF_TRIALS", "ablation_diskfault", "26", "trials per arm"},
-    {"RIO_REC_TRIALS", "ablation_recovery", "26", "trials per arm"},
-    {"RIO_REC_INTENSITY", "ablation_recovery", "1.0",
-     "post-crash corruption-stage intensity"},
-    {"RIO_REC_FLUSH_NS", "ablation_recovery", "1000000000",
-     "period of Rio's idle-time write-back"},
-    {"RIO_NV_TRIALS", "ablation_nv", "4", "trials per interval per arm"},
     {"RIO_NV_JSON", "ablation_nv", "BENCH_nv.json", "output path"},
     {"RIO_ABL_MB", "ablation_protection", "8", "cp+rm tree in MiB"},
-    {"RIO_ABL_OPS", "ablation_registry", "20000", "ops per arm"},
-    {"RIO_ABL_TRIALS", "ablation_shadow", "40", "trials per arm"},
+    {"RIO_ABL_OPS", "ablation_registry", "20000", "ops per arm (>= 1)"},
+    {"RIO_ABL_TRIALS", "ablation_{recovery,diskfault,nv,shadow}",
+     "26, 26, 4, 40", "trials per arm (>= 1)"},
     {"RIO_FUZZ_PROFILE", "rio_tests", "unset",
      "set: RegistryFuzz prints per-seed damage and verdict counts"},
 };
@@ -150,6 +142,15 @@ crashMcConfigFromEnv()
     c.tornCommit = envBool("RIO_MC_TORN", c.tornCommit);
     c.progress = envBool("RIO_MC_PROGRESS", c.progress);
     return c;
+}
+
+AblationKnobs
+ablationKnobsFromEnv(u32 trials)
+{
+    rejectUnknownKnobs();
+    return {.seed = envU64("RIO_SEED", 1),
+            .trials = envU32("RIO_ABL_TRIALS", trials, 1),
+            .jobs = envU32("RIO_T1_JOBS", 0, 1)};
 }
 
 PerfConfig

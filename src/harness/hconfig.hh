@@ -69,6 +69,19 @@ CrashMcConfig crashMcConfigFromEnv();
 PerfConfig perfConfigFromEnv();
 /** @} */
 
+/** What the crash-trial ablations (recovery, diskfault, nv, shadow)
+ *  read from the environment; ablation_shadow runs serially. */
+struct AblationKnobs
+{
+    u64 seed;
+    u32 trials; ///< Per arm, at least 1.
+    u32 jobs;   ///< 0 = all hardware threads.
+};
+
+/** rejectUnknownKnobs(), then RIO_SEED, RIO_ABL_TRIALS (@p trials
+ *  when unset) and RIO_T1_JOBS. */
+AblationKnobs ablationKnobsFromEnv(u32 trials);
+
 /**
  * @{ Environment knobs. Unset (or empty) uses the fallback; anything
  * else must parse cleanly, or the read throws std::invalid_argument

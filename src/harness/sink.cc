@@ -1,6 +1,8 @@
 #include "harness/sink.hh"
 
 #include <cstdio>
+#include <stdexcept>
+#include <type_traits>
 
 #include "fault/models.hh"
 #include "harness/crashcampaign.hh"
@@ -15,74 +17,134 @@ namespace rio::harness
  *  carries every field, with null for one that does not apply. */
 constexpr int kSchema = 2;
 
+namespace
+{
+
+/**
+ * Schema v2's one list of TrialRecord fields, in JSONL order: calls
+ * visit(name, value, summed, applies) for each field. A field that
+ * does not apply to the trial is written null. The summed fields are
+ * the counts and flags; names, indices, seeds and the message are not.
+ */
+template <class Visit>
+void
+forEachTrialField(const TrialRecord &record, Visit &&visit)
+{
+    const auto ident = [&visit](const char *name, auto value,
+                                bool applies = true) {
+        visit(name, value, false, applies);
+    };
+    const auto total = [&visit](const char *name, auto value,
+                                bool applies = true) {
+        visit(name, value, true, applies);
+    };
+    ident("system", systemKindName(static_cast<SystemKind>(record.system)));
+    ident("systemIndex", record.system);
+    ident("fault", fault::faultTypeName(
+                       static_cast<fault::FaultType>(record.fault)));
+    ident("faultIndex", record.fault);
+    ident("trial", record.trial);
+    ident("trialSeed", record.trialSeed);
+    ident("crashSeed", record.crashSeed);
+    total("attempts", record.attempts);
+    total("discards", record.discards);
+    total("crashed", record.crashed);
+    ident("cause",
+          sim::crashCauseName(static_cast<sim::CrashCause>(record.cause)),
+          record.crashed);
+    total("crashAfterNs", record.crashAfterNs, record.crashed);
+    total("corrupt", record.corrupt);
+    total("checksumDetected", record.checksumDetected);
+    total("memtestDetected", record.memtestDetected);
+    total("corruptFiles", record.corruptFiles);
+    total("protectionSaves", record.protectionSaves);
+    total("dumpOk", record.dumpOk);
+    total("metadataQuarantined", record.metadataQuarantined);
+    total("duplicateClaims", record.duplicateClaims);
+    total("boundsViolations", record.boundsViolations);
+    total("shadowChecksumBad", record.shadowChecksumBad);
+    total("dataQuarantined", record.dataQuarantined);
+    total("metadataUnrestorable", record.metadataUnrestorable);
+    total("postCrashOps", record.postCrashOps);
+    total("doubleCrashFired", record.doubleCrashFired);
+    ident("doubleCrashPhase",
+          core::recoveryPhaseName(
+              static_cast<core::RecoveryPhase>(record.doubleCrashPhase)),
+          record.doubleCrashFired);
+    total("recoveryPasses", record.recoveryPasses);
+    total("recoveryResumed", record.recoveryResumed);
+    total("checkpointWrites", record.checkpointWrites);
+    total("retriedSectors", record.retriedSectors);
+    total("remappedSectors", record.remappedSectors);
+    total("abandonedSectors", record.abandonedSectors);
+    total("diskTransientErrors", record.diskTransientErrors);
+    total("diskBadSectorErrors", record.diskBadSectorErrors);
+    total("diskSectorsRemapped", record.diskSectorsRemapped);
+    total("readOnlyDegraded", record.readOnlyDegraded);
+    total("nvBacked", record.nvBacked);
+    const bool nv = record.nvBacked;
+    total("nvMirrorPresent", record.nvMirrorPresent, nv);
+    total("nvMirrorCorrupt", record.nvMirrorCorrupt, nv);
+    total("nvEntriesGrafted", record.nvEntriesGrafted, nv);
+    total("nvShadowsUsed", record.nvShadowsUsed, nv);
+    total("nvMirrorWrites", record.nvMirrorWrites, nv);
+    total("nvBitsFlipped", record.nvBitsFlipped, nv);
+    total("nvLinesTorn", record.nvLinesTorn, nv);
+    total("powerCycleMode", record.powerCycleMode);
+    const bool power = record.powerCycleMode;
+    total("powerCycles", record.powerCycles, power);
+    total("workloadOps", record.workloadOps, power);
+    total("recoveryNs", record.recoveryNs, power);
+    ident("message", record.message);
+}
+
+} // namespace
+
 std::string
 trialToJson(const TrialRecord &record)
 {
     support::JsonObject json;
-    auto putIf = [&json](const char *key, bool applies, auto value) {
+    forEachTrialField(record, [&json](const char *name, auto value, bool,
+                                      bool applies) {
         if (applies)
-            json.put(key, value);
+            json.put(name, value);
         else
-            json.put(key, nullptr);
-    };
-    json.put("system",
-             systemKindName(static_cast<SystemKind>(record.system)))
-        .put("systemIndex", record.system)
-        .put("fault", fault::faultTypeName(
-                          static_cast<fault::FaultType>(record.fault)))
-        .put("faultIndex", record.fault)
-        .put("trial", record.trial)
-        .put("trialSeed", record.trialSeed)
-        .put("crashSeed", record.crashSeed)
-        .put("attempts", record.attempts)
-        .put("discards", record.discards)
-        .put("crashed", record.crashed);
-    putIf("cause", record.crashed,
-          sim::crashCauseName(static_cast<sim::CrashCause>(record.cause)));
-    putIf("crashAfterNs", record.crashed, record.crashAfterNs);
-    json.put("corrupt", record.corrupt)
-        .put("checksumDetected", record.checksumDetected)
-        .put("memtestDetected", record.memtestDetected)
-        .put("corruptFiles", record.corruptFiles)
-        .put("protectionSaves", record.protectionSaves)
-        .put("dumpOk", record.dumpOk)
-        .put("metadataQuarantined", record.metadataQuarantined)
-        .put("duplicateClaims", record.duplicateClaims)
-        .put("boundsViolations", record.boundsViolations)
-        .put("shadowChecksumBad", record.shadowChecksumBad)
-        .put("dataQuarantined", record.dataQuarantined)
-        .put("metadataUnrestorable", record.metadataUnrestorable)
-        .put("postCrashOps", record.postCrashOps)
-        .put("doubleCrashFired", record.doubleCrashFired);
-    putIf("doubleCrashPhase", record.doubleCrashFired,
-          core::recoveryPhaseName(
-              static_cast<core::RecoveryPhase>(record.doubleCrashPhase)));
-    json.put("recoveryPasses", record.recoveryPasses)
-        .put("recoveryResumed", record.recoveryResumed)
-        .put("checkpointWrites", record.checkpointWrites)
-        .put("retriedSectors", record.retriedSectors)
-        .put("remappedSectors", record.remappedSectors)
-        .put("abandonedSectors", record.abandonedSectors)
-        .put("diskTransientErrors", record.diskTransientErrors)
-        .put("diskBadSectorErrors", record.diskBadSectorErrors)
-        .put("diskSectorsRemapped", record.diskSectorsRemapped)
-        .put("readOnlyDegraded", record.readOnlyDegraded)
-        .put("nvBacked", record.nvBacked);
-    const bool nv = record.nvBacked;
-    putIf("nvMirrorPresent", nv, record.nvMirrorPresent);
-    putIf("nvMirrorCorrupt", nv, record.nvMirrorCorrupt);
-    putIf("nvEntriesGrafted", nv, record.nvEntriesGrafted);
-    putIf("nvShadowsUsed", nv, record.nvShadowsUsed);
-    putIf("nvMirrorWrites", nv, record.nvMirrorWrites);
-    putIf("nvBitsFlipped", nv, record.nvBitsFlipped);
-    putIf("nvLinesTorn", nv, record.nvLinesTorn);
-    json.put("powerCycleMode", record.powerCycleMode);
-    const bool power = record.powerCycleMode;
-    putIf("powerCycles", power, record.powerCycles);
-    putIf("workloadOps", power, record.workloadOps);
-    putIf("recoveryNs", power, record.recoveryNs);
-    json.put("message", record.message);
+            json.put(name, nullptr);
+    });
     return json.compact();
+}
+
+TrialTotals::TrialTotals(std::span<const TrialRecord> records)
+{
+    entries.emplace_back("trials", records.size());
+    forEachTrialField(TrialRecord{}, [this](const char *name, auto,
+                                            bool summed, bool) {
+        if (summed)
+            entries.emplace_back(name, 0);
+    });
+    for (const TrialRecord &record : records) {
+        if (!record.crashed)
+            continue;
+        auto next = entries.begin() + 1;
+        forEachTrialField(record, [&next](const char *, auto value,
+                                          bool summed, bool applies) {
+            if constexpr (std::is_arithmetic_v<decltype(value)>) {
+                if (summed)
+                    (next++)->second += applies ? static_cast<u64>(value) : 0;
+            }
+        });
+    }
+}
+
+u64
+TrialTotals::at(std::string_view name) const
+{
+    for (const auto &[key, total] : entries) {
+        if (key == name)
+            return total;
+    }
+    throw std::out_of_range("\"" + std::string(name) +
+                            "\" is not a summed trialToJson field");
 }
 
 std::string

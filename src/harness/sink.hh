@@ -9,12 +9,18 @@
  * JSONL file is byte-identical for a given (seed, config) no matter
  * how many worker threads produced it. Any trial can be replayed
  * serially from its record: `runOne(system, fault, crashSeed)`.
+ * TrialTotals sums records under the same field names, for the
+ * ablations' arms.
  */
 
 #ifndef RIO_HARNESS_SINK_HH
 #define RIO_HARNESS_SINK_HH
 
+#include <span>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "support/types.hh"
 
@@ -131,6 +137,25 @@ struct CampaignStats
  * that ran without that dimension.
  */
 std::string trialToJson(const TrialRecord &record);
+
+/**
+ * Totals over a set of trial records, keyed by their trialToJson
+ * names: "trials" counts every record, and over the crashed ones each
+ * count and flag (true = 1) is summed, "crashed" among them. A null
+ * field adds nothing; names, indices, seeds and messages are no
+ * totals.
+ */
+struct TrialTotals
+{
+    explicit TrialTotals(std::span<const TrialRecord> records);
+
+    /** The total named @p name; throws std::out_of_range for a name
+     *  that is not a total. */
+    u64 at(std::string_view name) const;
+
+    /** Every total in schema order, "trials" first. */
+    std::vector<std::pair<std::string, u64>> entries;
+};
 
 /**
  * Machine-readable Table 1 (schema 2): per-cell counts, totals, crash

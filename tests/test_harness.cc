@@ -321,7 +321,7 @@ TEST(EnvStrict, F64RejectsValuesOutsideItsRange)
         EXPECT_EQ(harness::campaignConfigFromEnv().doubleCrashRate, 1.0);
     }
     {
-        // RIO_REC_INTENSITY's reader: the default range starts at 0.
+        // envF64's default range starts at 0.
         EnvGuard guard("RIO_TEST_KNOB", "-0.5");
         EXPECT_THROW(harness::envF64("RIO_TEST_KNOB", 1.0),
                      std::invalid_argument);
@@ -369,14 +369,51 @@ TEST(EnvStrict, NarrowedKnobsRejectValuesAboveU32)
                      std::invalid_argument);
     }
     {
-        // The bench-local trial counts go through the same reader.
-        EnvGuard guard("RIO_REC_TRIALS", "4294967296");
-        EXPECT_THROW(harness::envU32("RIO_REC_TRIALS", 26, 1),
+        // The ablations' trial count goes through the same reader.
+        EnvGuard guard("RIO_ABL_TRIALS", "4294967296");
+        EXPECT_THROW(harness::ablationKnobsFromEnv(26),
                      std::invalid_argument);
     }
     EnvGuard guard("RIO_T1_CRASHES", "4294967295");
     EXPECT_EQ(harness::campaignConfigFromEnv().crashesPerCell,
               4294967295u);
+}
+
+TEST(EnvStrict, AblationKnobsReadSeedTrialsAndJobs)
+{
+    for (const char *knob : {"RIO_SEED", "RIO_ABL_TRIALS", "RIO_T1_JOBS"})
+        ::unsetenv(knob);
+    harness::AblationKnobs knobs = harness::ablationKnobsFromEnv(26);
+    EXPECT_EQ(knobs.seed, 1u);
+    EXPECT_EQ(knobs.trials, 26u);
+    EXPECT_EQ(knobs.jobs, 0u);
+    {
+        EnvGuard seed("RIO_SEED", "9");
+        EnvGuard trials("RIO_ABL_TRIALS", "6");
+        EnvGuard jobs("RIO_T1_JOBS", "3");
+        knobs = harness::ablationKnobsFromEnv(26);
+        EXPECT_EQ(knobs.seed, 9u);
+        EXPECT_EQ(knobs.trials, 6u);
+        EXPECT_EQ(knobs.jobs, 3u);
+    }
+    // Zero trials would print an empty table; zero workers is spelt
+    // by leaving the knob unset.
+    for (const char *knob : {"RIO_ABL_TRIALS", "RIO_T1_JOBS"}) {
+        EnvGuard guard(knob, "0");
+        EXPECT_THROW(harness::ablationKnobsFromEnv(26),
+                     std::invalid_argument)
+            << knob << "=0 accepted";
+    }
+    // The retired per-ablation names fail loudly instead of being
+    // ignored.
+    for (const char *knob :
+         {"RIO_REC_TRIALS", "RIO_DF_TRIALS", "RIO_NV_TRIALS",
+          "RIO_REC_INTENSITY", "RIO_REC_FLUSH_NS"}) {
+        EnvGuard guard(knob, "6");
+        EXPECT_THROW(harness::ablationKnobsFromEnv(26),
+                     std::invalid_argument)
+            << knob << " accepted";
+    }
 }
 
 TEST(EnvStrict, ScaledKnobsRejectValuesThatWrap)

@@ -5,8 +5,8 @@ Usage: pinned_outputs.py <build-dir> <out-dir>
 
 Runs, at reduced sizes: crashmc (four arms), Table 1 (four configs),
 Table 2, the recovery, disk-fault and rio-nv ablations with
-BENCH_nv.json, the GoldenTrial tests and the riobench workloads' "sim"
-sections. Host parts are stripped (table1.json's "host" section,
+BENCH_nv.json, the shadow and registry ablations at their defaults,
+the GoldenTrial tests and the riobench workloads' "sim" sections. Host parts are stripped (table1.json's "host" section,
 "wrote", "workers:" and "throughput:" lines, test timings), so a
 host-only change leaves `diff -r` of two out-dirs empty.
 """
@@ -36,9 +36,11 @@ TABLE1 = {
                   "RIO_DISKFAULT_DOUBLECRASH": "0.5"},
 }
 ABLATIONS = {
-    "ablation_recovery": {"RIO_REC_TRIALS": "6"},
-    "ablation_diskfault": {"RIO_DF_TRIALS": "6"},
-    "ablation_nv": {"RIO_NV_TRIALS": "1", "RIO_NV_JSON": "BENCH_nv.json"},
+    "ablation_recovery": {"RIO_ABL_TRIALS": "6"},
+    "ablation_diskfault": {"RIO_ABL_TRIALS": "6"},
+    "ablation_nv": {"RIO_ABL_TRIALS": "1", "RIO_NV_JSON": "BENCH_nv.json"},
+    "ablation_shadow": {},
+    "ablation_registry": {},
 }
 RIOBENCH = ["mail_rio", "mail_journal", "crash_recover", "campaign"]
 HOST_LINE = re.compile(r"^(wrote |workers:|throughput:)")
